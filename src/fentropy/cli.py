@@ -281,9 +281,6 @@ def cmd_envelope(args):
     return concave_envelope(samples).to_json()
 
 
-_GROWTH = {}
-
-
 def _parse_growth(spec: str):
     spec = spec.strip().lower()
     if spec.startswith("pow:"):

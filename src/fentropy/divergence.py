@@ -107,8 +107,8 @@ class FiniteMeasure:
 
     def __post_init__(self):
         for label, mass in self.atoms.items():
-            if mass < 0:
-                raise NotProbability(f"negative mass {mass} at atom {label!r}")
+            if not 0.0 <= mass < INF:
+                raise NotProbability(f"mass {mass} at atom {label!r} is negative or not finite")
 
     @property
     def total(self) -> float:

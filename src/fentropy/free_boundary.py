@@ -9,12 +9,9 @@ q_j = p_j + q_j * sum_{i != j} p_i q_{-i}, and v_i = q_i/(1+q_i).
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .divergence import INF, ConvexGenerator, FiniteMeasure, f_divergence
 from .errors import (
@@ -46,15 +43,12 @@ class GeneratorMeasure:
         if set(self.p) != letters:
             raise ParseError(f"p must be keyed by exactly {sorted(letters)}")
         for j in range(1, self.d + 1):
-            if self.p[j] <= 0 or self.p[-j] <= 0:
-                raise NotProbability("generator weights must be strictly positive")
+            if not (0.0 < self.p[j] < INF and 0.0 < self.p[-j] < INF):
+                raise NotProbability("generator weights must be finite and strictly positive")
             if abs(self.p[j] - self.p[-j]) > 1e-12:
                 raise NotProbability(f"weights of {j} and {-j} differ")
         if abs(math.fsum(self.p.values()) - 1.0) > 1e-12:
             raise NotProbability("generator weights must sum to 1")
-
-    def weight(self, j: int) -> float:
-        return self.p[j]
 
     def to_json(self) -> dict:
         return {"d": self.d, "p": {str(j): self.p[j] for j in letter_order(self.d)}}
@@ -92,70 +86,98 @@ class QVector:
         return res
 
 
-def _q_iteration_map(mu: GeneratorMeasure, q: dict) -> dict:
-    out = {}
-    for j in letter_order(mu.d):
-        s = math.fsum(mu.p[i] * q[-i] for i in letter_order(mu.d) if i != j)
-        out[j] = mu.p[j] + q[j] * s
-    return out
+# brentq's default relative tolerance (4 * machine epsilon) and iteration cap
+_BRENT_RTOL = 8.9e-16
+_BRENT_STEPS = 100
 
 
-def _newton_polish(mu: GeneratorMeasure, q: dict, steps: int = 6) -> dict:
-    """Newton refinement of the symmetric reduced system.
+def _brent(fn, lo: float, hi: float, f_lo: float, f_hi: float, xtol: float) -> float:
+    """Root of fn in the bracket [lo, hi], given f_lo = fn(lo) and f_hi = fn(hi).
 
-    With q_{-j} = q_j the system is F_j = q_j - p_j - q_j S + p_j q_j^2 with
-    S = 2 sum_k p_k q_k; the fixed-point phase lands close enough that a few
-    Newton steps push the residual to machine precision even when the
-    fixed-point contraction factor is near 1.
+    Brent's method: inverse quadratic interpolation or secant steps, with a
+    bisection step whenever the interpolant would not shrink the bracket fast
+    enough. It stops once the bracket half-width is below
+    (xtol + 8.9e-16*|x|)/2, as brentq does.
     """
-    d = mu.d
-    p = np.array([mu.p[j] for j in range(1, d + 1)])
-    x = np.array([q[j] for j in range(1, d + 1)])
-    for _ in range(steps):
-        s = 2.0 * float(p @ x)
-        fval = x - p - x * s + p * x * x
-        jac = -2.0 * np.outer(x, p)
-        jac[np.diag_indices(d)] += 1.0 - s + 2.0 * p * x
-        try:
-            step = np.linalg.solve(jac, fval)
-        except np.linalg.LinAlgError:
-            break
-        x = x - step
-        if np.max(np.abs(step)) < 1e-16:
-            break
-    if np.all((x > 0.0) & (x < 1.0)):
-        return {j: float(x[abs(j) - 1]) for j in letter_order(d)}
-    return q
+    xpre, xcur = lo, hi
+    fpre, fcur = f_lo, f_hi
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if not ((fpre < 0.0 < fcur) or (fcur < 0.0 < fpre)):
+        raise NoConvergence(f"root not bracketed: f({lo!r}) = {fpre!r}, f({hi!r}) = {fcur!r}")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_STEPS):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = fn(xcur)
+    raise NoConvergence(f"Brent's method did not converge in {_BRENT_STEPS} steps")
 
 
-def solve_q(mu: GeneratorMeasure, tol: float = Q_RESIDUAL_TOL, max_iter: int = 100_000) -> QVector:
-    """Damped fixed-point iteration for the first-passage system.
+def solve_q(mu: GeneratorMeasure, tol: float = Q_RESIDUAL_TOL) -> QVector:
+    """First-passage probabilities q from one scalar equation.
 
-    The iteration map is monotone on (0,1)^{2d}; damping with theta=0.5 guards
-    oscillation. If the start 2*p drifts toward the spurious fixed point at 1,
-    restart from p, which increases monotonically to the interior root.
+    With q_{-j} = q_j the system reads p_j q_j^2 + (1-S) q_j - p_j = 0 with
+    S = 2 sum_k p_k q_k, so q_j(S) = 2 p_j / ((1-S) + sqrt((1-S)^2 + 4 p_j^2))
+    and S solves g(S) = 2 sum_k p_k q_k(S) - S = 0 on (0,1). g(0) > 0, and
+    S = 1 is a spurious root with g'(1) = d - 1 > 0, so g < 0 just below 1:
+    halving the distance to 1 brackets the interior root.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ParseError("tol must be positive")
-    theta = 0.5
-    for start in ({j: 2.0 * mu.p[j] for j in letter_order(mu.d)}, dict(mu.p)):
-        q = dict(start)
-        for _ in range(max_iter):
-            m = _q_iteration_map(mu, q)
-            q = {j: (1.0 - theta) * q[j] + theta * m[j] for j in q}
-            if max(abs(q[j] - m[j]) for j in q) < tol / 4:
-                break
-        # exact symmetrization; the iterates are symmetric up to roundoff
-        q = {j: 0.5 * (q[j] + q[-j]) for j in q}
-        q = _newton_polish(mu, q)
-        qv = QVector(mu.d, q)
-        res = qv.residuals(mu)
-        if max(abs(r) for r in res.values()) < tol and all(0.0 < q[j] < 1.0 for j in q):
-            vsum = math.fsum(qv.v.values())
-            if abs(vsum - 1.0) > 10 * max(tol, 1e-12):
-                raise NoConvergence(f"q solved but sum v = {vsum!r}")
-            return qv
-    raise NoConvergence(f"q iteration did not reach residual {tol} in {max_iter} steps")
+    p = [mu.p[j] for j in range(1, mu.d + 1)]
+
+    def q_of(s: float) -> list:
+        u = 1.0 - s
+        return [2.0 * pj / (u + math.sqrt(u * u + 4.0 * pj * pj)) for pj in p]
+
+    def g(s: float) -> float:
+        return 2.0 * math.fsum(pj * qj for pj, qj in zip(p, q_of(s))) - s
+
+    lo, g_lo = 0.0, g(0.0)
+    h = 0.5
+    while (g_hi := g(1.0 - h)) >= 0.0:
+        lo, g_lo = 1.0 - h, g_hi
+        h /= 2.0
+        if h < 2.0**-53:
+            raise NoConvergence("could not bracket the interior root of the q equation")
+    s = _brent(g, lo, 1.0 - h, g_lo, g_hi, xtol=1e-16)
+
+    qs = q_of(s)
+    q = {j: qs[abs(j) - 1] for j in letter_order(mu.d)}
+    qv = QVector(mu.d, q)
+    residual = max(abs(r) for r in qv.residuals(mu).values())
+    if not (residual < tol and all(0.0 < x < 1.0 for x in qs)):
+        raise NoConvergence(f"q failed its certificate: residual {residual!r}, tol {tol}",
+                            residual_trace=[residual])
+    vsum = math.fsum(qv.v.values())
+    if abs(vsum - 1.0) > 10 * max(tol, 1e-12):
+        raise NoConvergence(f"q solved but sum v = {vsum!r}", residual_trace=[residual])
+    return qv
 
 
 @dataclass(frozen=True)
@@ -308,8 +330,8 @@ def rn_generator(qv: QVector, j: int, w: tuple) -> float:
 def _divergence_on_words(p_meas: CylinderMeasure, q_meas: CylinderMeasure,
                          f: ConvexGenerator) -> float:
     labels = set(p_meas.masses) | set(q_meas.masses)
-    # both totals equal 1 in exact arithmetic; divide out the fixed-point
-    # solver's roundoff so the strict probability check stays meaningful
+    # both totals equal 1 in exact arithmetic; divide out the q solver's
+    # roundoff so the strict probability check stays meaningful
     pt = math.fsum(p_meas.mass(w) for w in labels)
     qt = math.fsum(q_meas.mass(w) for w in labels)
     if not (0.999 < pt < 1.001 and 0.999 < qt < 1.001):
@@ -409,11 +431,13 @@ def t_map(mu: GeneratorMeasure, f: ConvexGenerator) -> GeneratorMeasure:
 
 def _phi_inverse(f: ConvexGenerator, y: float) -> float:
     lo, hi = 1e-14, 1.0 - 1e-14
-    if _phi(f, hi) >= y:
+    f_hi = _phi(f, hi) - y
+    if f_hi >= 0.0:
         return hi
-    if _phi(f, lo) <= y:
+    f_lo = _phi(f, lo) - y
+    if f_lo <= 0.0:
         return lo
-    return brentq(lambda q: _phi(f, q) - y, lo, hi, xtol=1e-16, rtol=8.9e-16)
+    return _brent(lambda q: _phi(f, q) - y, lo, hi, f_lo, f_hi, xtol=1e-16)
 
 
 def t_inverse(lam: GeneratorMeasure, f: ConvexGenerator,
@@ -421,7 +445,7 @@ def t_inverse(lam: GeneratorMeasure, f: ConvexGenerator,
     """Invert the T map by solving for the normalization constant.
 
     Given c, q_j = Phi^{-1}(c/lam_j) where Phi(q) = Psi_f(q)-Psi_f(1/q); the
-    admissibility constraint sum_i v_i = 1 pins c by monotone bisection, and p
+    admissibility constraint sum_i v_i = 1 pins c by Brent's method, and p
     is then recovered from the first-passage system in closed form.
     """
     d = lam.d
@@ -433,15 +457,15 @@ def t_inverse(lam: GeneratorMeasure, f: ConvexGenerator,
         )
 
     lo, hi = 1e-8, 1.0
-    while vsum(hi) > 1.0:
+    while (v_hi := vsum(hi)) > 1.0:
         hi *= 2.0
         if hi > 1e12:
             raise NoConvergence("could not bracket the normalization constant")
-    while vsum(lo) < 1.0:
+    while (v_lo := vsum(lo)) < 1.0:
         lo /= 2.0
         if lo < 1e-300:
             raise NoConvergence("could not bracket the normalization constant")
-    c = brentq(lambda x: vsum(x) - 1.0, lo, hi, xtol=1e-300, rtol=8.9e-16)
+    c = _brent(lambda x: vsum(x) - 1.0, lo, hi, v_lo - 1.0, v_hi - 1.0, xtol=1e-300)
 
     q = {}
     for j in range(1, d + 1):
@@ -549,13 +573,6 @@ class EntropyEngine:
         return math.fsum(terms)
 
 
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("FE_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _scan_sample(engines: dict, m: int, seed: int, i: int,
                  zero_fraction: float, uniform_tail_fraction: float):
     rng = np.random.default_rng([seed, i])
@@ -582,8 +599,7 @@ def minimality_scan(lam: GeneratorMeasure, f: ConvexGenerator, depth: int,
                     uniform_tail_fraction: float = 0.1) -> dict:
     """Scan random tail-extended depth-n measures for entropy below nu_mu's.
 
-    Sample i's randomness depends only on (seed, i), so the report does not
-    depend on the worker count.
+    Sample i's randomness depends only on (seed, i).
     """
     if samples < 1 or depth < 1:
         raise ParseError("need samples >= 1 and depth >= 1")
@@ -597,31 +613,13 @@ def minimality_scan(lam: GeneratorMeasure, f: ConvexGenerator, depth: int,
     }
     m = len(engines["harmonic"].words_n)
 
-    def run_block(indices):
-        return [
-            _scan_sample(engines, m, seed, i, zero_fraction, uniform_tail_fraction)
-            for i in indices
-        ]
-
-    workers = _worker_count()
-    all_indices = list(range(samples))
-    if workers == 1 or samples < 64:
-        results = run_block(all_indices)
-    else:
-        blocks = [all_indices[k::workers] for k in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partial = list(pool.map(run_block, blocks))
-        merged = {}
-        for block, res in zip(blocks, partial):
-            for i, r in zip(block, res):
-                merged[i] = r
-        results = [merged[i] for i in all_indices]
-
     min_entropy = INF
     argmin_x = None
     argmin_tail = None
     n_infinite = 0
-    for h, x, tail_kind in results:
+    for i in range(samples):
+        h, x, tail_kind = _scan_sample(engines, m, seed, i, zero_fraction,
+                                       uniform_tail_fraction)
         if h == INF:
             n_infinite += 1
         if h < min_entropy:

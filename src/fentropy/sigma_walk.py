@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -251,15 +251,6 @@ def exact_distribution(s: StochasticSequence, n: int,
     for k in range(n + 1):
         dist = _propagate(s, dist, k, budget)
     return LeveledMeasure(n, dist)
-
-
-def convolution_row(s: StochasticSequence, start: int, row: int, n: int,
-                    budget: int = ELEMENT_BUDGET) -> dict:
-    """Row `row` of sigma^(start) * ... * sigma^(n) as a dict (j,g) -> mass."""
-    dist = {(row, s.group.identity): 1.0}
-    for k in range(start, n + 1):
-        dist = _propagate(s, dist, k, budget)
-    return dist
 
 
 def _row_choices(row):
@@ -602,7 +593,7 @@ def _geometric_tails(m: np.ndarray, lo: int, window_lo: int, window_hi: int,
     return c * (left + right - full)
 
 
-def folner_sequence_z(max_level: int, geom_b: float = 0.5):
+def folner_sequence_z(max_level: int):
     """Interval-uniform convolution powers rho_n = u_1 * ... * u_n on Z.
 
     u_n is uniform on [-2^n, 2^n]; rho_0 is the point mass at 0. Returns the
@@ -654,7 +645,7 @@ def folner_entropy_curve(lam: FiniteMeasure, f: ConvexGenerator, a_values,
             N = n_eps
         else:
             N = min(n_eps, max_level)
-        rhos = folner_sequence_z(N, geom_b)
+        rhos = folner_sequence_z(N)
         weights = np.array([(1.0 - a) * a**n for n in range(N + 1)])
         tail_mass = a ** (N + 1)
         weights = weights / weights.sum()

@@ -176,6 +176,20 @@ class TestEndToEnd:
         err = json.loads(r.stderr)
         assert err["error"] == "ParseError"
 
+    def test_nan_weight_exit_code(self, files):
+        mu = os.path.join(files["dir"], "nan.json")
+        with open(mu, "w") as fh:
+            fh.write('{"d": 2, "p": {"1": 0.4, "-1": 0.4, "2": NaN, "-2": NaN}}')
+        r = run_cli("solve-q", "--mu", mu)
+        assert r.returncode == 2
+        assert json.loads(r.stderr)["error"] == "NotProbability"
+
+    def test_import_leaves_scipy_out(self):
+        code = ("import sys, fentropy.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert r.returncode == 0 and r.stdout.strip() == "[]"
+
     def test_budget_exit_code(self, files):
         r = run_cli("abel", "--sigma", files["sigmaz.json"], "--t", "-1",
                     "--r", "0", "--a", "0.999999", "--eps", "1e-12")

@@ -100,6 +100,11 @@ class TestFDivergence:
         with pytest.raises(NotProbability):
             f_divergence(P(0.5, 0.4), P(0.5, 0.5), KL)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_bad_mass_rejected(self, bad):
+        with pytest.raises(NotProbability):
+            FiniteMeasure({"a": bad, "b": 1.0})
+
     def test_nonnegative(self):
         rng = np.random.default_rng(0)
         for f in (KL, CHI2, ConvexGenerator("power", 0.5)):

@@ -6,6 +6,7 @@ import pytest
 from fentropy.divergence import CHI2, INF, KL, ConvexGenerator
 from fentropy.errors import (
     DepthMismatch,
+    NoConvergence,
     NotProbability,
     RankTooSmall,
     StepTooLarge,
@@ -15,6 +16,7 @@ from fentropy.free_boundary import (
     EntropyEngine,
     GeneratorMeasure,
     TailRule,
+    _brent,
     closed_form_harmonic_entropy,
     convolve,
     cylinder_entropy,
@@ -77,6 +79,41 @@ class TestSolveQ:
     def test_asymmetric_weights_rejected(self):
         with pytest.raises(NotProbability):
             GeneratorMeasure(2, {1: 0.5, -1: 0.3, 2: 0.1, -2: 0.1})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        with pytest.raises(NotProbability):
+            GeneratorMeasure(2, {1: 0.5, -1: 0.5, 2: bad, -2: bad})
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8])
+    def test_stiff_measure(self, eps):
+        # p_2 = eps/2 puts the interior root within sqrt(2 eps) of the spurious root S = 1
+        mu = GeneratorMeasure(2, {1: (1 - eps) / 2, -1: (1 - eps) / 2,
+                                  2: eps / 2, -2: eps / 2})
+        qv = solve_q(mu)
+        assert max(abs(r) for r in qv.residuals(mu).values()) < 1e-12
+        assert abs(math.fsum(qv.v.values()) - 1.0) < 1e-10
+        for j in letter_order(2):
+            assert qv.q[j] == qv.q[-j]
+        assert stationarity_residual(mu, harmonic_measure(mu, 3), 2) < 1e-12
+
+
+class TestBrent:
+    @staticmethod
+    def brent(fn, lo, hi):
+        return _brent(fn, lo, hi, fn(lo), fn(hi), xtol=1e-16)
+
+    def test_known_root_within_two_ulp(self):
+        root = math.sqrt(2.0)
+        for lo, hi in ((1.0, 2.0), (0.0, 10.0), (1.4, 1.5)):
+            x = self.brent(lambda t: t * t - 2.0, lo, hi)
+            assert abs(x - root) <= 2 * math.ulp(root)
+
+    def test_unbracketed_interval_raises(self):
+        with pytest.raises(NoConvergence):
+            self.brent(lambda t: t * t + 1.0, -1.0, 1.0)
+        with pytest.raises(NoConvergence):
+            self.brent(lambda t: t - 2.0, 0.0, 1.0)
 
 
 class TestHarmonicMeasure:
