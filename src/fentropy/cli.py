@@ -27,6 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .free_boundary import (
+    Q_RESIDUAL_TOL,
     CylinderMeasure,
     GeneratorMeasure,
     cylinder_entropy,
@@ -351,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--" + flag.replace("_", "-"), **kwargs)
         return p
 
-    add("solve-q", mu={"required": True}, tol={"type": float, "default": 1e-12})
+    add("solve-q", mu={"required": True}, tol={"type": float, "default": Q_RESIDUAL_TOL})
     add("harmonic", mu={"required": True}, depth={"type": int, "required": True})
     p = sub.add_parser("entropy", parents=[common])
     p.add_argument("--lambda", required=True)

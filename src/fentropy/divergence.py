@@ -3,12 +3,18 @@
 The divergence kernel is a convex f with f(1)=0; only the three builtin
 generators (KL, chi-squared, power) are accepted so that f(0+) and the slope
 at infinity stay exact instead of being estimated numerically.
+
+`divergence_arrays` is the one place D_f is computed, with Csiszar's
+conventions: a mass <= ZERO_MASS counts as zero, an atom with p = 0 < q adds
+f(0+) q, mass p escaping to atoms with q = 0 adds f'(inf) p, and 0*inf = 0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import AtomMismatch, MissingTranslate, NotProbability, ParseError
 
@@ -38,6 +44,15 @@ class ConvexGenerator:
             raise ValueError("eval defined for t>0; use at_zero for the boundary")
         if self.kind == "kl":
             return t * math.log(t)
+        if self.kind == "chi2":
+            return (t - 1.0) ** 2
+        a = self.alpha
+        return (t**a - 1.0) / (a * (a - 1.0))
+
+    def eval_array(self, t: np.ndarray) -> np.ndarray:
+        """eval applied elementwise to an array of t > 0."""
+        if self.kind == "kl":
+            return t * np.log(t)
         if self.kind == "chi2":
             return (t - 1.0) ** 2
         a = self.alpha
@@ -147,43 +162,48 @@ def _require_probability(m: FiniteMeasure, name: str):
         raise NotProbability(f"{name} has total {m.total!r}, expected 1")
 
 
-def f_divergence(P: FiniteMeasure, Q: FiniteMeasure, f: ConvexGenerator) -> float:
-    """D_f(P||Q) on a common finite atom set, with the f(0+)/f'(inf) conventions.
+def divergence_arrays(p: np.ndarray, q: np.ndarray, f: ConvexGenerator) -> float:
+    """D_f(p||q) for aligned arrays of non-negative masses.
 
-    Atoms where both masses vanish contribute nothing (0*inf = 0).
+    Masses <= ZERO_MASS count as zero. Atoms where both masses vanish
+    contribute nothing (0*inf = 0); p = 0 < q atoms add f(0+) q; the mass p
+    escaping to q = 0 atoms adds f'(inf) p; every other atom adds f(p/q) q.
     """
-    if P.labels() != Q.labels():
-        raise AtomMismatch("P and Q live on different atom sets")
-    _require_probability(P, "P")
-    _require_probability(Q, "Q")
+    q_pos = q > ZERO_MASS
+    p_pos = p > ZERO_MASS
     terms = []
-    p_on_null = []
-    for label in P.atoms:
-        p = P.atoms[label]
-        q = Q.atoms[label]
-        if q <= ZERO_MASS:
-            if p > ZERO_MASS:
-                p_on_null.append(p)
-            continue
-        if p <= ZERO_MASS:
-            z = f.at_zero
-            if z == INF:
-                return INF
-            terms.append(z * q)
-        else:
-            terms.append(f.eval(p / q) * q)
-    escaped = math.fsum(p_on_null)
-    if escaped > 0.0:
+    escaped = p_pos & ~q_pos
+    if escaped.any():
         slope = f.at_infinity_slope
         if slope == INF:
             return INF
-        terms.append(escaped * slope)
+        terms.append(math.fsum(p[escaped].tolist()) * slope)
+    p_zero = q_pos & ~p_pos
+    if p_zero.any():
+        z = f.at_zero
+        if z == INF:
+            return INF
+        terms.extend((z * q[p_zero]).tolist())
+    both = p_pos & q_pos
+    qb = q[both]
+    terms.extend((f.eval_array(p[both] / qb) * qb).tolist())
     value = math.fsum(terms)
     # the supporting line at 1 makes each term nonnegative in exact arithmetic,
     # so a tiny negative total is pure roundoff
     if -PROB_TOL < value < 0.0:
         return 0.0
     return value
+
+
+def f_divergence(P: FiniteMeasure, Q: FiniteMeasure, f: ConvexGenerator) -> float:
+    """D_f(P||Q) on a common finite atom set, with divergence_arrays' conventions."""
+    if P.labels() != Q.labels():
+        raise AtomMismatch("P and Q live on different atom sets")
+    _require_probability(P, "P")
+    _require_probability(Q, "Q")
+    p = np.fromiter(P.atoms.values(), dtype=float, count=len(P.atoms))
+    q = np.array([Q.atoms[label] for label in P.atoms], dtype=float)
+    return divergence_arrays(p, q, f)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import INF, ConvexGenerator, FiniteMeasure, f_divergence
+from .divergence import INF, PROB_TOL, ConvexGenerator, divergence_arrays
 from .errors import (
     DepthMismatch,
     NoConvergence,
@@ -26,7 +26,6 @@ from .errors import (
 from .words import ReducedWord, encode_word, decode_word, enumerate_words, letter_order, reduce_letters
 
 Q_RESIDUAL_TOL = 1e-12
-V_SUM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -45,9 +44,9 @@ class GeneratorMeasure:
         for j in range(1, self.d + 1):
             if not (0.0 < self.p[j] < INF and 0.0 < self.p[-j] < INF):
                 raise NotProbability("generator weights must be finite and strictly positive")
-            if abs(self.p[j] - self.p[-j]) > 1e-12:
+            if abs(self.p[j] - self.p[-j]) > PROB_TOL:
                 raise NotProbability(f"weights of {j} and {-j} differ")
-        if abs(math.fsum(self.p.values()) - 1.0) > 1e-12:
+        if abs(math.fsum(self.p.values()) - 1.0) > PROB_TOL:
             raise NotProbability("generator weights must sum to 1")
 
     def to_json(self) -> dict:
@@ -141,33 +140,37 @@ def _brent(fn, lo: float, hi: float, f_lo: float, f_hi: float, xtol: float) -> f
 def solve_q(mu: GeneratorMeasure, tol: float = Q_RESIDUAL_TOL) -> QVector:
     """First-passage probabilities q from one scalar equation.
 
-    With q_{-j} = q_j the system reads p_j q_j^2 + (1-S) q_j - p_j = 0 with
-    S = 2 sum_k p_k q_k, so q_j(S) = 2 p_j / ((1-S) + sqrt((1-S)^2 + 4 p_j^2))
-    and S solves g(S) = 2 sum_k p_k q_k(S) - S = 0 on (0,1). g(0) > 0, and
-    S = 1 is a spurious root with g'(1) = d - 1 > 0, so g < 0 just below 1:
-    halving the distance to 1 brackets the interior root.
+    With q_{-j} = q_j the system reads p_j q_j^2 + u q_j - p_j = 0 with
+    u = 1 - S and S = 2 sum_k p_k q_k, so q_j(u) = 2 p_j / (u + R_j) with
+    R_j = sqrt(u^2 + 4 p_j^2). Dividing the equation for S by u removes the
+    spurious root u = 0 (S = 1); with e = 1 - 2 sum_k p_k (zero up to
+    rounding) and R_j - 2 p_j = u^2 / (R_j + 2 p_j) it reads
+    h(u) = 1 - e/u - sum_k 2 p_k (1 + u/(2 p_k + R_k)) / (u + R_k) = 0,
+    free of cancellation, so stiff mu (some p_k tiny) keeps full accuracy.
+    h(1) > 0 and h(0+) = 1 - d < 0, so halving u from 1/2 brackets the root.
     """
     if not tol > 0:
         raise ParseError("tol must be positive")
     p = [mu.p[j] for j in range(1, mu.d + 1)]
+    e = math.fsum([1.0] + [-2.0 * pk for pk in p])
 
-    def q_of(s: float) -> list:
-        u = 1.0 - s
-        return [2.0 * pj / (u + math.sqrt(u * u + 4.0 * pj * pj)) for pj in p]
+    def h(u: float) -> float:
+        terms = [1.0, -e / u]
+        for pk in p:
+            r = math.sqrt(u * u + 4.0 * pk * pk)
+            terms.append(-2.0 * pk * (1.0 + u / (2.0 * pk + r)) / (u + r))
+        return math.fsum(terms)
 
-    def g(s: float) -> float:
-        return 2.0 * math.fsum(pj * qj for pj, qj in zip(p, q_of(s))) - s
-
-    lo, g_lo = 0.0, g(0.0)
-    h = 0.5
-    while (g_hi := g(1.0 - h)) >= 0.0:
-        lo, g_lo = 1.0 - h, g_hi
-        h /= 2.0
-        if h < 2.0**-53:
+    hi, h_hi = 1.0, h(1.0)
+    u = 0.5
+    while (h_lo := h(u)) >= 0.0:
+        hi, h_hi = u, h_lo
+        u /= 2.0
+        if u < 2.0**-1022:
             raise NoConvergence("could not bracket the interior root of the q equation")
-    s = _brent(g, lo, 1.0 - h, g_lo, g_hi, xtol=1e-16)
+    u = _brent(h, u, hi, h_lo, h_hi, xtol=1e-300)
 
-    qs = q_of(s)
+    qs = [2.0 * pk / (u + math.sqrt(u * u + 4.0 * pk * pk)) for pk in p]
     q = {j: qs[abs(j) - 1] for j in letter_order(mu.d)}
     qv = QVector(mu.d, q)
     residual = max(abs(r) for r in qv.residuals(mu).values())
@@ -175,7 +178,7 @@ def solve_q(mu: GeneratorMeasure, tol: float = Q_RESIDUAL_TOL) -> QVector:
         raise NoConvergence(f"q failed its certificate: residual {residual!r}, tol {tol}",
                             residual_trace=[residual])
     vsum = math.fsum(qv.v.values())
-    if abs(vsum - 1.0) > 10 * max(tol, 1e-12):
+    if abs(vsum - 1.0) > 10 * max(tol, Q_RESIDUAL_TOL):
         raise NoConvergence(f"q solved but sum v = {vsum!r}", residual_trace=[residual])
     return qv
 
@@ -216,8 +219,8 @@ class CylinderMeasure:
         for w, m in self.masses.items():
             if len(w) != self.depth:
                 raise DepthMismatch(f"word {w} has length {len(w)}, expected {self.depth}")
-            if m < 0:
-                raise NotProbability(f"negative mass at {w}")
+            if not 0.0 <= m < INF:
+                raise NotProbability(f"mass {m} at {w} is negative or not finite")
 
     @property
     def total(self) -> float:
@@ -330,15 +333,15 @@ def rn_generator(qv: QVector, j: int, w: tuple) -> float:
 def _divergence_on_words(p_meas: CylinderMeasure, q_meas: CylinderMeasure,
                          f: ConvexGenerator) -> float:
     labels = set(p_meas.masses) | set(q_meas.masses)
+    p = np.array([p_meas.mass(w) for w in labels])
+    q = np.array([q_meas.mass(w) for w in labels])
     # both totals equal 1 in exact arithmetic; divide out the q solver's
-    # roundoff so the strict probability check stays meaningful
-    pt = math.fsum(p_meas.mass(w) for w in labels)
-    qt = math.fsum(q_meas.mass(w) for w in labels)
+    # roundoff, and refuse measures (such as user input) that are far from 1
+    pt = math.fsum(p.tolist())
+    qt = math.fsum(q.tolist())
     if not (0.999 < pt < 1.001 and 0.999 < qt < 1.001):
         raise NotProbability(f"cylinder totals {pt!r}, {qt!r} are not near 1")
-    P = FiniteMeasure({w: p_meas.mass(w) / pt for w in labels})
-    Q = FiniteMeasure({w: q_meas.mass(w) / qt for w in labels})
-    return f_divergence(P, Q, f)
+    return divergence_arrays(p / pt, q / qt, f)
 
 
 def cylinder_entropy(lam: GeneratorMeasure, nu: CylinderMeasure,
@@ -534,39 +537,12 @@ class EntropyEngine:
             x[self.index_n[w]] = m
         return x
 
-    def _div_arrays(self, p: np.ndarray, q: np.ndarray) -> float:
-        f = self.f
-        pos = q > 1e-15
-        ppos = p > 1e-15
-        escaped = float(p[~pos].sum())
-        if escaped > 1e-15 and f.at_infinity_slope == INF:
-            return INF
-        both = pos & ppos
-        r = p[both] / q[both]
-        if f.kind == "kl":
-            vals = p[both] * np.log(r)
-        elif f.kind == "chi2":
-            vals = (p[both] - q[both]) ** 2 / q[both]
-        else:
-            a = f.alpha
-            vals = (r**a - 1.0) / (a * (a - 1.0)) * q[both]
-        out = math.fsum(vals.tolist())
-        qz = pos & ~ppos
-        if np.any(qz):
-            z = f.at_zero
-            if z == INF:
-                return INF
-            out += z * float(q[qz].sum())
-        if escaped > 1e-15:
-            out += escaped * f.at_infinity_slope
-        return max(out, 0.0)
-
     def entropy(self, x: np.ndarray) -> float:
         q1 = self.refine_matrix @ x
         terms = []
         for j in letter_order(self.lam.d):
             pj = self.push_matrices[j] @ x
-            dj = self._div_arrays(pj, q1)
+            dj = divergence_arrays(pj, q1, self.f)
             if dj == INF:
                 return INF
             terms.append(self.lam.p[j] * dj)

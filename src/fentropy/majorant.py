@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import FiniteMeasure
+from .divergence import PROB_TOL, FiniteMeasure
 from .errors import (
     AtomMismatch,
     BadSample,
@@ -162,7 +162,7 @@ def combine(op: str, inputs, K: float | None = None, weights=None) -> Majorant:
         if weights is None or len(weights) != len(inputs):
             raise InvalidWeight("mix needs one weight per input")
         w = np.array([float(x) for x in weights])
-        if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
+        if np.any(w < 0) or abs(w.sum() - 1.0) > PROB_TOL:
             raise InvalidWeight("mix weights must form a probability vector")
         ys = sum(wi * r.eval_array(_GRID) for wi, r in zip(w, inputs))
         out = _pwl_from_samples(_GRID, ys)
@@ -183,6 +183,9 @@ class WeightedFunction:
         missing = self.space.labels() - set(self.values)
         if missing:
             raise AtomMismatch(f"values missing for atoms {sorted(map(str, missing))}")
+        for label, v in self.values.items():
+            if not math.isfinite(v):
+                raise ValidationError(f"value {v} at atom {label!r} is not finite")
 
     def to_json(self) -> dict:
         return {
@@ -285,7 +288,7 @@ def vallee_poussin(G, M: float, grid_size: int = 512):
     rho1 (detected exactly as a power when rho1 has power shape). Any f with
     E[G(|f|)] <= M then has rho-norm at most K.
     """
-    if M <= 0:
+    if not M > 0:
         raise ParseError("M must be positive")
     g_eval = G.eval if hasattr(G, "eval") else G
     vs = np.unique(np.concatenate([
@@ -324,31 +327,23 @@ def split_integrable(f: WeightedFunction, rho: Majorant, C: float) -> set:
     Each round unions in a maximal-measure bad subset of the complement;
     disjoint bad sets union to a bad set by sub-additivity of rho.
     """
-    if C <= 0:
+    if not C > 0:
         raise ParseError("C must be positive")
     labels, nu, w = _positive_atoms(f)
     if len(labels) > EXACT_ATOM_CAP - 8:
         raise TooManyAtoms("split certification caps at 12 atoms")
-    n = len(labels)
-    in_b = np.zeros(n, dtype=bool)
-
-    def bad_subset_of_rest():
-        rest = np.where(~in_b)[0]
-        best = None
-        best_nu = -1.0
-        for mask in range(1, 1 << len(rest)):
-            idx = rest[[(mask >> k) & 1 == 1 for k in range(len(rest))]]
-            nu_a = nu[idx].sum()
-            if w[idx].sum() > C * rho.eval(min(nu_a, 1.0)) and nu_a > best_nu:
-                best_nu = nu_a
-                best = idx
-        return best
-
+    in_b = np.zeros(len(labels), dtype=bool)
     while True:
-        bad = bad_subset_of_rest()
-        if bad is None:
+        # one round: the first maximal-measure bad subset of the complement,
+        # in the order of _subset_sums' masks
+        rest = np.where(~in_b)[0]
+        nu_sums = _subset_sums(nu[rest])[1:]
+        w_sums = _subset_sums(w[rest])[1:]
+        bad = w_sums > C * rho.eval_array(np.minimum(nu_sums, 1.0))
+        if not bad.any():
             break
-        in_b[bad] = True
+        mask = int(np.argmax(np.where(bad, nu_sums, -1.0))) + 1
+        in_b[rest[[(mask >> k) & 1 == 1 for k in range(len(rest))]]] = True
     return {labels[i] for i in np.where(in_b)[0]}
 
 

@@ -13,10 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import INF, ConvexGenerator, FiniteMeasure
+from .divergence import (INF, PROB_TOL, ZERO_MASS, ConvexGenerator, FiniteMeasure,
+                         divergence_arrays)
 from .errors import (
     BudgetExceeded,
     IncompleteTable,
+    NotProbability,
     ParseError,
     TooManyDiscards,
     ValidationError,
@@ -115,6 +117,8 @@ class StochasticSequence:
             for row in mat:
                 if len(row) != self.ell[n]:
                     raise ParseError(f"matrix {n} has a row of wrong width")
+                if not all(0.0 <= m < INF for cell in row for m in cell.values()):
+                    raise NotProbability(f"matrix {n} has a negative or non-finite mass")
             rows_prev = self.ell[n]
 
     @property
@@ -206,7 +210,7 @@ def validate_sigma(s: StochasticSequence) -> dict:
         for i, row in enumerate(mat):
             r = abs(math.fsum(m for cell in row for m in cell.values()) - 1.0)
             worst = max(worst, r)
-            if r > 1e-12:
+            if r > PROB_TOL:
                 row_residuals.append({"level": n, "row": i, "residual": r})
         for j in range(s.ell[n]):
             if all(math.fsum(mat[i][j].values()) == 0.0 for i in range(len(mat))):
@@ -627,6 +631,10 @@ def folner_entropy_curve(lam: FiniteMeasure, f: ConvexGenerator, a_values,
     sigma^(n) is uniform on [-2^n, 2^n]. When max_level caps the truncation
     below what eps asks for, the dropped geometric weight is renormalized into
     the stored levels and reported.
+
+    The far tails of lambda_a are prefix-sum noise: positions where either
+    shifted mass is at or below ZERO_MASS are dropped before D_f is taken,
+    since their masses are below the float resolution of lambda_a's total.
     """
     shifts = sorted(int(k) for k in lam.atoms)
     if not lam.is_probability:
@@ -671,19 +679,10 @@ def folner_entropy_curve(lam: FiniteMeasure, f: ConvexGenerator, a_values,
             hi_k = window_hi - smax
             q = lam_a[lo_k - window_lo: hi_k - window_lo + 1]
             p = lam_a[lo_k - sft - window_lo: hi_k - sft - window_lo + 1]
-            # positions zeroed by the noise floor carry true mass below float
-            # resolution; their divergence contribution is < 1e-19
-            keep = (p > 0.0) & (q > 0.0)
-            p, q = p[keep], q[keep]
-            r = p / q
-            if f.kind == "kl":
-                vals = p * np.log(r)
-            elif f.kind == "chi2":
-                vals = (p - q) ** 2 / q
-            else:
-                al = f.alpha
-                vals = (r**al - 1.0) / (al * (al - 1.0)) * q
-            h_terms.append(wgt * max(math.fsum(vals.tolist()), 0.0))
+            # a tail position just above the floor in p but not in q would
+            # count as escaped mass, which is infinite for KL
+            keep = (p > ZERO_MASS) & (q > ZERO_MASS)
+            h_terms.append(wgt * divergence_arrays(p[keep], q[keep], f))
         results.append({
             "a": a,
             "h": math.fsum(h_terms),

@@ -184,6 +184,30 @@ class TestEndToEnd:
         assert r.returncode == 2
         assert json.loads(r.stderr)["error"] == "NotProbability"
 
+    @pytest.mark.parametrize("case", ["rho-norm", "split", "split-C", "walk-exact",
+                                      "validate-sigma", "vp"])
+    def test_non_finite_input_exit_code(self, files, case):
+        fn = os.path.join(files["dir"], "nan_fn.json")
+        with open(fn, "w") as fh:
+            fh.write('{"space": {"atoms": {"a": 0.5, "b": 0.5}}, "values": {"a": NaN, "b": 1}}')
+        doc = constant_sequence(uniform_generator_measure(2)).to_json()
+        doc["matrices"][0][0][0][0]["mass"] = float("nan")
+        sigma = os.path.join(files["dir"], "nan_sigma.json")
+        with open(sigma, "w") as fh:
+            json.dump(doc, fh)
+        args = {
+            "rho-norm": ("rho-norm", "--function", fn, "--rho", files["rho.json"]),
+            "split": ("split", "--function", fn, "--rho", files["rho.json"], "--C", "1"),
+            "split-C": ("split", "--function", files["fn.json"], "--rho", files["rho.json"],
+                        "--C", "nan"),
+            "walk-exact": ("walk-exact", "--sigma", sigma, "--level", "2"),
+            "validate-sigma": ("validate-sigma", "--sigma", sigma),
+            "vp": ("vp", "--g", "pow:2", "--M", "nan"),
+        }[case]
+        r = run_cli(*args)
+        assert r.returncode == 2, r.stdout
+        assert "error" in json.loads(r.stderr)
+
     def test_import_leaves_scipy_out(self):
         code = ("import sys, fentropy.cli; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")

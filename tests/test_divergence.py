@@ -9,9 +9,12 @@ from fentropy.divergence import (
     CHI2,
     INF,
     KL,
+    PROB_TOL,
+    ZERO_MASS,
     ConvexGenerator,
     FiniteMeasure,
     MeasureFamily,
+    divergence_arrays,
     f_divergence,
     furstenberg_entropy,
     generator_from_string,
@@ -160,6 +163,72 @@ class TestFDivergence:
         d = f_divergence(P(*p), P(*q), CHI2)
         assert d >= 0.0
         assert f_divergence(P(*p), P(*p), CHI2) == 0.0
+
+
+GENERATORS = [KL, CHI2, ConvexGenerator("power", 0.5), ConvexGenerator("power", 2.0),
+              ConvexGenerator("power", -1.0)]
+
+
+def scalar_divergence(p, q, f):
+    """Per-atom oracle for divergence_arrays, one branch per Csiszar convention."""
+    terms, escaped = [], []
+    for pi, qi in zip(p, q):
+        if qi <= ZERO_MASS:
+            if pi > ZERO_MASS:
+                escaped.append(pi)
+        elif pi <= ZERO_MASS:
+            if f.at_zero == INF:
+                return INF
+            terms.append(f.at_zero * qi)
+        else:
+            terms.append(f.eval(pi / qi) * qi)
+    if escaped:
+        if f.at_infinity_slope == INF:
+            return INF
+        terms.append(math.fsum(escaped) * f.at_infinity_slope)
+    value = math.fsum(terms)
+    return 0.0 if -PROB_TOL < value < 0.0 else value
+
+
+@st.composite
+def probability_vectors(draw, n):
+    """A probability vector whose atoms may be exact zeros or below ZERO_MASS."""
+    w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+    kinds = draw(st.lists(st.sampled_from(["mass", "mass", "zero", "tiny"]),
+                          min_size=n, max_size=n))
+    if "mass" not in kinds:
+        kinds[0] = "mass"
+    kinds = np.array(kinds)
+    w[kinds != "mass"] = 0.0
+    w /= w.sum()
+    w[kinds == "tiny"] = 3e-16
+    return w
+
+
+@st.composite
+def probability_pairs(draw):
+    n = draw(st.integers(1, 8))
+    return draw(probability_vectors(n)), draw(probability_vectors(n))
+
+
+class TestDivergenceArrays:
+    @settings(max_examples=150, deadline=None)
+    @given(probability_pairs(), st.sampled_from(GENERATORS))
+    def test_matches_scalar_oracle(self, pq, f):
+        p, q = pq
+        got = divergence_arrays(p, q, f)
+        expected = scalar_divergence(p.tolist(), q.tolist(), f)
+        if expected == INF:
+            assert got == INF
+        else:
+            assert got == pytest.approx(expected, rel=1e-12, abs=1e-13)
+
+    @settings(max_examples=150, deadline=None)
+    @given(probability_pairs(), st.sampled_from(GENERATORS))
+    def test_nonnegative_and_zero_on_the_diagonal(self, pq, f):
+        p, q = pq
+        assert divergence_arrays(p, q, f) >= 0.0
+        assert divergence_arrays(p, p, f) == 0.0
 
 
 class TestMeasureFamily:

@@ -1,9 +1,10 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
-from fentropy.divergence import CHI2, INF, KL, ConvexGenerator
+from fentropy.divergence import CHI2, INF, KL, ConvexGenerator, generator_from_string
 from fentropy.errors import (
     DepthMismatch,
     NoConvergence,
@@ -96,6 +97,43 @@ class TestSolveQ:
         for j in letter_order(2):
             assert qv.q[j] == qv.q[-j]
         assert stationarity_residual(mu, harmonic_measure(mu, 3), 2) < 1e-12
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8, 1e-10])
+    def test_stiff_measure_matches_decimal_root(self, eps):
+        mu = GeneratorMeasure(2, {1: (1 - eps) / 2, -1: (1 - eps) / 2,
+                                  2: eps / 2, -2: eps / 2})
+        qv = solve_q(mu)
+        exact = decimal_q([mu.p[1], mu.p[2]])
+        for j in (1, 2):
+            assert abs(Decimal(qv.q[j]) - exact[j - 1]) < Decimal("1e-15")
+
+
+def decimal_q(p):
+    """q of the symmetric first-passage system with weights p, to 60 digits.
+
+    Bisects p_j q_j^2 + u q_j - p_j = 0, u = 1 - 2 sum_k p_k q_k, for u on
+    (1e-14, 1) in decimal arithmetic, with the root u = 0 divided out.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        P = [Decimal(x) for x in p]
+        e = 1 - 2 * sum(P)
+
+        def q_of(u):
+            return [2 * pk / (u + (u * u + 4 * pk * pk).sqrt()) for pk in P]
+
+        def h(u):
+            return (u - e - 2 * sum(pk * (1 - qk) for pk, qk in zip(P, q_of(u)))) / u
+
+        lo, hi = Decimal("1e-14"), Decimal(1)
+        assert h(lo) < 0 < h(hi)
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if h(mid) < 0:
+                lo = mid
+            else:
+                hi = mid
+        return q_of((lo + hi) / 2)
 
 
 class TestBrent:
@@ -364,6 +402,30 @@ class TestMinimalityScan:
         rep = minimality_scan(lam, KL, 2, 400, 3, zero_fraction=0.5)
         assert rep["infinite_entropy_samples"] > 0
 
+    @pytest.mark.parametrize("spec", ["kl", "chi2", "power:0.5", "power:2", "power:-1"])
+    def test_engine_matches_cylinder_entropy(self, spec):
+        # zeroed cylinders (infinite for some f) and uniform tails, where the
+        # engine's matrices and the dict path must agree
+        f = generator_from_string(spec)
+        rng = np.random.default_rng(31)
+        for k in range(12):
+            mu, lam = random_measure(rng), random_measure(rng)
+            nu = harmonic_measure(mu, 2)
+            words = sorted(nu.masses)
+            x = rng.dirichlet(np.ones(len(words)))
+            if k % 2 == 0:
+                x[rng.choice(len(words), size=1 + k % 3, replace=False)] = 0.0
+                x /= x.sum()
+            tail = TailRule("uniform") if k % 3 == 0 else nu.tail
+            meas = CylinderMeasure(2, 2, {w: float(m) for w, m in zip(words, x)}, tail)
+            engine = EntropyEngine(lam, f, 2, tail)
+            h_engine = engine.entropy(engine.mass_vector(meas))
+            h_dict = cylinder_entropy(lam, meas, f)
+            if h_dict == INF:
+                assert h_engine == INF
+            else:
+                assert h_engine == pytest.approx(h_dict, rel=1e-12)
+
     def test_determinism_across_worker_counts(self, monkeypatch):
         lam = uniform_generator_measure(2)
         monkeypatch.setenv("FE_THREADS", "1")
@@ -399,6 +461,13 @@ class TestSerialization:
     def test_generator_measure_round_trip(self):
         doc = ASYM.to_json()
         assert GeneratorMeasure.from_json(doc).p == ASYM.p
+
+    @pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf])
+    def test_cylinder_measure_rejects_bad_masses(self, bad):
+        masses = {w: 0.25 for w in enumerate_words(2, 1)}
+        masses[(1,)] = bad
+        with pytest.raises(NotProbability):
+            CylinderMeasure(2, 1, masses, TailRule("uniform"))
 
     def test_cylinder_measure_round_trip(self):
         nu = harmonic_measure(ASYM, 2)

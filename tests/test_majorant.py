@@ -10,10 +10,12 @@ from fentropy.errors import (
     InvalidWeight,
     NotSuperlinear,
     TooManyAtoms,
+    ValidationError,
 )
 from fentropy.majorant import (
     Majorant,
     WeightedFunction,
+    _positive_atoms,
     combine,
     concave_envelope,
     conditional_expectation,
@@ -258,6 +260,13 @@ class TestValleePoussin:
             assert rho_norm(f, rho, mode="exact") <= K * (1 + 1e-9)
 
 
+class TestWeightedFunction:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValidationError):
+            WeightedFunction(FiniteMeasure({"a": 0.5, "b": 0.5}), {"a": bad, "b": 1.0})
+
+
 class TestSplitIntegrable:
     def test_no_split_needed(self):
         nu = FiniteMeasure({"a": 0.5, "b": 0.5})
@@ -285,3 +294,38 @@ class TestSplitIntegrable:
                 int_b = sum(abs(f.values[x]) * nu.mass(x) for x in B)
                 nu_b = sum(nu.mass(x) for x in B)
                 assert int_b > C * rho.eval(nu_b) - 1e-9
+
+    @pytest.mark.parametrize("rho", [
+        power_majorant(2.0),
+        Majorant("pwl", ts=(0.0, 0.05, 0.3, 1.0), ys=(0.0, 0.4, 0.8, 1.0)),
+    ])
+    def test_matches_mask_loop(self, rho):
+        # three spikes and C near the L1 norm leave bad sets of every size
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            nu, f = rand_instance(rng, k=12, scale=1.0)
+            values = dict(f.values)
+            for k in rng.choice(12, size=3, replace=False):
+                values[str(k)] *= 15.0
+            f = WeightedFunction(nu, values)
+            C = float(rng.uniform(0.8, 2.0)) * sum(
+                abs(v) * nu.mass(k) for k, v in values.items())
+            assert split_integrable(f, rho, C) == mask_loop_split(f, rho, C)
+
+
+def mask_loop_split(f, rho, C):
+    """split_integrable as a Python loop over masks: each round takes the first
+    bad subset of maximal measure, in increasing mask order."""
+    labels, nu, w = _positive_atoms(f)
+    in_b = np.zeros(len(labels), dtype=bool)
+    while True:
+        rest = np.where(~in_b)[0]
+        best, best_nu = None, -1.0
+        for mask in range(1, 1 << len(rest)):
+            idx = rest[[(mask >> k) & 1 == 1 for k in range(len(rest))]]
+            nu_a = nu[idx].sum()
+            if w[idx].sum() > C * rho.eval(min(nu_a, 1.0)) and nu_a > best_nu:
+                best_nu, best = nu_a, idx
+        if best is None:
+            return {labels[i] for i in np.where(in_b)[0]}
+        in_b[best] = True

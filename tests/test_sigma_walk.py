@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import chi2 as chi2_dist
 
 from fentropy.divergence import CHI2, KL, ConvexGenerator, FiniteMeasure, f_divergence
-from fentropy.errors import BudgetExceeded, IncompleteTable, ParseError
+from fentropy.errors import BudgetExceeded, IncompleteTable, NotProbability, ParseError
 from fentropy.free_boundary import harmonic_measure, uniform_generator_measure
 from fentropy.sigma_walk import (
     GroupSpec,
@@ -71,6 +71,11 @@ class TestValidation:
         rep = validate_sigma(s)
         assert rep["passes"] is False
         assert rep["max_row_residual"] == pytest.approx(0.1)
+
+    @pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf])
+    def test_bad_masses_rejected(self, bad):
+        with pytest.raises(NotProbability):
+            StochasticSequence(Z, [1], [[[{1: 0.5, -1: bad}]]])
 
     def test_two_sheet_passes(self):
         assert validate_sigma(two_sheet_sequence())["passes"] is True
