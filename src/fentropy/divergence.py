@@ -38,6 +38,8 @@ class ConvexGenerator:
         if self.kind == "power":
             if self.alpha is None or self.alpha in (0.0, 1.0):
                 raise ParseError("power generator needs alpha not in {0,1}")
+            if not math.isfinite(self.alpha):
+                raise ParseError(f"power generator needs a finite alpha, got {self.alpha!r}")
 
     def eval(self, t: float) -> float:
         if t <= 0:

@@ -15,6 +15,7 @@ import numpy as np
 
 from .divergence import INF, PROB_TOL, ConvexGenerator, divergence_arrays
 from .errors import (
+    BadLetter,
     DepthMismatch,
     NoConvergence,
     NonPositiveDenominator,
@@ -23,7 +24,17 @@ from .errors import (
     RankTooSmall,
     StepTooLarge,
 )
-from .words import ReducedWord, encode_word, decode_word, enumerate_words, letter_order, reduce_letters
+from .words import (
+    ReducedWord,
+    decode_word,
+    encode_word,
+    enumerate_words,
+    letter_order,
+    letter_positions,
+    reduce_letters,
+    word_array,
+    word_index,
+)
 
 Q_RESIDUAL_TOL = 1e-12
 
@@ -203,6 +214,21 @@ class TailRule:
         q, v = self.qvec.q, self.qvec.v
         return q[last] * v[nxt] / v[last]
 
+    def conditional_table(self, d: int) -> np.ndarray:
+        """conditional(last, nxt) for all letter pairs, indexed by letter positions.
+
+        Entries are the same floats as conditional() returns.
+        """
+        k = 2 * d
+        if self.kind == "uniform":
+            table = np.full((k, k), 1.0 / (k - 1))
+        else:
+            q = np.array([self.qvec.q[j] for j in letter_order(d)])
+            v = q / (1.0 + q)
+            table = q[:, None] * v[None, :] / v[:, None]
+        table[np.arange(k), k - 1 - np.arange(k)] = 0.0
+        return table
+
 
 @dataclass(frozen=True)
 class CylinderMeasure:
@@ -330,41 +356,19 @@ def rn_generator(qv: QVector, j: int, w: tuple) -> float:
     return 1.0 / qv.q[j] if w[0] == j else qv.q[j]
 
 
-def _divergence_on_words(p_meas: CylinderMeasure, q_meas: CylinderMeasure,
-                         f: ConvexGenerator) -> float:
-    labels = set(p_meas.masses) | set(q_meas.masses)
-    p = np.array([p_meas.mass(w) for w in labels])
-    q = np.array([q_meas.mass(w) for w in labels])
-    # both totals equal 1 in exact arithmetic; divide out the q solver's
-    # roundoff, and refuse measures (such as user input) that are far from 1
-    pt = math.fsum(p.tolist())
-    qt = math.fsum(q.tolist())
-    if not (0.999 < pt < 1.001 and 0.999 < qt < 1.001):
-        raise NotProbability(f"cylinder totals {pt!r}, {qt!r} are not near 1")
-    return divergence_arrays(p / pt, q / qt, f)
-
-
 def cylinder_entropy(lam: GeneratorMeasure, nu: CylinderMeasure,
                      f: ConvexGenerator) -> float:
     """h = sum_j lam_j D_f(a_j nu || nu), computed at depth n+1.
 
     For tail-extended measures d(a_j nu)/d nu is constant on depth-(n+1)
     cylinders, so the finite partition at depth n+1 already realizes the full
-    divergence.
+    divergence. Both depth-(n+1) measures are divided by their totals, which
+    must lie within 1e-3 of 1.
     """
     if lam.d != nu.d:
         raise DepthMismatch("lambda and nu have different ranks")
-    nu1 = nu.refine()
-    nu2 = nu1.refine()
-    terms = []
-    for j in letter_order(lam.d):
-        g = ReducedWord((j,), lam.d)
-        pushed = pushforward(g, nu2, nu.depth + 1)
-        dj = _divergence_on_words(pushed, nu1, f)
-        if dj == INF:
-            return INF
-        terms.append(lam.p[j] * dj)
-    return math.fsum(terms)
+    engine = EntropyEngine(lam, f, nu.depth, nu.tail, normalise=True)
+    return engine.entropy(engine.mass_vector(nu))
 
 
 def closed_form_harmonic_entropy(lam: GeneratorMeasure, mu: GeneratorMeasure,
@@ -451,6 +455,8 @@ def t_inverse(lam: GeneratorMeasure, f: ConvexGenerator,
     admissibility constraint sum_i v_i = 1 pins c by Brent's method, and p
     is then recovered from the first-passage system in closed form.
     """
+    if not tol > 0:
+        raise ParseError("tol must be positive")
     d = lam.d
 
     def vsum(c: float) -> float:
@@ -484,7 +490,7 @@ def t_inverse(lam: GeneratorMeasure, f: ConvexGenerator,
 
     back = t_map(mu, f)
     resid = max(abs(back.p[j] - lam.p[j]) for j in letter_order(d))
-    if resid >= tol:
+    if not resid < tol:
         raise NoConvergence(f"t_inverse residual {resid!r} >= {tol}",
                             residual_trace=[resid])
     return mu
@@ -493,55 +499,97 @@ def t_inverse(lam: GeneratorMeasure, f: ConvexGenerator,
 # --- vectorized entropy engine for scanning and gradients ---------------------
 
 class EntropyEngine:
-    """Entropy of depth-n mass vectors as dense linear algebra.
+    """Entropy of depth-n mass vectors through one gather map per generator.
 
-    The depth-(n+1) refinement and each generator pushforward are linear in
-    the depth-n masses; precomputing those matrices makes one entropy
-    evaluation a handful of small matvecs.
+    x holds the depth-n masses in enumerate_words order (indexed by
+    words.word_index). With c the tail rule's conditional, every depth-(n+1)
+    mass of the refinement nu and of each translate a_j nu is one depth-n
+    mass times a coefficient:
+    - refinement row r: x[r // (2d-1)] * c(w[-2] -> w[-1]);
+    - (a_j nu)(C_w) = nu(a_j^-1 C_w): x[index(w[1:])] if w starts with j,
+      else x[index(u[:n])] * c(u[-3] -> u[-2]) * c(u[-2] -> u[-1]) with
+      u = (-j,) + w, the depth-(n+2) cylinder a_j^-1 C_w.
+    refine_matrix and push_matrices[j] hold the per-row coefficients,
+    refine_src and push_src[j] the source indices into x. With normalise,
+    both depth-(n+1) measures are divided by their fsum totals, which must
+    lie in (0.999, 1.001); cylinder_entropy uses this for arbitrary input.
     """
 
     def __init__(self, lam: GeneratorMeasure, f: ConvexGenerator, depth: int,
-                 tail: TailRule):
+                 tail: TailRule, normalise: bool = False):
+        if depth < 1:
+            raise DepthMismatch("depth must be >= 1")
         self.lam = lam
         self.f = f
         self.depth = depth
         self.tail = tail
+        self.normalise = normalise
         d = lam.d
-        self.words_n = enumerate_words(d, depth)
-        self.words_n1 = enumerate_words(d, depth + 1)
-        self.index_n = {w: i for i, w in enumerate(self.words_n)}
-        index_n1 = {w: i for i, w in enumerate(self.words_n1)}
-        m, m1 = len(self.words_n), len(self.words_n1)
+        self.words_n = word_array(d, depth)
+        words = word_array(d, depth + 1)
+        m1 = len(words)
+        c = tail.conditional_table(d)
+        pos = letter_positions(words, d)
 
-        self.refine_matrix = np.zeros((m1, m))
-        for w1 in self.words_n1:
-            c = tail.conditional(w1[-2], w1[-1], d)
-            self.refine_matrix[index_n1[w1], self.index_n[w1[:depth]]] += c
+        self.refine_src = np.arange(m1) // (2 * d - 1)
+        self.refine_matrix = c[pos[:, -2], pos[:, -1]]
 
+        self.push_src = {}
         self.push_matrices = {}
-        words_n2 = enumerate_words(d, depth + 2)
         for j in letter_order(d):
-            B = np.zeros((m1, m))
-            for u in words_n2:
-                c = (tail.conditional(u[-3], u[-2], d)
-                     * tail.conditional(u[-2], u[-1], d))
-                if c == 0.0:
-                    continue
-                r = reduce_letters((j,) + u, d)
-                B[index_n1[r[: depth + 1]], self.index_n[u[:depth]]] += c
-            self.push_matrices[j] = B
+            own = words[:, 0] == j
+            src = np.empty(m1, dtype=np.int64)
+            coef = np.ones(m1)
+            src[own] = word_index(words[own, 1:], d)
+            other = ~own
+            u = np.hstack([np.full((int(other.sum()), 1), -j), words[other]])
+            pu = letter_positions(u, d)
+            src[other] = word_index(u[:, :depth], d)
+            coef[other] = c[pu[:, -3], pu[:, -2]] * c[pu[:, -2], pu[:, -1]]
+            self.push_src[j] = src
+            self.push_matrices[j] = coef
 
     def mass_vector(self, nu: CylinderMeasure) -> np.ndarray:
+        d = self.lam.d
+        if nu.d != d or nu.depth != self.depth:
+            raise DepthMismatch(
+                f"engine is for rank {d} depth {self.depth}, got rank {nu.d} depth {nu.depth}"
+            )
         x = np.zeros(len(self.words_n))
-        for w, m in nu.masses.items():
-            x[self.index_n[w]] = m
+        if nu.masses:
+            words = np.array(list(nu.masses), dtype=np.int64)
+            if np.any((words == 0) | (np.abs(words) > d)):
+                raise BadLetter(f"cylinder word letters out of range for rank {d}")
+            if np.any(words[:, 1:] == -words[:, :-1]):
+                raise BadLetter("cylinder words must be reduced")
+            x[word_index(words, d)] = list(nu.masses.values())
         return x
 
+    def refined(self, x: np.ndarray) -> np.ndarray:
+        """Depth-(n+1) masses of the tail-extended measure with depth-n masses x."""
+        return self.refine_matrix * x[self.refine_src]
+
+    def translated(self, x: np.ndarray, j: int) -> np.ndarray:
+        """Depth-(n+1) masses of a_j nu for the tail-extended nu with depth-n masses x."""
+        return self.push_matrices[j] * x[self.push_src[j]]
+
     def entropy(self, x: np.ndarray) -> float:
-        q1 = self.refine_matrix @ x
+        q1 = self.refined(x)
+        if self.normalise:
+            # both totals equal 1 in exact arithmetic; divide out the q solver's
+            # roundoff, and refuse measures (such as user input) far from 1
+            qt = math.fsum(q1.tolist())
+            if not 0.999 < qt < 1.001:
+                raise NotProbability(f"cylinder total {qt!r} is not near 1")
+            q1 = q1 / qt
         terms = []
         for j in letter_order(self.lam.d):
-            pj = self.push_matrices[j] @ x
+            pj = self.translated(x, j)
+            if self.normalise:
+                pt = math.fsum(pj.tolist())
+                if not 0.999 < pt < 1.001:
+                    raise NotProbability(f"translated cylinder total {pt!r} is not near 1")
+                pj = pj / pt
             dj = divergence_arrays(pj, q1, self.f)
             if dj == INF:
                 return INF
@@ -602,7 +650,7 @@ def minimality_scan(lam: GeneratorMeasure, f: ConvexGenerator, depth: int,
             min_entropy = h
             argmin_x = x
             argmin_tail = tail_kind
-    words = engines["harmonic"].words_n
+    words = engines["harmonic"].words_n.tolist()
     argmin_masses = (
         {encode_word(w): float(argmin_x[i]) for i, w in enumerate(words)}
         if argmin_x is not None else {}
@@ -620,7 +668,7 @@ def minimality_scan(lam: GeneratorMeasure, f: ConvexGenerator, depth: int,
 
 def gradient_of_masses(engine: EntropyEngine, x: np.ndarray, h_step: float) -> np.ndarray:
     """Central differences of the entropy along simplex-tangent pairs (i, i+1)."""
-    if h_step <= 0:
+    if not h_step > 0:
         raise ParseError("h_step must be positive")
     m = len(x)
     grad = np.zeros(m - 1)
@@ -644,6 +692,6 @@ def entropy_gradient_at_harmonic(lam: GeneratorMeasure, f: ConvexGenerator,
     qv = solve_q(mu)
     engine = EntropyEngine(lam, f, depth, TailRule("harmonic", qv))
     x = engine.mass_vector(harmonic_measure(mu, depth))
-    if h_step >= x.min() / 10.0:
+    if not h_step < x.min() / 10.0:
         raise StepTooLarge(f"h_step {h_step} too large for min mass {x.min()}")
     return gradient_of_masses(engine, x, h_step)

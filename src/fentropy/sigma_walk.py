@@ -352,9 +352,15 @@ class LevelFunction:
                     i_str, g_str = key.split("|", 1)
                     parsed[(int(i_str), group.decode(g_str))] = float(v)
                 tables.append(parsed)
+            default = doc.get("default")
+            finite = all(math.isfinite(v) for tab in tables for v in tab.values())
+            if default is not None:
+                finite = finite and math.isfinite(default)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad LevelFunction JSON: {exc}") from exc
-        return cls(tables, doc.get("default"))
+        if not finite:
+            raise ParseError("LevelFunction values must be finite")
+        return cls(tables, default)
 
 
 def check_harmonic(s: StochasticSequence, h: LevelFunction, levels: range) -> float:
@@ -502,6 +508,9 @@ class AbelMeasure:
 
 
 def _tail_exponent(a: float, eps: float) -> int:
+    """Least m >= 1 with a^m < eps."""
+    if not eps > 0:
+        raise ParseError("eps must be positive")
     m = 1
     while a**m >= eps:
         m += 1
@@ -520,7 +529,7 @@ def abel_measure(s: StochasticSequence, t: int, r: int, a: float, K: int,
     """
     if not (0.0 < a < 1.0):
         raise ParseError("a must be in (0,1)")
-    if eps <= 0 or t < -1 or K < 0:
+    if not eps > 0 or t < -1 or K < 0:
         raise ParseError("need eps > 0, t >= -1, K >= 0")
     if r < 0 or r >= s.ell_at(t):
         raise ParseError(f"row {r} out of range for level {t}")

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import BadLetter, RankMismatch
 
 
@@ -87,6 +89,40 @@ def enumerate_words(d: int, depth: int) -> list:
                     nxt.append(w + (x,))
         out = nxt
     return out
+
+
+def letter_positions(letters: np.ndarray, d: int) -> np.ndarray:
+    """Position of each letter in letter_order(d); the inverse of position p is 2d-1-p."""
+    return np.where(letters < 0, letters + d, letters + d - 1)
+
+
+def word_array(d: int, depth: int) -> np.ndarray:
+    """The reduced words of length depth >= 1 as rows of an int array, in
+    enumerate_words order."""
+    order = np.array(letter_order(d))
+    # allowed[p] lists, in order, the letters that may follow the letter at position p
+    allowed = np.array([[x for x in order if x != -y] for y in order])
+    words = order[:, None]
+    for _ in range(depth - 1):
+        nxt = allowed[letter_positions(words[:, -1], d)].reshape(-1, 1)
+        words = np.hstack([np.repeat(words, 2 * d - 1, axis=0), nxt])
+    return words
+
+
+def word_index(words: np.ndarray, d: int) -> np.ndarray:
+    """Row positions of reduced words (rows of a letter array) in enumerate_words order.
+
+    The index is mixed-radix: the first letter's position among the 2d
+    letters, then each later letter's rank among the 2d-1 letters allowed
+    after the one before it.
+    """
+    pos = letter_positions(words, d)
+    index = pos[:, 0].astype(np.int64)
+    for k in range(1, words.shape[1]):
+        # the inverse of the previous letter is skipped, so later letters move down one rank
+        rank = pos[:, k] - (pos[:, k] > 2 * d - 1 - pos[:, k - 1])
+        index = index * (2 * d - 1) + rank
+    return index
 
 
 def encode_word(letters) -> str:

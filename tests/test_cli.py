@@ -208,6 +208,35 @@ class TestEndToEnd:
         assert r.returncode == 2, r.stdout
         assert "error" in json.loads(r.stderr)
 
+    @pytest.mark.parametrize("case", ["tinv-tol", "harmonic-check", "folner", "abel",
+                                      "abel-identity", "gradient", "entropy-power",
+                                      "gradient-depth-0"])
+    def test_bad_parameter_exit_code(self, files, case):
+        h = os.path.join(files["dir"], "nan_h.json")
+        with open(h, "w") as fh:
+            fh.write('{"default": 0.0, "levels": [{"0|0": NaN}, {}]}')
+        args = {
+            "tinv-tol": ("tinv", "--lambda", files["uniform2.json"], "--f", "kl",
+                         "--tol", "nan"),
+            "harmonic-check": ("harmonic-check", "--sigma", files["sigmaz.json"],
+                               "--h", h, "--levels", "1:1"),
+            "folner": ("folner", "--lambda-z", files["lamz.json"], "--f", "kl",
+                       "--a-values", "0.5", "--eps", "nan"),
+            "abel": ("abel", "--sigma", files["sigmaz.json"], "--t", "-1", "--r", "0",
+                     "--a", "0.5", "--eps", "nan"),
+            "abel-identity": ("abel-identity", "--sigma", files["sigmaz.json"], "--t", "0",
+                              "--a", "0.5", "--eps", "nan"),
+            "gradient": ("gradient", "--lambda", files["uniform2.json"], "--f", "kl",
+                         "--depth", "2", "--h-step", "nan"),
+            "entropy-power": ("entropy", "--lambda", files["uniform2.json"],
+                              "--f", "power:nan"),
+            "gradient-depth-0": ("gradient", "--lambda", files["uniform2.json"], "--f", "kl",
+                                 "--depth", "0"),
+        }[case]
+        r = run_cli(*args)
+        assert r.returncode == 2, (r.returncode, r.stdout)
+        assert "error" in json.loads(r.stderr)
+
     def test_import_leaves_scipy_out(self):
         code = ("import sys, fentropy.cli; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")

@@ -295,6 +295,15 @@ class TestCylinderEntropy:
                     closed_form_harmonic_entropy(lam, mu, f), abs=1e-10
                 )
 
+    @pytest.mark.parametrize("spec", ["kl", "chi2", "power:0.5"])
+    def test_depth_7_matches_closed_form(self, spec):
+        f = generator_from_string(spec)
+        lam = GeneratorMeasure(2, {1: 0.15, -1: 0.15, 2: 0.35, -2: 0.35})
+        nu = harmonic_measure(ASYM, 7)
+        assert cylinder_entropy(lam, nu, f) == pytest.approx(
+            closed_form_harmonic_entropy(lam, ASYM, f), abs=1e-10
+        )
+
     def test_zero_mass_cylinder_infinite_kl(self):
         qv = solve_q(uniform_generator_measure(2))
         masses = {w: 0.0 for w in enumerate_words(2, 1)}
@@ -425,6 +434,31 @@ class TestMinimalityScan:
                 assert h_engine == INF
             else:
                 assert h_engine == pytest.approx(h_dict, rel=1e-12)
+
+    @pytest.mark.parametrize("d,depth", [(2, 1), (2, 2), (2, 4), (3, 1), (3, 3), (4, 2)])
+    def test_gather_maps_match_dict_oracle(self, d, depth):
+        # refinement and every translate against refine() and pushforward()
+        rng = np.random.default_rng(70 + 10 * d + depth)
+        lam, mu = random_measure(rng, d), random_measure(rng, d)
+        words = enumerate_words(d, depth)
+        words1 = enumerate_words(d, depth + 1)
+        for tail in (TailRule("harmonic", solve_q(mu)), TailRule("uniform")):
+            for zeroed in (False, True):
+                x = rng.dirichlet(np.ones(len(words)))
+                if zeroed:
+                    x[rng.choice(len(words), size=max(1, len(words) // 4), replace=False)] = 0.0
+                nu = CylinderMeasure(d, depth, {w: float(m) for w, m in zip(words, x)}, tail)
+                engine = EntropyEngine(lam, KL, depth, tail)
+                x = engine.mass_vector(nu)
+                nu1 = nu.refine()
+                np.testing.assert_allclose(
+                    engine.refined(x), [nu1.mass(w) for w in words1], rtol=1e-14, atol=0)
+                nu2 = nu1.refine()
+                for j in letter_order(d):
+                    oracle = pushforward(ReducedWord((j,), d), nu2, depth + 1)
+                    np.testing.assert_allclose(
+                        engine.translated(x, j), [oracle.mass(w) for w in words1],
+                        rtol=1e-14, atol=0)
 
     def test_determinism_across_worker_counts(self, monkeypatch):
         lam = uniform_generator_measure(2)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,8 @@ from fentropy.words import (
     multiply,
     reduce_letters,
     word,
+    word_array,
+    word_index,
 )
 
 letters_f2 = st.lists(st.sampled_from([-2, -1, 1, 2]), max_size=12)
@@ -97,3 +100,14 @@ class TestEnumeration:
             assert decode_word(encode_word(w), 2) == w
         assert encode_word(()) == ""
         assert decode_word("", 2) == ()
+
+
+class TestWordArray:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+    def test_rows_and_index_match_enumerate_words(self, d, depth):
+        words = enumerate_words(d, depth)
+        arr = word_array(d, depth)
+        assert arr.tolist() == [list(w) for w in words]
+        perm = np.random.default_rng(10 * d + depth).permutation(len(words))
+        assert word_index(arr[perm], d).tolist() == perm.tolist()
