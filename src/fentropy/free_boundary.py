@@ -627,6 +627,8 @@ def minimality_scan(lam: GeneratorMeasure, f: ConvexGenerator, depth: int,
     """
     if samples < 1 or depth < 1:
         raise ParseError("need samples >= 1 and depth >= 1")
+    if seed < 0:
+        raise ParseError("seed must be >= 0")
     mu = t_inverse(lam, f)
     qv = solve_q(mu)
     nu_mu = harmonic_measure(mu, depth)

@@ -17,6 +17,7 @@ from .divergence import (INF, PROB_TOL, ZERO_MASS, ConvexGenerator, FiniteMeasur
                          divergence_arrays)
 from .errors import (
     BudgetExceeded,
+    DepthMismatch,
     IncompleteTable,
     NotProbability,
     ParseError,
@@ -24,9 +25,11 @@ from .errors import (
     ValidationError,
 )
 from .free_boundary import GeneratorMeasure, harmonic_measure, pushforward
-from .words import ReducedWord, decode_word, encode_word, letter_order, reduce_letters
+from .words import (ReducedWord, decode_word, encode_word, letter_order, reduce_letters,
+                    word_array, word_index)
 
 ELEMENT_BUDGET = 10_000_000
+SAMPLE_BLOCK = 4096  # trajectories per seeded block of the Monte Carlo samplers
 
 
 @dataclass(frozen=True)
@@ -266,6 +269,8 @@ def _row_choices(row):
                 sheets.append(j)
                 elems.append(g)
                 masses.append(m)
+    if not masses:
+        raise NotProbability("a matrix row has no positive mass to sample from")
     cum = np.cumsum(masses)
     cum /= cum[-1]
     return sheets, elems, cum
@@ -275,6 +280,8 @@ def sample_trajectory(s: StochasticSequence, steps: int, seed: int) -> list:
     """States X_0..X_steps; deterministic given the seed."""
     if steps < 1:
         raise ParseError("steps must be >= 1")
+    if seed < 0:
+        raise ParseError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     sheets, elems, cum = _row_choices(s.matrix(0)[0])
     k = int(np.searchsorted(cum, rng.random(), side="right"))
@@ -289,27 +296,96 @@ def sample_trajectory(s: StochasticSequence, steps: int, seed: int) -> list:
     return out
 
 
+def _free_push(stack, length, letters):
+    """Right-multiply each row's reduced word stack[r, :length[r]] by letters[r], in place.
+
+    The top letter is popped where it is the inverse of the new letter, and the
+    new letter is pushed otherwise; letter 0 leaves its row as it is. The stack
+    is C-contiguous with one column more than the longest word it will hold:
+    that spare last column stays 0, and an empty row reads the spare column
+    before it (flat index -1 for row 0) as its top.
+    """
+    flat = stack.reshape(-1, copy=False)
+    at = np.arange(0, stack.size, stack.shape[1]) + length
+    live = letters != 0
+    pop = (flat[at - 1] == -letters) & live
+    push = live & ~pop
+    flat[at] = np.where(push, letters, flat[at])
+    length += push
+    length -= pop
+
+
+def _level_tables(group: GroupSpec, mat) -> list:
+    """Per-row sampling tables (cumulative masses, sheets, elements) of one matrix.
+
+    On Z the elements are an int array. On F_d they are reduced int32 letter
+    rows, right-padded with the no-op letter 0 to one width for the whole matrix.
+    """
+    rows = [_row_choices(row) for row in mat]
+    if group.kind == "int":
+        return [(cum, np.array(sheets), np.array(elems, dtype=np.int64))
+                for sheets, elems, cum in rows]
+    rows = [(sheets, [reduce_letters(g, group.d) for g in elems], cum)
+            for sheets, elems, cum in rows]
+    width = max(len(g) for _, elems, _ in rows for g in elems)
+    tables = []
+    for sheets, elems, cum in rows:
+        letters = np.zeros((len(elems), width), dtype=np.int32)
+        for k, g in enumerate(elems):
+            letters[k, :len(g)] = g
+        tables.append((cum, np.array(sheets), letters))
+    return tables
+
+
 def sample_endpoints(s: StochasticSequence, steps: int, trajectories: int,
                      seed: int) -> Counter:
-    """Empirical distribution of X_steps; trajectory i uses rng(seed, i)."""
+    """Empirical distribution of X_steps.
+
+    Trajectories are drawn in blocks of SAMPLE_BLOCK: block b holds trajectories
+    [b*B, (b+1)*B), and trajectory b*B + r takes row r of
+    default_rng([seed, b]).random((rows, steps + 1)), one uniform per level. A
+    trajectory's randomness depends only on (seed, its index).
+    """
+    if steps < 0 or trajectories < 0 or seed < 0:
+        raise ParseError("steps, trajectories and seed must be >= 0")
+    tables = [_level_tables(s.group, s.matrix(n)) for n in range(steps + 1)]
+    free = s.group.kind == "free"
+    # a reduced word is no longer than the letters multiplied into it
+    cap = sum(table[0][2].shape[1] for table in tables) if free else 0
     counts: Counter = Counter()
-    samplers = {}
-    for n in range(steps + 1):
-        mat = s.matrix(n)
-        for i in range(len(mat)):
-            samplers[(n, i)] = _row_choices(mat[i])
-    for idx in range(trajectories):
-        rng = np.random.default_rng([seed, idx])
-        u = rng.random(steps + 1)
-        sheets, elems, cum = samplers[(0, 0)]
-        k = int(np.searchsorted(cum, u[0], side="right"))
-        i, g = sheets[k], elems[k]
-        for n in range(1, steps + 1):
-            sheets, elems, cum = samplers[(n, i)]
-            k = int(np.searchsorted(cum, u[n], side="right"))
-            i = sheets[k]
-            g = s.group.mul(g, elems[k])
-        counts[(i, g)] += 1
+    for start in range(0, trajectories, SAMPLE_BLOCK):
+        rows = min(SAMPLE_BLOCK, trajectories - start)
+        u = np.random.default_rng([seed, start // SAMPLE_BLOCK]).random((rows, steps + 1))
+        sheet = np.zeros(rows, dtype=np.intp)
+        if free:
+            stack = np.zeros((rows, cap + 1), dtype=np.int32)
+            length = np.zeros(rows, dtype=np.intp)
+        else:
+            g = np.zeros(rows, dtype=np.int64)
+        for n, table in enumerate(tables):
+            nxt = np.empty_like(sheet)
+            step = np.empty((rows,) + table[0][2].shape[1:], dtype=table[0][2].dtype)
+            for i, (cum, sheets, elems) in enumerate(table):
+                on = sheet == i
+                k = np.searchsorted(cum, u[on, n], side="right")
+                nxt[on] = sheets[k]
+                step[on] = elems[k]
+            sheet = nxt
+            if free:
+                for letters in step.T:
+                    _free_push(stack, length, letters)
+            else:
+                g += step
+        if free:
+            stack[np.arange(stack.shape[1]) >= length[:, None]] = 0
+            keys = np.column_stack([sheet, stack[:, :length.max()]])
+        else:
+            keys = np.column_stack([sheet, g])
+        uniq, num = np.unique(keys, axis=0, return_counts=True)
+        for key, c in zip(uniq.tolist(), num.tolist()):
+            # reduced letters are nonzero, so the word is the row's nonzero prefix
+            elem = tuple(x for x in key[1:] if x) if free else key[1]
+            counts[(key[0], elem)] += c
     return counts
 
 
@@ -440,41 +516,63 @@ def boundary_empirical(mu: GeneratorMeasure, steps: int, trajectories: int,
                        seed: int, depth: int, max_attempts: int = 8) -> dict:
     """Empirical depth-n cylinder frequencies of the walk's exit direction.
 
-    A trajectory whose endpoint is shorter than `depth` is discarded and
-    resampled (attempt k of trajectory i uses rng(seed, i, k)).
+    Trajectories are drawn in blocks of SAMPLE_BLOCK as in sample_endpoints. A
+    trajectory whose endpoint is shorter than `depth` is discarded and redrawn:
+    attempt k of trajectory b*B + r takes row r of
+    default_rng([seed, b, k]).random((rows, steps)), one uniform per step.
     """
+    if depth < 1:
+        raise DepthMismatch("depth must be >= 1")
     if steps < 4 * depth:
         raise ParseError("need steps >= 4 * depth for a reliable exit prefix")
-    letters = np.array(letter_order(mu.d))
+    if trajectories < 0 or seed < 0:
+        raise ParseError("trajectories and seed must be >= 0")
+    letters = np.array(letter_order(mu.d), dtype=np.int32)
     probs = np.array([mu.p[int(j)] for j in letters])
     cum = np.cumsum(probs)
     cum /= cum[-1]
-    counts: Counter = Counter()
+    # exit prefixes counted by their enumerate_words index
+    hits = np.zeros(2 * mu.d * (2 * mu.d - 1) ** (depth - 1), dtype=np.int64)
     discards = 0
-    for idx in range(trajectories):
+    for start in range(0, trajectories, SAMPLE_BLOCK):
+        block = start // SAMPLE_BLOCK
+        short = np.arange(min(SAMPLE_BLOCK, trajectories - start))
         for attempt in range(max_attempts):
-            rng = np.random.default_rng([seed, idx, attempt])
-            draws = letters[np.searchsorted(cum, rng.random(steps), side="right")]
-            wred = reduce_letters([int(x) for x in draws], mu.d)
-            if len(wred) >= depth:
-                counts[wred[:depth]] += 1
+            # rows past the last short one are not needed, and leaving them
+            # undrawn does not move the rows before them
+            u = np.random.default_rng([seed, block, attempt]).random((short[-1] + 1, steps))
+            # one row per step; with only 2d masses, counting the cumulative
+            # masses at or below u is searchsorted(side="right") at a fraction
+            # of the cost of a binary search per uniform
+            u = np.ascontiguousarray(u[short].T)
+            pick = np.zeros(u.shape, dtype=np.intp)
+            for c in cum[:-1]:
+                pick += u >= c
+            stack = np.zeros((len(short), steps + 1), dtype=np.int32)
+            length = np.zeros(len(short), dtype=np.intp)
+            for step in letters[pick]:
+                _free_push(stack, length, step)
+            done = length >= depth
+            hits += np.bincount(word_index(stack[done, :depth], mu.d), minlength=len(hits))
+            discards += len(short) - int(done.sum())
+            short = short[~done]
+            if not len(short):
                 break
-            discards += 1
         else:
             raise TooManyDiscards(
-                f"trajectory {idx} still short after {max_attempts} attempts"
+                f"trajectory {start + int(short[0])} still short after {max_attempts} attempts"
             )
     if trajectories > 0 and discards > 0.1 * trajectories:
         raise TooManyDiscards(f"{discards} discards out of {trajectories} trajectories")
-    expected = harmonic_measure(mu, depth) if trajectories > 0 else None
     table = {}
-    n = trajectories
-    words = sorted(counts) if expected is None else sorted(expected.masses)
-    for wkey in words:
-        freq = counts.get(wkey, 0) / n if n else 0.0
-        exp = expected.mass(wkey) if expected else 0.0
-        stderr = math.sqrt(exp * (1.0 - exp) / n) if n else 0.0
-        table[encode_word(wkey)] = {"freq": freq, "expected": exp, "stderr": stderr}
+    if trajectories > 0:
+        n = trajectories
+        expected = harmonic_measure(mu, depth)
+        counts = dict(zip(map(tuple, word_array(mu.d, depth).tolist()), hits.tolist()))
+        for wkey in sorted(expected.masses):
+            exp = expected.mass(wkey)
+            table[encode_word(wkey)] = {"freq": counts[wkey] / n, "expected": exp,
+                                        "stderr": math.sqrt(exp * (1.0 - exp) / n)}
     return {
         "trajectories": trajectories,
         "steps": steps,
@@ -584,6 +682,31 @@ def abel_identity_residual(s: StochasticSequence, t: int, a: float, K: int,
 
 # --- Folner experiment on Z ---------------------------------------------------
 
+GEOM_BLOCK = 256
+
+
+def _geometric_prefix(x: np.ndarray, b: float) -> np.ndarray:
+    """L[k] = b L[k-1] + x[k] with L[-1] = 0, for 0 < b < 1.
+
+    Blocks of at most GEOM_BLOCK positions compute L = b^j cumsum(x b^-j) with
+    the carry from the block before folded into the first term, so that at
+    b = 1/2 every product is exact and the sums are the recurrence's own.
+    Blocks shrink for small b so that b^-j stays below 2^600.
+    """
+    size = min(GEOM_BLOCK, 1 + int(600 * math.log(2.0) / -math.log(b)))
+    j = np.arange(size, dtype=float)
+    up, down = b ** -j, b ** j
+    out = np.empty_like(x)
+    carry = 0.0
+    for s in range(0, len(x), size):
+        seg = x[s:s + size].copy()
+        seg[0] += b * carry
+        n = len(seg)
+        out[s:s + n] = down[:n] * np.cumsum(seg * up[:n])
+        carry = out[s + n - 1]
+    return out
+
+
 def _geometric_tails(m: np.ndarray, lo: int, window_lo: int, window_hi: int,
                      b: float) -> np.ndarray:
     """Convolve a finitely supported array with c*b^|k| exactly on a window.
@@ -595,14 +718,8 @@ def _geometric_tails(m: np.ndarray, lo: int, window_lo: int, window_hi: int,
     size = window_hi - window_lo + 1
     full = np.zeros(size)
     full[lo - window_lo: lo - window_lo + len(m)] = m
-    left = np.zeros(size)
-    right = np.zeros(size)
-    left[0] = full[0]
-    for k in range(1, size):
-        left[k] = b * left[k - 1] + full[k]
-    right[-1] = full[-1]
-    for k in range(size - 2, -1, -1):
-        right[k] = b * right[k + 1] + full[k]
+    left = _geometric_prefix(full, b)
+    right = _geometric_prefix(full[::-1], b)[::-1]
     return c * (left + right - full)
 
 
@@ -645,6 +762,8 @@ def folner_entropy_curve(lam: FiniteMeasure, f: ConvexGenerator, a_values,
     shifted mass is at or below ZERO_MASS are dropped before D_f is taken,
     since their masses are below the float resolution of lambda_a's total.
     """
+    if not 0.0 < geom_b < 1.0:
+        raise ParseError("geom_b must lie in (0,1)")
     shifts = sorted(int(k) for k in lam.atoms)
     if not lam.is_probability:
         raise ParseError("lambda on Z must be a probability measure")

@@ -210,11 +210,16 @@ class TestEndToEnd:
 
     @pytest.mark.parametrize("case", ["tinv-tol", "harmonic-check", "folner", "abel",
                                       "abel-identity", "gradient", "entropy-power",
-                                      "gradient-depth-0"])
+                                      "gradient-depth-0", "scan-seed", "walk-sample-seed",
+                                      "walk-boundary-seed", "walk-boundary-trajectories",
+                                      "walk-sample-zero-row"])
     def test_bad_parameter_exit_code(self, files, case):
         h = os.path.join(files["dir"], "nan_h.json")
         with open(h, "w") as fh:
             fh.write('{"default": 0.0, "levels": [{"0|0": NaN}, {}]}')
+        zero_row = os.path.join(files["dir"], "zero_row.json")
+        with open(zero_row, "w") as fh:
+            json.dump(StochasticSequence(GroupSpec("int"), [1], [[[{1: 0.0}]]]).to_json(), fh)
         args = {
             "tinv-tol": ("tinv", "--lambda", files["uniform2.json"], "--f", "kl",
                          "--tol", "nan"),
@@ -232,6 +237,18 @@ class TestEndToEnd:
                               "--f", "power:nan"),
             "gradient-depth-0": ("gradient", "--lambda", files["uniform2.json"], "--f", "kl",
                                  "--depth", "0"),
+            "scan-seed": ("scan", "--lambda", files["uniform2.json"], "--f", "kl",
+                          "--depth", "2", "--samples", "10", "--seed", "-1"),
+            "walk-sample-seed": ("walk-sample", "--sigma", files["sigma.json"],
+                                 "--steps", "3", "--seed", "-1"),
+            "walk-boundary-seed": ("walk-boundary", "--mu", files["uniform2.json"],
+                                   "--steps", "8", "--trajectories", "10", "--seed", "-1",
+                                   "--depth", "1"),
+            "walk-boundary-trajectories": ("walk-boundary", "--mu", files["uniform2.json"],
+                                           "--steps", "8", "--trajectories", "-5",
+                                           "--seed", "1", "--depth", "1"),
+            "walk-sample-zero-row": ("walk-sample", "--sigma", zero_row,
+                                     "--steps", "3", "--seed", "1"),
         }[case]
         r = run_cli(*args)
         assert r.returncode == 2, (r.returncode, r.stdout)

@@ -1,16 +1,27 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.stats import chi2 as chi2_dist
 
 from fentropy.divergence import CHI2, KL, ConvexGenerator, FiniteMeasure, f_divergence
-from fentropy.errors import BudgetExceeded, IncompleteTable, NotProbability, ParseError
-from fentropy.free_boundary import harmonic_measure, uniform_generator_measure
+from fentropy.errors import (
+    BudgetExceeded,
+    IncompleteTable,
+    NotProbability,
+    ParseError,
+    TooManyDiscards,
+)
+from fentropy.free_boundary import harmonic_measure, minimality_scan, uniform_generator_measure
 from fentropy.sigma_walk import (
+    SAMPLE_BLOCK,
     GroupSpec,
     LevelFunction,
     StochasticSequence,
+    _free_push,
+    _geometric_tails,
+    _row_choices,
     abel_identity_residual,
     abel_measure,
     boundary_empirical,
@@ -24,8 +35,10 @@ from fentropy.sigma_walk import (
     sample_trajectory,
     validate_sigma,
 )
+from fentropy.words import encode_word, letter_order, reduce_letters
 
 MU2 = uniform_generator_measure(2)
+MU3 = uniform_generator_measure(3)
 Z = GroupSpec("int")
 
 
@@ -51,6 +64,59 @@ def two_sheet_sequence(seed=0):
         m1.append([{k: v * w[j] for k, v in cellgen(j).items()}
                    for j in range(2)])
     return StochasticSequence(Z, [2, 2], [m0, m1], beyond="hold-last")
+
+
+def free_two_sheet_sequence():
+    """Two sheets on F_2 whose cells hold words of length 0 to 3; (1, -1, 2) is
+    not reduced."""
+    m0 = [[{(1,): 0.2, (2, 1): 0.15, (): 0.05}, {(-2,): 0.3, (1, -2, -1): 0.3}]]
+    m1 = [
+        [{(1,): 0.25, (-1, 2): 0.15}, {(2,): 0.3, (): 0.1, (1, -1, 2): 0.2}],
+        [{(-1,): 0.4, (2, 2): 0.1}, {(-2,): 0.2, (1, 2, -1): 0.3}],
+    ]
+    return StochasticSequence(GroupSpec("free", 2), [2, 2], [m0, m1])
+
+
+def reference_endpoints(s, steps, trajectories, seed):
+    """sample_endpoints one trajectory at a time through GroupSpec.mul, reading
+    each trajectory's uniforms from its row of its block's draw."""
+    counts, draws = Counter(), {}
+    for idx in range(trajectories):
+        block, r = divmod(idx, SAMPLE_BLOCK)
+        if block not in draws:
+            rows = min(SAMPLE_BLOCK, trajectories - block * SAMPLE_BLOCK)
+            draws[block] = np.random.default_rng([seed, block]).random((rows, steps + 1))
+        u = draws[block][r]
+        i, g = 0, s.group.identity
+        for n in range(steps + 1):
+            sheets, elems, cum = _row_choices(s.matrix(n)[i])
+            k = int(np.searchsorted(cum, u[n], side="right"))
+            i, g = sheets[k], s.group.mul(g, elems[k])
+        counts[(i, g)] += 1
+    return counts
+
+
+def reference_boundary(mu, steps, trajectories, seed, depth):
+    """Exit-prefix counts and discards of boundary_empirical, one trajectory
+    and one attempt at a time, reduced by reduce_letters."""
+    letters = np.array(letter_order(mu.d))
+    cum = np.cumsum([mu.p[int(j)] for j in letters])
+    cum /= cum[-1]
+    counts, discards, draws = Counter(), 0, {}
+    for idx in range(trajectories):
+        block, r = divmod(idx, SAMPLE_BLOCK)
+        rows = min(SAMPLE_BLOCK, trajectories - block * SAMPLE_BLOCK)
+        for attempt in range(8):
+            if (block, attempt) not in draws:
+                rng = np.random.default_rng([seed, block, attempt])
+                draws[(block, attempt)] = rng.random((rows, steps))
+            u = draws[(block, attempt)][r]
+            w = reduce_letters(letters[np.searchsorted(cum, u, side="right")].tolist(), mu.d)
+            if len(w) >= depth:
+                counts[w[:depth]] += 1
+                break
+            discards += 1
+    return counts, discards
 
 
 class TestValidation:
@@ -164,6 +230,69 @@ class TestSampling:
             se = math.sqrt(m * (1 - m) / n_traj)
             assert abs(freq - m) < 4 * se + 1e-9
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_free_push_matches_reduce_letters(self, d):
+        rng = np.random.default_rng(40 + d)
+        # letter 0 is padding and must leave a word as it is
+        letters = rng.integers(-d, d + 1, size=(300, 40)).astype(np.int32)
+        stack = np.zeros((300, 41), dtype=np.int32)
+        length = np.zeros(300, dtype=np.intp)
+        for col in letters.T:
+            _free_push(stack, length, col)
+        for row, top, n in zip(letters.tolist(), stack.tolist(), length.tolist()):
+            assert tuple(top[:n]) == reduce_letters([x for x in row if x], d)
+
+    @pytest.mark.parametrize("seq", ["coin", "two-sheet-z", "two-sheet-free"])
+    def test_blocks_match_per_trajectory_reference(self, seq):
+        s = {"coin": coin_sequence(), "two-sheet-z": two_sheet_sequence(3),
+             "two-sheet-free": free_two_sheet_sequence()}[seq]
+        n = SAMPLE_BLOCK + 5
+        assert sample_endpoints(s, 3, n, 12) == reference_endpoints(s, 3, n, 12)
+
+    def test_chi_squared_free_two_sheet(self):
+        s = free_two_sheet_sequence()
+        exact = exact_distribution(s, 2)
+        n_traj = 100_000
+        counts = sample_endpoints(s, 2, n_traj, 2024)
+        assert set(counts) <= set(exact.entries)
+        exp = np.array([m * n_traj for m in exact.entries.values()])
+        obs = np.array([counts.get(k, 0) for k in exact.entries])
+        assert exp.min() >= 5.0
+        stat = float(np.sum((obs - exp) ** 2 / exp))
+        assert stat < chi2_dist.ppf(0.999, len(exp) - 1)
+
+    @pytest.mark.parametrize("n", [SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1,
+                                   2 * SAMPLE_BLOCK + 3])
+    def test_block_boundaries(self, n):
+        s = free_two_sheet_sequence()
+        fewer = sample_endpoints(s, 2, n, 8)
+        more = sample_endpoints(s, 2, n + 1, 8)
+        assert sum(fewer.values()) == n
+        assert sum((more - fewer).values()) == 1
+        assert not fewer - more
+
+    @pytest.mark.parametrize("call", ["trajectory", "endpoints", "boundary", "scan"])
+    def test_negative_seed_rejected(self, call):
+        with pytest.raises(ParseError):
+            {"trajectory": lambda: sample_trajectory(coin_sequence(), 3, -1),
+             "endpoints": lambda: sample_endpoints(coin_sequence(), 3, 10, -1),
+             "boundary": lambda: boundary_empirical(MU2, 8, 10, -1, 1),
+             "scan": lambda: minimality_scan(MU2, KL, 2, 10, -1)}[call]()
+
+    def test_negative_trajectories_rejected(self):
+        with pytest.raises(ParseError):
+            sample_endpoints(coin_sequence(), 3, -5, 1)
+        with pytest.raises(ParseError):
+            boundary_empirical(MU2, 8, -5, 1, 1)
+        assert sample_endpoints(coin_sequence(), 3, 0, 1) == Counter()
+
+    def test_zero_mass_row_rejected(self):
+        s = StochasticSequence(Z, [1], [[[{1: 0.0}]]])
+        with pytest.raises(NotProbability):
+            sample_trajectory(s, 3, 1)
+        with pytest.raises(NotProbability):
+            sample_endpoints(s, 3, 10, 1)
+
 
 class TestHarmonicity:
     def test_constant_function_harmonic(self):
@@ -241,6 +370,28 @@ class TestBoundaryEmpirical:
         r1 = boundary_empirical(MU2, steps=20, trajectories=500, seed=9, depth=1)
         r2 = boundary_empirical(MU2, steps=20, trajectories=500, seed=9, depth=1)
         assert r1 == r2
+
+    def test_redraw_path(self):
+        # on F_3, X_4 is the identity with probability 66/6^4, so some
+        # trajectories are short at depth 1 and get redrawn
+        r1 = boundary_empirical(MU3, steps=4, trajectories=SAMPLE_BLOCK + 300,
+                                seed=21, depth=1)
+        r2 = boundary_empirical(MU3, steps=4, trajectories=SAMPLE_BLOCK + 300,
+                                seed=21, depth=1)
+        assert r1 == r2
+        counts, discards = reference_boundary(MU3, 4, SAMPLE_BLOCK + 300, 21, 1)
+        assert r1["discards"] == discards > 0
+        n = r1["trajectories"]
+        assert {k: row["freq"] for k, row in r1["table"].items()} == {
+            encode_word(w): c / n for w, c in counts.items()}
+
+    def test_too_many_discards(self):
+        # on F_2, X_4 is the identity with probability 28/4^4 > 10%
+        with pytest.raises(TooManyDiscards, match="discards out of"):
+            boundary_empirical(MU2, steps=4, trajectories=5000, seed=3, depth=1)
+        with pytest.raises(TooManyDiscards, match="still short after 1 attempts"):
+            boundary_empirical(MU3, steps=4, trajectories=1000, seed=3, depth=1,
+                               max_attempts=1)
 
     def test_needs_enough_steps(self):
         with pytest.raises(ParseError):
@@ -325,6 +476,39 @@ class TestFolner:
         row = folner_entropy_curve(lam, KL, [0.9], 1e-6, max_level=8)["curve"][0]
         assert row["truncation_level"] == 8
         assert row["tail_mass"] == pytest.approx(0.9**9)
+
+
+class TestGeometricTails:
+    @staticmethod
+    def recurrence(m, lo, window_lo, window_hi, b):
+        c = (1.0 - b) / (1.0 + b)
+        size = window_hi - window_lo + 1
+        full = np.zeros(size)
+        full[lo - window_lo: lo - window_lo + len(m)] = m
+        left, right = np.zeros(size), np.zeros(size)
+        left[0] = full[0]
+        for k in range(1, size):
+            left[k] = b * left[k - 1] + full[k]
+        right[-1] = full[-1]
+        for k in range(size - 2, -1, -1):
+            right[k] = b * right[k + 1] + full[k]
+        return c * (left + right - full)
+
+    @pytest.mark.parametrize("b", [0.5, 0.3, 0.7])
+    def test_matches_recurrence(self, b):
+        rng = np.random.default_rng(17)
+        m = rng.random(1200) * (rng.random(1200) < 0.7)
+        got = _geometric_tails(m, -600, -700, 700, b)
+        ref = self.recurrence(m, -600, -700, 700, b)
+        assert np.all(ref > 0)
+        assert np.max(np.abs(got - ref) / ref) <= 1e-15
+        if b == 0.5:
+            assert np.array_equal(got, ref)
+
+    def test_bad_ratio_rejected(self):
+        with pytest.raises(ParseError):
+            folner_entropy_curve(FiniteMeasure({1: 1.0}), KL, [0.5], 1e-4,
+                                 max_level=4, geom_b=1.0)
 
 
 class TestMonteCarloChiSquared:
