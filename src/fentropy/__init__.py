@@ -27,6 +27,7 @@ from .free_boundary import (
     solve_q,
     t_inverse,
     t_map,
+    translate_mass,
     uniform_generator_measure,
 )
 from .majorant import (

@@ -146,7 +146,24 @@ def _load_rho(path: str) -> Majorant:
 
 
 def _parse_floats(s: str):
-    return [float(x) for x in s.split(",") if x]
+    try:
+        values = [float(x) for x in s.split(",") if x]
+    except ValueError as exc:
+        raise ParseError(f"bad number in {s!r}: {exc}") from exc
+    if not values:
+        raise ParseError(f"no numbers in {s!r}")
+    return values
+
+
+def _parse_levels(s: str) -> range:
+    """'lo:hi' with integers 0 <= lo <= hi, as range(lo, hi + 1)."""
+    try:
+        lo, hi = (int(x) for x in s.split(":"))
+    except ValueError as exc:
+        raise ParseError(f"levels must be lo:hi, got {s!r}") from exc
+    if not 0 <= lo <= hi:
+        raise ParseError(f"levels must satisfy 0 <= lo <= hi, got {s!r}")
+    return range(lo, hi + 1)
 
 
 # --- command handlers ---------------------------------------------------------
@@ -231,8 +248,7 @@ def cmd_walk_boundary(args):
 def cmd_harmonic_check(args):
     s = StochasticSequence.from_json(_load_json(args.sigma))
     h = LevelFunction.from_json(_load_json(args.h), s.group)
-    lo, hi = (int(x) for x in args.levels.split(":"))
-    return {"max_residual": check_harmonic(s, h, range(lo, hi + 1))}
+    return {"max_residual": check_harmonic(s, h, _parse_levels(args.levels))}
 
 
 def cmd_validate_sigma(args):

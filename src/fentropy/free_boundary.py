@@ -319,13 +319,16 @@ def harmonic_measure(mu: GeneratorMeasure, depth: int) -> CylinderMeasure:
         raise DepthMismatch("depth must be >= 1")
     qv = solve_q(mu)
     q, v = qv.q, qv.v
-    masses = {}
-    for w in enumerate_words(mu.d, depth):
-        m = v[w[-1]]
-        for x in w[:-1]:
-            m *= q[x]
-        masses[w] = m
+    masses = {w: _cylinder_mass(q, v, w) for w in enumerate_words(mu.d, depth)}
     return CylinderMeasure(mu.d, depth, masses, TailRule("harmonic", qv))
+
+
+def _cylinder_mass(q: dict, v: dict, w: tuple) -> float:
+    """nu_mu(C_w) = q_{w_1}...q_{w_{k-1}} v_{w_k}: v of the last letter first, then each q."""
+    m = v[w[-1]]
+    for x in w[:-1]:
+        m *= q[x]
+    return m
 
 
 def pushforward(g: ReducedWord, nu: CylinderMeasure, target_depth: int) -> CylinderMeasure:
@@ -354,6 +357,26 @@ def rn_generator(qv: QVector, j: int, w: tuple) -> float:
     if len(w) < 1:
         raise DepthMismatch("need a nonempty cylinder word")
     return 1.0 / qv.q[j] if w[0] == j else qv.q[j]
+
+
+def translate_mass(qv: QVector, g: tuple, w: tuple) -> float:
+    """(g nu_mu)(C_w) = nu_mu(g^-1 C_w) for a reduced word g, in closed form.
+
+    Let h = g^-1 and let c be the length of the longest suffix of h that
+    cancels a prefix of w. If c < |w|, h C_w is the cylinder
+    C_{h[:|h|-c] + w[c:]}; otherwise (g starts with w) it is the complement of
+    C_{h[:|h|-|w|+1]}. The mass is one q-product, or 1 minus one.
+    """
+    if len(w) < 1:
+        raise DepthMismatch("need a nonempty cylinder word")
+    q, v = qv.q, qv.v
+    h = tuple(-x for x in reversed(g))
+    c = 0
+    while c < min(len(h), len(w)) and h[-1 - c] == -w[c]:
+        c += 1
+    if c < len(w):
+        return _cylinder_mass(q, v, h[:len(h) - c] + w[c:])
+    return 1.0 - _cylinder_mass(q, v, h[:len(h) - len(w) + 1])
 
 
 def cylinder_entropy(lam: GeneratorMeasure, nu: CylinderMeasure,

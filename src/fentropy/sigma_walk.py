@@ -24,9 +24,9 @@ from .errors import (
     TooManyDiscards,
     ValidationError,
 )
-from .free_boundary import GeneratorMeasure, harmonic_measure, pushforward
-from .words import (ReducedWord, decode_word, encode_word, letter_order, reduce_letters,
-                    word_array, word_index)
+from .free_boundary import GeneratorMeasure, harmonic_measure, solve_q, translate_mass
+from .words import (ReducedWord, decode_word, encode_word, enumerate_words, letter_order,
+                    reduce_letters, word_array, word_index)
 
 ELEMENT_BUDGET = 10_000_000
 SAMPLE_BLOCK = 4096  # trajectories per seeded block of the Monte Carlo samplers
@@ -439,6 +439,12 @@ class LevelFunction:
         return cls(tables, default)
 
 
+def _sigma_mean(mat, mul, h: LevelFunction, m: int, i: int, g) -> float:
+    """sum_j sum_x sigma^(m)_{i,j}(x) h_m(j, g x), the one-step mean of h_m from (i, g)."""
+    return math.fsum([w * h.value(m, j, mul(g, x))
+                      for j, cell in enumerate(mat[i]) for x, w in cell.items()])
+
+
 def check_harmonic(s: StochasticSequence, h: LevelFunction, levels: range) -> float:
     """max over (m, (i,g)) of |h_{m-1}(i,g) - sum h_m(j, g x) sigma^(m)_{i,j}(x)|."""
     worst = 0.0
@@ -450,11 +456,7 @@ def check_harmonic(s: StochasticSequence, h: LevelFunction, levels: range) -> fl
         if m - 1 >= len(h.tables):
             break
         for (i, g), val in h.tables[m - 1].items():
-            acc = []
-            for j, cell in enumerate(mat[i]):
-                for x, w in cell.items():
-                    acc.append(w * h.value(m, j, mul(g, x)))
-            worst = max(worst, abs(val - math.fsum(acc)))
+            worst = max(worst, abs(val - _sigma_mean(mat, mul, h, m, i, g)))
     return worst
 
 
@@ -468,45 +470,26 @@ def martingale_check(s: StochasticSequence, h: LevelFunction, n: int,
     for (i, g), m in dist.entries.items():
         if m <= 0:
             continue
-        acc = []
-        for j, cell in enumerate(mat[i]):
-            for x, w in cell.items():
-                acc.append(w * h.value(n + 1, j, mul(g, x)))
-        worst = max(worst, abs(math.fsum(acc) - h.value(n, i, g)))
+        worst = max(worst, abs(_sigma_mean(mat, mul, h, n + 1, i, g) - h.value(n, i, g)))
     return worst
 
 
 def poisson_transform_cylinder(mu: GeneratorMeasure, w: tuple, levels: int) -> LevelFunction:
-    """h_m(0, g) = (g nu_mu)(C_w) for the constant-mu walk, tabulated on balls.
+    """h_m(0, g) = (g nu_mu)(C_w) = nu_mu(g^-1 C_w) for the constant-mu walk, tabulated on balls.
 
-    Level m covers |g| <= m+1, which is the reachable set after m+1 increments.
+    Each value is the closed form free_boundary.translate_mass (one q-product,
+    or 1 minus one); pushforward of harmonic_measure is its test oracle. Level m
+    covers |g| <= m+1, which is the reachable set after m+1 increments.
     """
-    depth = len(w)
-    if depth < 1:
+    if len(w) < 1:
         raise ParseError("need a nonempty cylinder word")
-    cache = {}
-
-    def value(g: tuple) -> float:
-        if g not in cache:
-            nu = harmonic_measure(mu, depth + len(g))
-            pushed = pushforward(ReducedWord(g, mu.d), nu, depth)
-            cache[g] = pushed.mass(w)
-        return cache[g]
-
+    ReducedWord(w, mu.d)  # raises BadLetter for a non-reduced or out-of-range word
+    qv = solve_q(mu)
+    ball = {(0, ()): translate_mass(qv, (), w)}
     tables = []
-    ball = [()]
-    radius = 0
     for m in range(levels + 1):
-        while radius < m + 1:
-            extra = []
-            for g in ball:
-                if len(g) == radius:
-                    for x in letter_order(mu.d):
-                        if not g or x != -g[-1]:
-                            extra.append(g + (x,))
-            ball.extend(extra)
-            radius += 1
-        tables.append({(0, g): value(g) for g in ball})
+        ball.update({(0, g): translate_mass(qv, g, w) for g in enumerate_words(mu.d, m + 1)})
+        tables.append(dict(ball))
     return LevelFunction(tables)
 
 

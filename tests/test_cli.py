@@ -212,11 +212,17 @@ class TestEndToEnd:
                                       "abel-identity", "gradient", "entropy-power",
                                       "gradient-depth-0", "scan-seed", "walk-sample-seed",
                                       "walk-boundary-seed", "walk-boundary-trajectories",
-                                      "walk-sample-zero-row"])
+                                      "walk-sample-zero-row", "harmonic-check-levels-text",
+                                      "harmonic-check-levels-three",
+                                      "harmonic-check-levels-reversed", "folner-a-values-text",
+                                      "folner-a-values-empty"])
     def test_bad_parameter_exit_code(self, files, case):
         h = os.path.join(files["dir"], "nan_h.json")
         with open(h, "w") as fh:
             fh.write('{"default": 0.0, "levels": [{"0|0": NaN}, {}]}')
+        zero_h = os.path.join(files["dir"], "zero_h.json")
+        with open(zero_h, "w") as fh:
+            fh.write('{"default": 0.0, "levels": [{"0|0": 0.0}]}')
         zero_row = os.path.join(files["dir"], "zero_row.json")
         with open(zero_row, "w") as fh:
             json.dump(StochasticSequence(GroupSpec("int"), [1], [[[{1: 0.0}]]]).to_json(), fh)
@@ -249,6 +255,17 @@ class TestEndToEnd:
                                            "--seed", "1", "--depth", "1"),
             "walk-sample-zero-row": ("walk-sample", "--sigma", zero_row,
                                      "--steps", "3", "--seed", "1"),
+            "harmonic-check-levels-text": ("harmonic-check", "--sigma", files["sigmaz.json"],
+                                           "--h", zero_h, "--levels", "abc"),
+            "harmonic-check-levels-three": ("harmonic-check", "--sigma", files["sigmaz.json"],
+                                            "--h", zero_h, "--levels", "1:2:3"),
+            "harmonic-check-levels-reversed": ("harmonic-check", "--sigma",
+                                               files["sigmaz.json"], "--h", zero_h,
+                                               "--levels", "4:1"),
+            "folner-a-values-text": ("folner", "--lambda-z", files["lamz.json"], "--f", "kl",
+                                     "--a-values", "x"),
+            "folner-a-values-empty": ("folner", "--lambda-z", files["lamz.json"], "--f", "kl",
+                                      "--a-values", ","),
         }[case]
         r = run_cli(*args)
         assert r.returncode == 2, (r.returncode, r.stdout)

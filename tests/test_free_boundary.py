@@ -31,11 +31,13 @@ from fentropy.free_boundary import (
     stationarity_residual,
     t_inverse,
     t_map,
+    translate_mass,
     uniform_generator_measure,
 )
 from fentropy.words import ReducedWord, enumerate_words, letter_order
 
 ASYM = GeneratorMeasure(2, {1: 0.4, -1: 0.4, 2: 0.1, -2: 0.1})
+ASYM3 = GeneratorMeasure(3, {1: 0.25, -1: 0.25, 2: 0.15, -2: 0.15, 3: 0.1, -3: 0.1})
 
 
 def random_measure(rng, d=2):
@@ -274,6 +276,27 @@ class TestRnGenerator:
             if r_h is None:
                 continue
             assert r_gh == pytest.approx(r_h * r_g, abs=1e-12)
+
+
+class TestTranslateMass:
+    @pytest.mark.parametrize("mu", [ASYM, ASYM3], ids=["F2", "F3"])
+    def test_matches_pushforward(self, mu):
+        qv = solve_q(mu)
+        kinds = set()
+        for w in ((1,), (2, -1), (1, 1, 2)):
+            for r in range(4):
+                nu = harmonic_measure(mu, len(w) + r)
+                for g in enumerate_words(mu.d, r):
+                    oracle = pushforward(ReducedWord(g, mu.d), nu, len(w)).mass(w)
+                    assert abs(translate_mass(qv, g, w) - oracle) <= 1e-14, (g, w)
+                    # g^-1 cancels the common prefix of g and w
+                    c = next((k for k in range(len(w)) if g[k:k + 1] != w[k:k + 1]), len(w))
+                    kinds.add("none" if c == 0 else "partial" if c < len(w) else "full")
+        assert kinds == {"none", "partial", "full"}
+
+    def test_empty_word_rejected(self):
+        with pytest.raises(DepthMismatch):
+            translate_mass(solve_q(ASYM), (1,), ())
 
 
 class TestCylinderEntropy:

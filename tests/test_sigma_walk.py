@@ -7,6 +7,7 @@ from scipy.stats import chi2 as chi2_dist
 
 from fentropy.divergence import CHI2, KL, ConvexGenerator, FiniteMeasure, f_divergence
 from fentropy.errors import (
+    BadLetter,
     BudgetExceeded,
     IncompleteTable,
     NotProbability,
@@ -309,6 +310,13 @@ class TestHarmonicity:
         s = constant_sequence(MU2)
         h = poisson_transform_cylinder(MU2, (1, 2), levels=3)
         assert check_harmonic(s, h, range(1, 4)) < 1e-12
+
+    @pytest.mark.parametrize("w", [(1, -1), (5,), (0,)],
+                             ids=["non-reduced", "out-of-range", "zero"])
+    def test_poisson_transform_rejects_bad_word(self, w):
+        # such a word has no cylinder; an all-zero table would pass check_harmonic
+        with pytest.raises(BadLetter):
+            poisson_transform_cylinder(MU2, w, levels=2)
 
     def test_perturbation_detected(self):
         s = constant_sequence(MU2)
