@@ -7,6 +7,9 @@ at infinity stay exact instead of being estimated numerically.
 `divergence_arrays` is the one place D_f is computed, with Csiszar's
 conventions: a mass <= ZERO_MASS counts as zero, an atom with p = 0 < q adds
 f(0+) q, mass p escaping to atoms with q = 0 adds f'(inf) p, and 0*inf = 0.
+It also takes a 2-D p (one measure per row, against one q or a q per row)
+and returns one value per row; each row is reduced by one math.fsum exactly
+as the 1-D call on that row, so the values agree bit for bit.
 """
 
 from __future__ import annotations
@@ -164,37 +167,67 @@ def _require_probability(m: FiniteMeasure, name: str):
         raise NotProbability(f"{name} has total {m.total!r}, expected 1")
 
 
-def divergence_arrays(p: np.ndarray, q: np.ndarray, f: ConvexGenerator) -> float:
+def divergence_arrays(p: np.ndarray, q: np.ndarray, f: ConvexGenerator):
     """D_f(p||q) for aligned arrays of non-negative masses.
 
     Masses <= ZERO_MASS count as zero. Atoms where both masses vanish
     contribute nothing (0*inf = 0); p = 0 < q atoms add f(0+) q; the mass p
     escaping to q = 0 atoms adds f'(inf) p; every other atom adds f(p/q) q.
+
+    p of shape (M,) gives a float. p of shape (rows, M), with q of shape (M,)
+    or (rows, M), gives an array with one value per row, each equal bit for
+    bit to the 1-D call on that row: a row's terms are reduced by one
+    math.fsum, which rounds the exact sum once, so neither their order nor
+    the zero terms of atoms outside a row's branch can change it.
     """
-    q_pos = q > ZERO_MASS
+    if p.ndim == 1:
+        return _divergence_rows(p[None, :], q[None, :], f)[0]
+    if q.ndim == 1:
+        q = np.broadcast_to(q, p.shape)
+    return np.array(_divergence_rows(p, q, f))
+
+
+def _row_lists(values: list, mask: np.ndarray) -> list:
+    """Split values, taken from mask's cells in row-major order, into one list per row."""
+    if len(mask) == 1:
+        return [values]
+    ends = np.count_nonzero(mask, axis=1).cumsum().tolist()
+    return [values[s:e] for s, e in zip([0] + ends, ends)]
+
+
+def _divergence_rows(p: np.ndarray, q: np.ndarray, f: ConvexGenerator) -> list:
+    """divergence_arrays of each row of 2-D p and q of one shape, as a list of floats."""
     p_pos = p > ZERO_MASS
-    terms = []
-    escaped = p_pos & ~q_pos
-    if escaped.any():
-        slope = f.at_infinity_slope
-        if slope == INF:
-            return INF
-        terms.append(math.fsum(p[escaped].tolist()) * slope)
-    p_zero = q_pos & ~p_pos
-    if p_zero.any():
-        z = f.at_zero
-        if z == INF:
-            return INF
-        terms.extend((z * q[p_zero]).tolist())
+    q_pos = q > ZERO_MASS
     both = p_pos & q_pos
     qb = q[both]
-    terms.extend((f.eval_array(p[both] / qb) * qb).tolist())
-    value = math.fsum(terms)
-    # the supporting line at 1 makes each term nonnegative in exact arithmetic,
-    # so a tiny negative total is pure roundoff
-    if -PROB_TOL < value < 0.0:
-        return 0.0
-    return value
+    rows = _row_lists((f.eval_array(p[both] / qb) * qb).tolist(), both)
+    infinite = np.zeros(len(p), dtype=bool)
+    differ = p_pos ^ q_pos
+    if differ.any():
+        p_zero = differ & q_pos
+        if f.at_zero == INF:
+            infinite |= p_zero.any(axis=1)
+        else:
+            for row, extra in zip(rows, _row_lists((f.at_zero * q[p_zero]).tolist(), p_zero)):
+                row.extend(extra)
+        escaped = differ & p_pos
+        if f.at_infinity_slope == INF:
+            infinite |= escaped.any(axis=1)
+        else:
+            for row, mass in zip(rows, _row_lists(p[escaped].tolist(), escaped)):
+                if mass:
+                    row.append(math.fsum(mass) * f.at_infinity_slope)
+    values = []
+    for row, inf in zip(rows, infinite.tolist()):
+        if inf:
+            values.append(INF)
+            continue
+        value = math.fsum(row)
+        # the supporting line at 1 makes each term nonnegative in exact
+        # arithmetic, so a tiny negative total is pure roundoff
+        values.append(0.0 if -PROB_TOL < value < 0.0 else value)
+    return values
 
 
 def f_divergence(P: FiniteMeasure, Q: FiniteMeasure, f: ConvexGenerator) -> float:

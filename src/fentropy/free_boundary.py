@@ -37,6 +37,8 @@ from .words import (
 )
 
 Q_RESIDUAL_TOL = 1e-12
+SAMPLE_BLOCK = 4096  # samples per seeded block of the scan and the Monte Carlo samplers
+ENTROPY_CELLS = 2**14  # depth-(n+1) cells EntropyEngine.entropy gathers at a time
 
 
 @dataclass(frozen=True)
@@ -589,56 +591,80 @@ class EntropyEngine:
         return x
 
     def refined(self, x: np.ndarray) -> np.ndarray:
-        """Depth-(n+1) masses of the tail-extended measure with depth-n masses x."""
-        return self.refine_matrix * x[self.refine_src]
+        """Depth-(n+1) masses of the tail-extended measure with depth-n masses x (per row)."""
+        return self.refine_matrix * x.take(self.refine_src, axis=-1)
 
     def translated(self, x: np.ndarray, j: int) -> np.ndarray:
-        """Depth-(n+1) masses of a_j nu for the tail-extended nu with depth-n masses x."""
-        return self.push_matrices[j] * x[self.push_src[j]]
+        """Depth-(n+1) masses of a_j nu for the tail-extended nu with depth-n masses x (per row)."""
+        return self.push_matrices[j] * x.take(self.push_src[j], axis=-1)
 
-    def entropy(self, x: np.ndarray) -> float:
+    def entropy(self, x: np.ndarray):
+        """Entropy of one mass vector (a float), or of each row of a block (an array).
+
+        A block is gathered ENTROPY_CELLS depth-(n+1) cells at a time; each
+        row's value equals the one-vector call on that row bit for bit.
+        """
+        if x.ndim == 1:
+            return self._entropy_rows(x[None, :])[0]
+        step = max(1, ENTROPY_CELLS // len(self.refine_src))
+        out = np.empty(len(x))
+        for s in range(0, len(x), step):
+            out[s:s + step] = self._entropy_rows(x[s:s + step])
+        return out
+
+    def _entropy_rows(self, x: np.ndarray) -> list:
         q1 = self.refined(x)
         if self.normalise:
             # both totals equal 1 in exact arithmetic; divide out the q solver's
             # roundoff, and refuse measures (such as user input) far from 1
-            qt = math.fsum(q1.tolist())
-            if not 0.999 < qt < 1.001:
-                raise NotProbability(f"cylinder total {qt!r} is not near 1")
-            q1 = q1 / qt
+            q1 = q1 / self._checked_totals(q1, "cylinder")
         terms = []
         for j in letter_order(self.lam.d):
             pj = self.translated(x, j)
             if self.normalise:
-                pt = math.fsum(pj.tolist())
-                if not 0.999 < pt < 1.001:
-                    raise NotProbability(f"translated cylinder total {pt!r} is not near 1")
-                pj = pj / pt
-            dj = divergence_arrays(pj, q1, self.f)
-            if dj == INF:
-                return INF
-            terms.append(self.lam.p[j] * dj)
-        return math.fsum(terms)
+                # a row is infinite once one term is; its later totals go unchecked
+                infinite = np.isinf(terms).any(axis=0)
+                pj = pj / self._checked_totals(pj, "translated cylinder", infinite)
+            terms.append(self.lam.p[j] * divergence_arrays(pj, q1, self.f))
+        # the terms are >= 0 or inf, and fsum of a row with an inf term is inf
+        return [math.fsum(row) for row in np.transpose(terms).tolist()]
+
+    @staticmethod
+    def _checked_totals(rows: np.ndarray, what: str, skip=False) -> np.ndarray:
+        """fsum total of each row, as a column; rows not in skip must total within 1e-3 of 1."""
+        totals = np.array([math.fsum(row) for row in rows.tolist()])
+        bad = ~((0.999 < totals) & (totals < 1.001) | skip)
+        if bad.any():
+            raise NotProbability(f"{what} total {float(totals[bad][0])!r} is not near 1")
+        return totals[:, None]
 
 
-def _scan_sample(engines: dict, m: int, seed: int, i: int,
-                 zero_fraction: float, uniform_tail_fraction: float):
-    rng = np.random.default_rng([seed, i])
-    conc = 10.0 ** rng.uniform(-1.0, 1.0)
-    x = rng.dirichlet(np.full(m, conc))
-    u = rng.random()
-    zeroed = u < zero_fraction
-    if zeroed:
-        k = int(rng.integers(1, max(2, m // 4)))
-        idx = rng.choice(m, size=k, replace=False)
-        x[idx] = 0.0
-        total = x.sum()
-        if total <= 0.0:
-            x[:] = 1.0 / m
-        else:
-            x /= total
-    tail_kind = "uniform" if rng.random() < uniform_tail_fraction else "harmonic"
-    h = engines[tail_kind].entropy(x)
-    return h, x, tail_kind
+def _scan_block(rng: np.random.Generator, rows: int, m: int, zero_fraction: float,
+                uniform_tail_fraction: float):
+    """Depth-n masses and uniform-tail flags of the first `rows` samples of a block.
+
+    The per-sample draws (concentration, zeroing and tail coins, zeroed count
+    and zeroing permutation) are made for all SAMPLE_BLOCK samples before the
+    Dirichlet rows, so no sample depends on how many of the block are used.
+    """
+    conc = 10.0 ** rng.uniform(-1.0, 1.0, SAMPLE_BLOCK)
+    zeroed = rng.random(SAMPLE_BLOCK) < zero_fraction
+    uniform_tail = rng.random(SAMPLE_BLOCK) < uniform_tail_fraction
+    k = rng.integers(1, max(2, m // 4), size=int(zeroed.sum()))
+    keys = rng.random((len(k), m))
+    x = _normalise_rows(rng.standard_gamma(conc[:rows, None], size=(rows, m)))
+    z = np.flatnonzero(zeroed[:rows])
+    k = k[:len(z)]
+    drop = np.argsort(keys[:len(z)], axis=1)[np.arange(m) < k[:, None]]
+    x[np.repeat(z, k), drop] = 0.0
+    x[z] = _normalise_rows(x[z])
+    return x, uniform_tail[:rows]
+
+
+def _normalise_rows(x: np.ndarray) -> np.ndarray:
+    """Each row divided by its total; a row whose total is <= 0 becomes uniform."""
+    total = x.sum(axis=1, keepdims=True)
+    return np.divide(x, total, out=np.full(x.shape, 1.0 / x.shape[1]), where=total > 0.0)
 
 
 def minimality_scan(lam: GeneratorMeasure, f: ConvexGenerator, depth: int,
@@ -646,7 +672,15 @@ def minimality_scan(lam: GeneratorMeasure, f: ConvexGenerator, depth: int,
                     uniform_tail_fraction: float = 0.1) -> dict:
     """Scan random tail-extended depth-n measures for entropy below nu_mu's.
 
-    Sample i's randomness depends only on (seed, i).
+    Samples are drawn in blocks of SAMPLE_BLOCK: block b holds samples
+    [b*B, (b+1)*B) and draws from default_rng([seed, b]), so a sample's
+    randomness depends only on (seed, index), and a scan's samples are a
+    prefix of any longer scan's. A sample is a Dirichlet row with concentration
+    10^U(-1,1) (normalised standard_gamma draws); with probability
+    zero_fraction, 1 to max(1, m//4 - 1) of its masses are set to 0 and the
+    rest renormalised; with probability uniform_tail_fraction it takes the
+    uniform tail, else the harmonic one. The argmin is the first sample of
+    minimal entropy.
     """
     if samples < 1 or depth < 1:
         raise ParseError("need samples >= 1 and depth >= 1")
@@ -656,26 +690,28 @@ def minimality_scan(lam: GeneratorMeasure, f: ConvexGenerator, depth: int,
     qv = solve_q(mu)
     nu_mu = harmonic_measure(mu, depth)
     reference = cylinder_entropy(lam, nu_mu, f)
-    engines = {
-        "harmonic": EntropyEngine(lam, f, depth, TailRule("harmonic", qv)),
-        "uniform": EntropyEngine(lam, f, depth, TailRule("uniform")),
-    }
-    m = len(engines["harmonic"].words_n)
+    harmonic = EntropyEngine(lam, f, depth, TailRule("harmonic", qv))
+    uniform = EntropyEngine(lam, f, depth, TailRule("uniform"))
+    m = len(harmonic.words_n)
 
     min_entropy = INF
     argmin_x = None
     argmin_tail = None
     n_infinite = 0
-    for i in range(samples):
-        h, x, tail_kind = _scan_sample(engines, m, seed, i, zero_fraction,
-                                       uniform_tail_fraction)
-        if h == INF:
-            n_infinite += 1
-        if h < min_entropy:
-            min_entropy = h
-            argmin_x = x
-            argmin_tail = tail_kind
-    words = engines["harmonic"].words_n.tolist()
+    for start in range(0, samples, SAMPLE_BLOCK):
+        rows = min(SAMPLE_BLOCK, samples - start)
+        rng = np.random.default_rng([seed, start // SAMPLE_BLOCK])
+        x, uniform_tail = _scan_block(rng, rows, m, zero_fraction, uniform_tail_fraction)
+        h = np.empty(rows)
+        h[uniform_tail] = uniform.entropy(x[uniform_tail])
+        h[~uniform_tail] = harmonic.entropy(x[~uniform_tail])
+        n_infinite += int(np.count_nonzero(h == INF))
+        best = int(np.argmin(h))
+        if h[best] < min_entropy:
+            min_entropy = float(h[best])
+            argmin_x = x[best]
+            argmin_tail = "uniform" if uniform_tail[best] else "harmonic"
+    words = harmonic.words_n.tolist()
     argmin_masses = (
         {encode_word(w): float(argmin_x[i]) for i, w in enumerate(words)}
         if argmin_x is not None else {}
@@ -692,22 +728,25 @@ def minimality_scan(lam: GeneratorMeasure, f: ConvexGenerator, depth: int,
 
 
 def gradient_of_masses(engine: EntropyEngine, x: np.ndarray, h_step: float) -> np.ndarray:
-    """Central differences of the entropy along simplex-tangent pairs (i, i+1)."""
+    """Central differences of the entropy along simplex-tangent pairs (i, i+1).
+
+    All 2(m-1) shifted mass vectors go to the engine as one block.
+    """
     if not h_step > 0:
         raise ParseError("h_step must be positive")
     m = len(x)
-    grad = np.zeros(m - 1)
-    for i in range(m - 1):
-        if x[i] - h_step < 0 or x[i + 1] - h_step < 0:
-            raise StepTooLarge(f"h_step {h_step} would push mass {i} negative")
-        plus = x.copy()
-        plus[i] += h_step
-        plus[i + 1] -= h_step
-        minus = x.copy()
-        minus[i] -= h_step
-        minus[i + 1] += h_step
-        grad[i] = (engine.entropy(plus) - engine.entropy(minus)) / (2.0 * h_step)
-    return grad
+    low = (x[:-1] - h_step < 0) | (x[1:] - h_step < 0)
+    if low.any():
+        raise StepTooLarge(f"h_step {h_step} would push mass {int(np.argmax(low))} negative")
+    i = np.arange(m - 1)
+    plus = np.tile(x, (m - 1, 1))
+    plus[i, i] += h_step
+    plus[i, i + 1] -= h_step
+    minus = np.tile(x, (m - 1, 1))
+    minus[i, i] -= h_step
+    minus[i, i + 1] += h_step
+    h = engine.entropy(np.vstack([plus, minus]))
+    return (h[:m - 1] - h[m - 1:]) / (2.0 * h_step)
 
 
 def entropy_gradient_at_harmonic(lam: GeneratorMeasure, f: ConvexGenerator,

@@ -24,12 +24,12 @@ from .errors import (
     TooManyDiscards,
     ValidationError,
 )
-from .free_boundary import GeneratorMeasure, harmonic_measure, solve_q, translate_mass
+from .free_boundary import (SAMPLE_BLOCK, GeneratorMeasure, harmonic_measure, solve_q,
+                            translate_mass)
 from .words import (ReducedWord, decode_word, encode_word, enumerate_words, letter_order,
                     reduce_letters, word_array, word_index)
 
 ELEMENT_BUDGET = 10_000_000
-SAMPLE_BLOCK = 4096  # trajectories per seeded block of the Monte Carlo samplers
 
 
 @dataclass(frozen=True)
@@ -446,16 +446,29 @@ def _sigma_mean(mat, mul, h: LevelFunction, m: int, i: int, g) -> float:
 
 
 def check_harmonic(s: StochasticSequence, h: LevelFunction, levels: range) -> float:
-    """max over (m, (i,g)) of |h_{m-1}(i,g) - sum h_m(j, g x) sigma^(m)_{i,j}(x)|."""
+    """max over (m, (i,g)) of |h_{m-1}(i,g) - sum h_m(j, g x) sigma^(m)_{i,j}(x)|.
+
+    Level 0 has no predecessor and is skipped; a range without a level >= 1
+    raises DepthMismatch. Level m checks the states of table h_{m-1}. Past the
+    tables, h is its default on every state, so one state per sheet decides
+    the level; without a default such a level raises DepthMismatch.
+    """
+    if not any(m >= 1 for m in levels):
+        raise DepthMismatch(f"no level >= 1 among levels {list(levels)}")
     worst = 0.0
     mul = s.group.mul
     for m in levels:
         if m < 1:
             continue
         mat = s.matrix(m)
-        if m - 1 >= len(h.tables):
-            break
-        for (i, g), val in h.tables[m - 1].items():
+        if m - 1 < len(h.tables):
+            states = h.tables[m - 1].items()
+        elif h.default is not None:
+            states = [((i, s.group.identity), h.default) for i in range(len(mat))]
+        else:
+            raise DepthMismatch(
+                f"level {m} needs table h_{m - 1}, but h has {len(h.tables)} tables")
+        for (i, g), val in states:
             worst = max(worst, abs(val - _sigma_mean(mat, mul, h, m, i, g)))
     return worst
 

@@ -11,7 +11,8 @@ from fentropy.divergence import FiniteMeasure
 from fentropy.errors import UnsupportedPayloadForCsv
 from fentropy.free_boundary import uniform_generator_measure
 from fentropy.majorant import Majorant, WeightedFunction
-from fentropy.sigma_walk import GroupSpec, StochasticSequence, constant_sequence
+from fentropy.sigma_walk import (GroupSpec, StochasticSequence, constant_sequence,
+                                 poisson_transform_cylinder)
 
 
 def run_cli(*args, env=None):
@@ -214,7 +215,9 @@ class TestEndToEnd:
                                       "walk-boundary-seed", "walk-boundary-trajectories",
                                       "walk-sample-zero-row", "harmonic-check-levels-text",
                                       "harmonic-check-levels-three",
-                                      "harmonic-check-levels-reversed", "folner-a-values-text",
+                                      "harmonic-check-levels-reversed",
+                                      "harmonic-check-levels-past-tables",
+                                      "harmonic-check-levels-zero", "folner-a-values-text",
                                       "folner-a-values-empty"])
     def test_bad_parameter_exit_code(self, files, case):
         h = os.path.join(files["dir"], "nan_h.json")
@@ -223,6 +226,10 @@ class TestEndToEnd:
         zero_h = os.path.join(files["dir"], "zero_h.json")
         with open(zero_h, "w") as fh:
             fh.write('{"default": 0.0, "levels": [{"0|0": 0.0}]}')
+        two_level_h = os.path.join(files["dir"], "two_level_h.json")
+        with open(two_level_h, "w") as fh:
+            json.dump(poisson_transform_cylinder(uniform_generator_measure(2), (1,), 1)
+                      .to_json(GroupSpec("free", 2)), fh)
         zero_row = os.path.join(files["dir"], "zero_row.json")
         with open(zero_row, "w") as fh:
             json.dump(StochasticSequence(GroupSpec("int"), [1], [[[{1: 0.0}]]]).to_json(), fh)
@@ -262,6 +269,11 @@ class TestEndToEnd:
             "harmonic-check-levels-reversed": ("harmonic-check", "--sigma",
                                                files["sigmaz.json"], "--h", zero_h,
                                                "--levels", "4:1"),
+            "harmonic-check-levels-past-tables": ("harmonic-check", "--sigma",
+                                                  files["sigma.json"], "--h", two_level_h,
+                                                  "--levels", "5:9"),
+            "harmonic-check-levels-zero": ("harmonic-check", "--sigma", files["sigma.json"],
+                                           "--h", two_level_h, "--levels", "0:0"),
             "folner-a-values-text": ("folner", "--lambda-z", files["lamz.json"], "--f", "kl",
                                      "--a-values", "x"),
             "folner-a-values-empty": ("folner", "--lambda-z", files["lamz.json"], "--f", "kl",

@@ -224,6 +224,35 @@ class TestDivergenceArrays:
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-13)
 
     @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.sampled_from(GENERATORS), st.booleans())
+    def test_rows_match_one_dimensional_calls(self, data, f, shared_q):
+        n = data.draw(st.integers(1, 8))
+        rows = data.draw(st.integers(1, 5))
+        p = np.array([data.draw(probability_vectors(n)) for _ in range(rows)])
+        if shared_q:
+            q = data.draw(probability_vectors(n))
+            q_rows = [q] * rows
+        else:
+            q = np.array([data.draw(probability_vectors(n)) for _ in range(rows)])
+            q_rows = list(q)
+        got = divergence_arrays(p, q, f)
+        assert got.shape == (rows,)
+        expected = [divergence_arrays(p[r], q_rows[r], f) for r in range(rows)]
+        assert all(type(v) is float for v in expected)
+        assert [float(v).hex() for v in got] == [v.hex() for v in expected]
+
+    @pytest.mark.parametrize("f", [KL, ConvexGenerator("power", -1.0)], ids=["kl", "power-1"])
+    def test_infinite_rows_next_to_finite_ones(self, f):
+        # row 0: mass escapes to a q = 0 atom (f'(inf) = inf for KL); row 1:
+        # p = 0 < q (f(0+) = inf for power:-1); row 2 is finite for both
+        q = np.array([0.0, 0.5, 0.5])
+        p = np.array([[0.2, 0.4, 0.4], [0.0, 0.0, 1.0], [0.0, 0.3, 0.7]])
+        got = divergence_arrays(p, q, f)
+        assert [float(v).hex() for v in got] == [
+            divergence_arrays(row, q, f).hex() for row in p]
+        assert got[0 if f is KL else 1] == INF and got[2] < INF
+
+    @settings(max_examples=150, deadline=None)
     @given(probability_pairs(), st.sampled_from(GENERATORS))
     def test_nonnegative_and_zero_on_the_diagonal(self, pq, f):
         p, q = pq

@@ -1,4 +1,5 @@
 import math
+import re
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -13,11 +14,14 @@ from fentropy.errors import (
     StepTooLarge,
 )
 from fentropy.free_boundary import (
+    ENTROPY_CELLS,
+    SAMPLE_BLOCK,
     CylinderMeasure,
     EntropyEngine,
     GeneratorMeasure,
     TailRule,
     _brent,
+    _scan_block,
     closed_form_harmonic_entropy,
     convolve,
     cylinder_entropy,
@@ -483,6 +487,42 @@ class TestMinimalityScan:
                         engine.translated(x, j), [oracle.mass(w) for w in words1],
                         rtol=1e-14, atol=0)
 
+    @pytest.mark.parametrize("n", [SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1,
+                                   2 * SAMPLE_BLOCK + 3])
+    def test_scan_is_a_prefix_of_a_longer_scan(self, n):
+        lam = uniform_generator_measure(2)
+        fewer = minimality_scan(lam, KL, 2, n, 9)
+        more = minimality_scan(lam, KL, 2, n + 1, 9)
+        assert more["min_entropy"] <= fewer["min_entropy"] < INF
+        assert more["infinite_entropy_samples"] - fewer["infinite_entropy_samples"] in (0, 1)
+        assert fewer["infinite_entropy_samples"] > 0
+        if more["min_entropy"] == fewer["min_entropy"]:
+            # the first minimal sample is still the argmin
+            assert more["argmin_masses"] == fewer["argmin_masses"]
+            assert more["argmin_tail"] == fewer["argmin_tail"]
+
+    @pytest.mark.parametrize("rows", [1, 100, SAMPLE_BLOCK - 1])
+    def test_block_samples_do_not_depend_on_rows_used(self, rows):
+        # with half the samples zeroed, a zeroing permutation drawn after the
+        # Dirichlet rows would move with the number of rows
+        x, uniform_tail = _scan_block(np.random.default_rng([3, 0]), rows + 1, 12, 0.5, 0.5)
+        y, uniform_tail_y = _scan_block(np.random.default_rng([3, 0]), rows, 12, 0.5, 0.5)
+        assert x[:rows].tobytes() == y.tobytes()
+        assert (uniform_tail[:rows] == uniform_tail_y).all()
+        assert np.allclose(x.sum(axis=1), 1.0)
+        if rows > 1:
+            assert 0 < np.count_nonzero((x == 0.0).any(axis=1)) < rows
+
+    def test_scan_with_every_sample_infinite(self):
+        # KL is infinite on every measure with a zero cylinder, and
+        # zero_fraction = 1 zeroes at least one cylinder of every sample
+        rep = minimality_scan(uniform_generator_measure(2), KL, 2, 50, 4, zero_fraction=1.0)
+        assert rep["infinite_entropy_samples"] == 50
+        assert rep["min_entropy"] == INF
+        assert rep["argmin_masses"] == {}
+        assert rep["argmin_tail"] is None
+        assert rep["theorem_A_violated"] is False
+
     def test_determinism_across_worker_counts(self, monkeypatch):
         lam = uniform_generator_measure(2)
         monkeypatch.setenv("FE_THREADS", "1")
@@ -512,6 +552,73 @@ class TestGradient:
         lam = uniform_generator_measure(2)
         with pytest.raises(StepTooLarge):
             entropy_gradient_at_harmonic(lam, KL, 2, h_step=0.5)
+
+    @staticmethod
+    def reference_gradient(engine, x, h_step):
+        """Per-coordinate central differences, one engine call per shifted vector."""
+        grad = np.zeros(len(x) - 1)
+        for i in range(len(x) - 1):
+            if x[i] - h_step < 0 or x[i + 1] - h_step < 0:
+                raise StepTooLarge(f"h_step {h_step} would push mass {i} negative")
+            plus = x.copy()
+            plus[i] += h_step
+            plus[i + 1] -= h_step
+            minus = x.copy()
+            minus[i] -= h_step
+            minus[i + 1] += h_step
+            grad[i] = (engine.entropy(plus) - engine.entropy(minus)) / (2.0 * h_step)
+        return grad
+
+    @pytest.mark.parametrize("spec", ["kl", "chi2", "power:0.5", "power:2", "power:-1"])
+    def test_block_gradient_matches_reference_loop(self, spec):
+        f = generator_from_string(spec)
+        rng = np.random.default_rng(12)
+        lam, mu = random_measure(rng, 3), random_measure(rng, 3)
+        for tail in (TailRule("harmonic", solve_q(mu)), TailRule("uniform")):
+            engine = EntropyEngine(lam, f, 2, tail)
+            x = rng.dirichlet(np.ones(len(engine.words_n)))
+            for h_step in (x.min() / 20, 1e-7, x.min(), x.min() * 1.001, x[1] * 1.5):
+                try:
+                    expected = self.reference_gradient(engine, x, h_step)
+                except StepTooLarge as exc:
+                    with pytest.raises(StepTooLarge, match=re.escape(str(exc))):
+                        gradient_of_masses(engine, x, h_step)
+                    continue
+                got = gradient_of_masses(engine, x, h_step)
+                assert [v.hex() for v in got.tolist()] == [v.hex() for v in expected.tolist()]
+
+
+class TestEntropyBlocks:
+    @pytest.mark.parametrize("spec", ["kl", "power:-1"])
+    @pytest.mark.parametrize("normalise", [False, True])
+    def test_rows_match_single_vector_calls(self, spec, normalise):
+        f = generator_from_string(spec)
+        rng = np.random.default_rng(41)
+        lam, mu = random_measure(rng), random_measure(rng)
+        for tail in (TailRule("harmonic", solve_q(mu)), TailRule("uniform")):
+            engine = EntropyEngine(lam, f, 2, tail, normalise=normalise)
+            m = len(engine.words_n)
+            step = ENTROPY_CELLS // len(engine.refine_src)
+            x = rng.dirichlet(np.ones(m), size=step + 3)
+            zeroed = rng.random(len(x)) < 0.2
+            x[zeroed, rng.integers(0, m, size=int(zeroed.sum()))] = 0.0
+            x /= x.sum(axis=1, keepdims=True)
+            got = engine.entropy(x)
+            expected = [engine.entropy(row) for row in x]
+            assert all(type(v) is float for v in expected)
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in expected]
+            assert INF in expected and min(expected) < INF
+
+    def test_block_refuses_a_row_far_from_one(self):
+        lam = uniform_generator_measure(2)
+        engine = EntropyEngine(lam, KL, 2, TailRule("uniform"), normalise=True)
+        x = np.full((3, len(engine.words_n)), 1.0 / len(engine.words_n))
+        x[1] *= 0.5
+        with pytest.raises(NotProbability) as one:
+            engine.entropy(x[1])
+        with pytest.raises(NotProbability) as block:
+            engine.entropy(x)
+        assert str(block.value) == str(one.value)
 
 
 class TestSerialization:

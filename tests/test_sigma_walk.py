@@ -9,6 +9,7 @@ from fentropy.divergence import CHI2, KL, ConvexGenerator, FiniteMeasure, f_dive
 from fentropy.errors import (
     BadLetter,
     BudgetExceeded,
+    DepthMismatch,
     IncompleteTable,
     NotProbability,
     ParseError,
@@ -326,6 +327,21 @@ class TestHarmonicity:
         tables[1][key] += 0.1
         bad = LevelFunction(tables, default=h.default)
         assert check_harmonic(s, bad, range(1, 3)) >= 0.1 * 0.25 - 1e-12
+
+    @pytest.mark.parametrize("levels", [range(3, 6), range(0, 1), range(1, 1)],
+                             ids=["past-tables", "level-0-only", "empty"])
+    def test_levels_it_cannot_check_rejected(self, levels):
+        # a two-table function has h_0 and h_1, so it can check level 1
+        h = poisson_transform_cylinder(MU2, (1,), levels=1)
+        assert check_harmonic(constant_sequence(MU2), h, range(0, 2)) < 1e-12
+        with pytest.raises(DepthMismatch):
+            check_harmonic(constant_sequence(MU2), h, levels)
+
+    def test_default_is_checked_past_the_tables(self):
+        # past its tables h is the constant 1, which is harmonic only where
+        # every row of sigma has total 1; this row has total 0.5
+        s = StochasticSequence(Z, [1], [[[{1: 0.5}]]])
+        assert check_harmonic(s, LevelFunction([{(0, 0): 1.0}], default=1.0), range(1, 4)) == 0.5
 
     def test_incomplete_table(self):
         h = LevelFunction([{(0, ()): 1.0}], default=None)
