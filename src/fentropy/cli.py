@@ -301,9 +301,12 @@ def cmd_envelope(args):
 def _parse_growth(spec: str):
     spec = spec.strip().lower()
     if spec.startswith("pow:"):
-        k = float(spec.split(":", 1)[1])
-        if k <= 1.0:
-            raise ParseError("pow:<k> needs k > 1 for superlinearity")
+        try:
+            k = float(spec.split(":", 1)[1])
+        except ValueError as exc:
+            raise ParseError(f"bad exponent in growth spec {spec!r}") from exc
+        if not 1.0 < k < math.inf:
+            raise ParseError("pow:<k> needs a finite k > 1 for superlinearity")
         return lambda t: t**k
     if spec == "tlogt":
         return lambda t: t * math.log1p(t)
@@ -366,33 +369,22 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, parents=[common])
         for flag, kwargs in arguments.items():
             p.add_argument("--" + flag.replace("_", "-"), **kwargs)
-        return p
 
     add("solve-q", mu={"required": True}, tol={"type": float, "default": Q_RESIDUAL_TOL})
     add("harmonic", mu={"required": True}, depth={"type": int, "required": True})
-    p = sub.add_parser("entropy", parents=[common])
-    p.add_argument("--lambda", required=True)
-    p.add_argument("--f", required=True)
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--nu")
+    # "lambda" is a Python keyword, so those flags are passed as **{"lambda": ...}
+    add("entropy", **{"lambda": {"required": True}}, f={"required": True},
+        depth={"type": int, "default": 2}, nu={})
     add("tmap", mu={"required": True}, f={"required": True})
-    p = sub.add_parser("tinv", parents=[common])
-    p.add_argument("--lambda", required=True)
-    p.add_argument("--f", required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p = sub.add_parser("scan", parents=[common])
-    p.add_argument("--lambda", required=True)
-    p.add_argument("--f", required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--zero-fraction", type=float, default=0.05)
-    p.add_argument("--uniform-tail-fraction", type=float, default=0.1)
-    p = sub.add_parser("gradient", parents=[common])
-    p.add_argument("--lambda", required=True)
-    p.add_argument("--f", required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--h-step", type=float, default=1e-5)
+    add("tinv", **{"lambda": {"required": True}}, f={"required": True},
+        tol={"type": float, "default": 1e-10})
+    add("scan", **{"lambda": {"required": True}}, f={"required": True},
+        depth={"type": int, "required": True}, samples={"type": int, "required": True},
+        seed={"type": int, "required": True},
+        zero_fraction={"type": float, "default": 0.05},
+        uniform_tail_fraction={"type": float, "default": 0.1})
+    add("gradient", **{"lambda": {"required": True}}, f={"required": True},
+        depth={"type": int, "required": True}, h_step={"type": float, "default": 1e-5})
     add("validate-sigma", sigma={"required": True})
     add("walk-exact", sigma={"required": True}, level={"type": int, "required": True})
     add("walk-sample", sigma={"required": True}, steps={"type": int, "required": True},

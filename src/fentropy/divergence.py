@@ -7,9 +7,12 @@ at infinity stay exact instead of being estimated numerically.
 `divergence_arrays` is the one place D_f is computed, with Csiszar's
 conventions: a mass <= ZERO_MASS counts as zero, an atom with p = 0 < q adds
 f(0+) q, mass p escaping to atoms with q = 0 adds f'(inf) p, and 0*inf = 0.
-It also takes a 2-D p (one measure per row, against one q or a q per row)
-and returns one value per row; each row is reduced by one math.fsum exactly
-as the 1-D call on that row, so the values agree bit for bit.
+For the builtin generators f'(inf) is 0 or inf, so escaped mass adds exactly
+0 or makes the value infinite. It also takes a 2-D p (one measure per row,
+against one q or a q per row) and returns one value per row. Each call builds
+one dense (rows, M) term matrix, zero outside an atom's branch, and reduces
+each row by one math.fsum exactly as the 1-D call on that row, so the values
+agree bit for bit.
 """
 
 from __future__ import annotations
@@ -187,39 +190,31 @@ def divergence_arrays(p: np.ndarray, q: np.ndarray, f: ConvexGenerator):
     return np.array(_divergence_rows(p, q, f))
 
 
-def _row_lists(values: list, mask: np.ndarray) -> list:
-    """Split values, taken from mask's cells in row-major order, into one list per row."""
-    if len(mask) == 1:
-        return [values]
-    ends = np.count_nonzero(mask, axis=1).cumsum().tolist()
-    return [values[s:e] for s, e in zip([0] + ends, ends)]
-
-
 def _divergence_rows(p: np.ndarray, q: np.ndarray, f: ConvexGenerator) -> list:
-    """divergence_arrays of each row of 2-D p and q of one shape, as a list of floats."""
+    """divergence_arrays of each row of 2-D p and q of one shape, as a list of floats.
+
+    The terms form one dense (rows, M) matrix: f(p/q) q on atoms where both
+    masses are positive, f(0+) q where p = 0 < q, and exact zeros elsewhere.
+    Escaped mass needs no term, since f'(inf) is 0 or inf for every builtin f.
+    """
     p_pos = p > ZERO_MASS
     q_pos = q > ZERO_MASS
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        terms = f.eval_array(p / q) * q
     both = p_pos & q_pos
-    qb = q[both]
-    rows = _row_lists((f.eval_array(p[both] / qb) * qb).tolist(), both)
     infinite = np.zeros(len(p), dtype=bool)
-    differ = p_pos ^ q_pos
-    if differ.any():
-        p_zero = differ & q_pos
+    # skipped when every atom is in the f(p/q) q branch: each mask below is empty
+    if not both.all():
+        terms[~both] = 0.0
+        p_zero = q_pos & ~p_pos
         if f.at_zero == INF:
             infinite |= p_zero.any(axis=1)
         else:
-            for row, extra in zip(rows, _row_lists((f.at_zero * q[p_zero]).tolist(), p_zero)):
-                row.extend(extra)
-        escaped = differ & p_pos
+            terms[p_zero] = f.at_zero * q[p_zero]
         if f.at_infinity_slope == INF:
-            infinite |= escaped.any(axis=1)
-        else:
-            for row, mass in zip(rows, _row_lists(p[escaped].tolist(), escaped)):
-                if mass:
-                    row.append(math.fsum(mass) * f.at_infinity_slope)
+            infinite |= (p_pos & ~q_pos).any(axis=1)
     values = []
-    for row, inf in zip(rows, infinite.tolist()):
+    for row, inf in zip(terms.tolist(), infinite.tolist()):
         if inf:
             values.append(INF)
             continue

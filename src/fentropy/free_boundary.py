@@ -686,6 +686,8 @@ def minimality_scan(lam: GeneratorMeasure, f: ConvexGenerator, depth: int,
         raise ParseError("need samples >= 1 and depth >= 1")
     if seed < 0:
         raise ParseError("seed must be >= 0")
+    if not (0.0 <= zero_fraction <= 1.0 and 0.0 <= uniform_tail_fraction <= 1.0):
+        raise ParseError("zero_fraction and uniform_tail_fraction must lie in [0, 1]")
     mu = t_inverse(lam, f)
     qv = solve_q(mu)
     nu_mu = harmonic_measure(mu, depth)

@@ -52,11 +52,6 @@ class GroupSpec:
             return reduce_letters(a + b, self.d)
         return a + b
 
-    def inv(self, a):
-        if self.kind == "free":
-            return tuple(-x for x in reversed(a))
-        return -a
-
     def encode(self, g) -> str:
         return encode_word(g) if self.kind == "free" else str(g)
 
@@ -596,9 +591,6 @@ class AbelMeasure:
     @property
     def stored_total(self) -> float:
         return math.fsum(self.entries.values())
-
-    def level_mass(self, n: int) -> float:
-        return math.fsum(m for (k, _, _), m in self.entries.items() if k == n)
 
 
 def _tail_exponent(a: float, eps: float) -> int:

@@ -218,7 +218,10 @@ class TestEndToEnd:
                                       "harmonic-check-levels-reversed",
                                       "harmonic-check-levels-past-tables",
                                       "harmonic-check-levels-zero", "folner-a-values-text",
-                                      "folner-a-values-empty"])
+                                      "folner-a-values-empty", "vp-pow-text", "vp-pow-nan",
+                                      "vp-pow-inf", "scan-zero-fraction-nan",
+                                      "scan-zero-fraction-2",
+                                      "scan-uniform-tail-fraction-nan"])
     def test_bad_parameter_exit_code(self, files, case):
         h = os.path.join(files["dir"], "nan_h.json")
         with open(h, "w") as fh:
@@ -233,6 +236,8 @@ class TestEndToEnd:
         zero_row = os.path.join(files["dir"], "zero_row.json")
         with open(zero_row, "w") as fh:
             json.dump(StochasticSequence(GroupSpec("int"), [1], [[[{1: 0.0}]]]).to_json(), fh)
+        scan = ("scan", "--lambda", files["uniform2.json"], "--f", "kl", "--depth", "2",
+                "--samples", "10", "--seed", "1")
         args = {
             "tinv-tol": ("tinv", "--lambda", files["uniform2.json"], "--f", "kl",
                          "--tol", "nan"),
@@ -278,6 +283,12 @@ class TestEndToEnd:
                                      "--a-values", "x"),
             "folner-a-values-empty": ("folner", "--lambda-z", files["lamz.json"], "--f", "kl",
                                       "--a-values", ","),
+            "vp-pow-text": ("vp", "--g", "pow:abc", "--M", "10"),
+            "vp-pow-nan": ("vp", "--g", "pow:nan", "--M", "10"),
+            "vp-pow-inf": ("vp", "--g", "pow:inf", "--M", "10"),
+            "scan-zero-fraction-nan": scan + ("--zero-fraction", "nan"),
+            "scan-zero-fraction-2": scan + ("--zero-fraction", "2"),
+            "scan-uniform-tail-fraction-nan": scan + ("--uniform-tail-fraction", "nan"),
         }[case]
         r = run_cli(*args)
         assert r.returncode == 2, (r.returncode, r.stdout)

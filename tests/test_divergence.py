@@ -49,6 +49,15 @@ class TestGenerators:
         f = ConvexGenerator("power", -1.0)
         assert f.at_zero == INF
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.sampled_from(["kl", "chi2"]),
+                     st.floats(allow_nan=False, allow_infinity=False)
+                     .filter(lambda a: a not in (0.0, 1.0))))
+    def test_slope_at_infinity_is_zero_or_infinite(self, kind):
+        # divergence_arrays adds no term for escaped mass: f'(inf) p is 0 or inf
+        f = ConvexGenerator(kind) if isinstance(kind, str) else ConvexGenerator("power", kind)
+        assert f.at_infinity_slope in (0.0, INF)
+
     def test_deriv_matches_finite_differences(self):
         h = 1e-7
         for f in (KL, CHI2, ConvexGenerator("power", 0.5),
@@ -89,6 +98,8 @@ class TestFDivergence:
         f = ConvexGenerator("power", 0.5)  # f'(inf) = 0
         val = f_divergence(P(0.5, 0.5, 0.0), P(0.5, 0.0, 0.5), f)
         assert math.isfinite(val)
+        # f(0+) q = 4 * 0.5 on the p = 0 atom; the escaped atom adds 0
+        assert val == 2.0
 
     def test_zero_p_atom_uses_f_at_zero(self):
         # chi2: f(0+) = 1 contributes q
