@@ -307,7 +307,14 @@ def _parse_growth(spec: str):
             raise ParseError(f"bad exponent in growth spec {spec!r}") from exc
         if not 1.0 < k < math.inf:
             raise ParseError("pow:<k> needs a finite k > 1 for superlinearity")
-        return lambda t: t**k
+
+        def power(t):
+            try:
+                return t**k
+            except OverflowError:  # t^k is past the largest float, so past any bound
+                return math.inf
+
+        return power
     if spec == "tlogt":
         return lambda t: t * math.log1p(t)
     raise ParseError(f"unknown growth spec {spec!r}; use pow:<k> or tlogt")

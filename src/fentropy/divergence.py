@@ -206,10 +206,10 @@ def _divergence_rows(p: np.ndarray, q: np.ndarray, f: ConvexGenerator) -> list:
     # skipped when every atom is in the f(p/q) q branch: each mask below is empty
     if not both.all():
         terms[~both] = 0.0
-        p_zero = q_pos & ~p_pos
         if f.at_zero == INF:
-            infinite |= p_zero.any(axis=1)
-        else:
+            infinite |= (q_pos & ~p_pos).any(axis=1)
+        elif f.at_zero != 0.0:  # f(0+) = 0 (KL) keeps the zeros just written
+            p_zero = q_pos & ~p_pos
             terms[p_zero] = f.at_zero * q[p_zero]
         if f.at_infinity_slope == INF:
             infinite |= (p_pos & ~q_pos).any(axis=1)

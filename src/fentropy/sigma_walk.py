@@ -27,7 +27,7 @@ from .errors import (
 from .free_boundary import (SAMPLE_BLOCK, GeneratorMeasure, harmonic_measure, solve_q,
                             translate_mass)
 from .words import (ReducedWord, decode_word, encode_word, enumerate_words, letter_order,
-                    reduce_letters, word_array, word_index)
+                    letter_positions, reduce_letters, word_array, word_index)
 
 ELEMENT_BUDGET = 10_000_000
 
@@ -226,22 +226,187 @@ def validate_sigma(s: StochasticSequence) -> dict:
     }
 
 
-def _propagate(s: StochasticSequence, dist: dict, n: int, budget: int) -> dict:
-    """One exact step: distribution at level n-1 -> level n through sigma^(n)."""
-    mat = s.matrix(n)
-    mul = s.group.mul
-    acc: dict = {}
-    for (i, g), m in dist.items():
-        row = mat[i]
-        for j, cell in enumerate(row):
-            for x, w in cell.items():
-                key = (j, mul(g, x))
-                acc.setdefault(key, []).append(m * w)
-                if len(acc) > budget:
-                    raise BudgetExceeded(
-                        f"element budget {budget} exceeded at level {n}", level=n
-                    )
-    return {k: math.fsum(v) for k, v in acc.items()}
+_INT64 = np.iinfo(np.int64)
+
+
+class _IntKeys:
+    """Elements of Z as their own int64 keys: g x = x g = g + x."""
+
+    identity = 0
+
+    def right(self, keys: np.ndarray, elems) -> np.ndarray:
+        """keys * x for each x in elems, as a (len(elems), len(keys)) array."""
+        lo, hi = int(min(elems)), int(max(elems))
+        if len(keys):
+            lo, hi = min(lo, lo + int(keys.min())), max(hi, hi + int(keys.max()))
+        if lo < _INT64.min or hi > _INT64.max:
+            raise BudgetExceeded("a Z element leaves the int64 key range")
+        return np.array(elems, dtype=np.int64)[:, None] + keys
+
+    left = right  # Z is abelian
+
+    def decode(self, keys: np.ndarray) -> list:
+        return keys.tolist()
+
+
+class _WordTable:
+    """Reduced words of F_d as ids of a trie grown on demand; id 0 is the identity.
+
+    Word k is the word parent[k] followed by the letter last[k], and
+    child[k, p] is the id of word k followed by the letter at position p of
+    letter_order(d), or -1 while that word has not been met.
+    """
+
+    identity = 0
+
+    def __init__(self, d: int):
+        self.d = d
+        self.order = np.array(letter_order(d), dtype=np.int64)
+        self.parent = np.array([-1])
+        self.last = np.array([0])
+        self.depth = np.array([0])
+        self.child = np.full((1, 2 * d), -1)
+        self.size = 1
+
+    def _add(self, par: np.ndarray, pos: np.ndarray) -> None:
+        """New ids for the distinct words par * order[pos]."""
+        ids = np.arange(self.size, self.size + len(par))
+        self.size += len(par)
+        if self.size > len(self.parent):
+            extra = max(self.size, 2 * len(self.parent)) - len(self.parent)
+            self.parent = np.concatenate([self.parent, np.empty(extra, dtype=np.int64)])
+            self.last = np.concatenate([self.last, np.empty(extra, dtype=np.int64)])
+            self.depth = np.concatenate([self.depth, np.empty(extra, dtype=np.int64)])
+            self.child = np.concatenate([self.child, np.full((extra, 2 * self.d), -1)])
+        self.parent[ids] = par
+        self.last[ids] = self.order[pos]
+        self.depth[ids] = self.depth[par] + 1
+        self.child[par, pos] = ids
+
+    def _push(self, keys: np.ndarray, letters: np.ndarray) -> np.ndarray:
+        """keys[k] * letters[k] for 1-D arrays; letter 0 leaves its key as it is."""
+        out = keys.copy()
+        live = letters != 0
+        back = live & (self.last[keys] == -letters)
+        out[back] = self.parent[keys[back]]
+        fwd = np.flatnonzero(live & ~back)
+        par = keys[fwd]
+        pos = letter_positions(letters[fwd], self.d)
+        ids = self.child[par, pos]
+        new = ids < 0
+        if new.any():
+            pairs = np.unique(par[new] * (2 * self.d) + pos[new])
+            self._add(pairs // (2 * self.d), pairs % (2 * self.d))
+            ids = self.child[par, pos]
+        out[fwd] = ids
+        return out
+
+    def letters(self, keys: np.ndarray) -> np.ndarray:
+        """The words of keys as rows of letters, right-padded with 0."""
+        depth = self.depth[keys]
+        out = np.zeros((len(keys), int(depth.max(initial=0))), dtype=np.int64)
+        rows = np.arange(len(keys))
+        cur = keys.copy()
+        for k in range(out.shape[1]):
+            # peel the letters off from the end of each word still long enough
+            live = depth > k
+            out[rows[live], depth[live] - 1 - k] = self.last[cur[live]]
+            cur[live] = self.parent[cur[live]]
+        return out
+
+    def right(self, keys: np.ndarray, elems) -> np.ndarray:
+        """keys * x for each x in elems, as a (len(elems), len(keys)) array."""
+        words = [reduce_letters(x, self.d) for x in elems]
+        letters = np.zeros((len(words), max(map(len, words))), dtype=np.int64)
+        for k, w in enumerate(words):
+            letters[k, :len(w)] = w
+        out = np.tile(keys, len(words))
+        for col in letters.T:
+            out = self._push(out, np.repeat(col, len(keys)))
+        return out.reshape(len(words), len(keys))
+
+    def left(self, keys: np.ndarray, elems) -> np.ndarray:
+        """x * keys for each x in elems, as a (len(elems), len(keys)) array."""
+        out = np.repeat(self.right(np.array([self.identity]), elems)[:, 0], len(keys))
+        for col in self.letters(keys).T:
+            out = self._push(out, np.tile(col, len(elems)))
+        return out.reshape(len(elems), len(keys))
+
+    def decode(self, keys: np.ndarray) -> list:
+        """The reduced words of keys as letter tuples."""
+        # a word's id is larger than its parent's, so one pass in id order builds them all
+        words = [()]
+        append = words.append
+        for par, x in zip(self.parent[1:self.size].tolist(), self.last[1:self.size].tolist()):
+            append(words[par] + (x,))
+        return list(map(words.__getitem__, keys.tolist()))
+
+
+def _key_space(group: GroupSpec):
+    """A fresh key space for one call: Z keys, or an empty word table on F_d."""
+    return _WordTable(group.d) if group.kind == "free" else _IntKeys()
+
+
+def _bounds(sheet: np.ndarray, ell: int) -> list:
+    """Slice bounds of sheets 0..ell-1 in a level, which is in (sheet, key) order."""
+    return np.searchsorted(sheet, np.arange(ell + 1)).tolist()
+
+
+def _sum_by_key(keys: list, masses: list) -> tuple:
+    """The distinct keys of the key arrays, and the masses summed per key in bincount order."""
+    uniq, rank = np.unique(np.concatenate(keys), return_inverse=True)
+    return uniq, np.bincount(rank, weights=np.concatenate(masses), minlength=len(uniq))
+
+
+def _row_cells(row) -> tuple:
+    """A matrix row's cells as (elements, masses column, {sheet j: slice of its cells})."""
+    xs, ws, parts = [], [], {}
+    for j, cell in enumerate(row):
+        if cell:
+            parts[j] = slice(len(xs), len(xs) + len(cell))
+            xs.extend(cell)
+            ws.extend(cell.values())
+    return tuple(xs), np.array(ws)[:, None], parts
+
+
+def _step(space, level: tuple, cells: list, ell: int, n: int, budget: int) -> tuple:
+    """One exact step: level n-1 arrays (sheet, key, mass) -> level n, with ell sheets.
+
+    cells holds _row_cells of each row of sigma^(n). Every (sheet, element) a
+    cell reaches stays in the support, also with zero mass.
+    """
+    sheet, key, mass = level
+    terms = [([], []) for _ in range(ell)]
+    bounds = _bounds(sheet, len(cells))
+    for lo, hi, (xs, ws, parts) in zip(bounds, bounds[1:], cells):
+        if lo == hi or not xs:
+            continue
+        moved = space.right(key[lo:hi], xs)
+        moved_mass = ws * mass[lo:hi]
+        for j, rows in parts.items():
+            terms[j][0].append(moved[rows].ravel())
+            terms[j][1].append(moved_mass[rows].ravel())
+    sheets = [(j, *_sum_by_key(*term)) for j, term in enumerate(terms) if term[0]]
+    sizes = [len(uniq) for _, uniq, _ in sheets]
+    if sum(sizes) > budget:
+        raise BudgetExceeded(f"element budget {budget} exceeded at level {n}", level=n)
+    if not sheets:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64), np.empty(0)
+    return (np.repeat([j for j, _, _ in sheets], sizes),
+            np.concatenate([uniq for _, uniq, _ in sheets]),
+            np.concatenate([total for _, _, total in sheets]))
+
+
+def _walk(s: StochasticSequence, space, row: int, first: int, last: int, budget: int):
+    """The level arrays of levels first..last of the walk started at (row, e) before level first."""
+    cells: dict = {}  # _row_cells per stored matrix, which repeats past the horizon
+    level = np.array([row]), np.array([space.identity], dtype=np.int64), np.array([1.0])
+    for n in range(first, last + 1):
+        mat = s.matrix(n)
+        if id(mat) not in cells:
+            cells[id(mat)] = [_row_cells(r) for r in mat]
+        level = _step(space, level, cells[id(mat)], len(mat[0]), n, budget)
+        yield level
 
 
 def exact_distribution(s: StochasticSequence, n: int,
@@ -249,10 +414,10 @@ def exact_distribution(s: StochasticSequence, n: int,
     """Distribution of X_n = (I_n, Y_n) by exact matrix convolution."""
     if n < 0:
         raise ParseError("level must be >= 0")
-    dist = {(0, s.group.identity): 1.0}
-    for k in range(n + 1):
-        dist = _propagate(s, dist, k, budget)
-    return LeveledMeasure(n, dist)
+    space = _key_space(s.group)
+    for sheet, key, mass in _walk(s, space, 0, 0, n, budget):
+        pass
+    return LeveledMeasure(n, dict(zip(zip(sheet.tolist(), space.decode(key)), mass.tolist())))
 
 
 def _row_choices(row):
@@ -345,6 +510,7 @@ def sample_endpoints(s: StochasticSequence, steps: int, trajectories: int,
         raise ParseError("steps, trajectories and seed must be >= 0")
     tables = [_level_tables(s.group, s.matrix(n)) for n in range(steps + 1)]
     free = s.group.kind == "free"
+    ell = s.ell_at(steps)
     # a reduced word is no longer than the letters multiplied into it
     cap = sum(table[0][2].shape[1] for table in tables) if free else 0
     counts: Counter = Counter()
@@ -374,13 +540,18 @@ def sample_endpoints(s: StochasticSequence, steps: int, trajectories: int,
         if free:
             stack[np.arange(stack.shape[1]) >= length[:, None]] = 0
             keys = np.column_stack([sheet, stack[:, :length.max()]])
+            uniq, num = np.unique(keys, axis=0, return_counts=True)
+            for key, c in zip(uniq.tolist(), num.tolist()):
+                # reduced letters are nonzero, so the word is the row's nonzero prefix
+                counts[(key[0], tuple(x for x in key[1:] if x))] += c
         else:
-            keys = np.column_stack([sheet, g])
-        uniq, num = np.unique(keys, axis=0, return_counts=True)
-        for key, c in zip(uniq.tolist(), num.tolist()):
-            # reduced letters are nonzero, so the word is the row's nonzero prefix
-            elem = tuple(x for x in key[1:] if x) if free else key[1]
-            counts[(key[0], elem)] += c
+            # one count per (sheet, rank of g among the endpoints), in (sheet, g) order
+            elems, rank = np.unique(g, return_inverse=True)
+            num = np.bincount(sheet * len(elems) + rank, minlength=ell * len(elems))
+            hit = np.flatnonzero(num)
+            elems = elems.tolist()
+            for code, c in zip(hit.tolist(), num[hit].tolist()):
+                counts[(code // len(elems), elems[code % len(elems)])] += c
     return counts
 
 
@@ -597,12 +768,43 @@ def _tail_exponent(a: float, eps: float) -> int:
     """Least m >= 1 with a^m < eps."""
     if not eps > 0:
         raise ParseError("eps must be positive")
-    m = 1
+    if not a >= eps:
+        return 1
+    if a >= 1.0:
+        # a^m >= a >= eps for every m
+        raise BudgetExceeded("geometric tail will not reach eps")
+    # the closed form can be off by one either way where a^m rounds near eps
+    m = max(1, math.ceil(math.log(eps) / math.log(a)))
+    while m > 1 and a ** (m - 1) < eps:
+        m -= 1
     while a**m >= eps:
         m += 1
-        if m > 10_000_000:
-            raise BudgetExceeded("geometric tail will not reach eps")
+    if m > 10_000_000:
+        raise BudgetExceeded("geometric tail will not reach eps")
     return m
+
+
+def _abel_levels(s: StochasticSequence, space, t: int, r: int, a: float, K: int,
+                 eps: float, N: int | None, budget: int) -> tuple:
+    """(N, levels) of nu_{r,a;K}^{(t)}: one (sheet, key, mass) triple per level
+    n = t+1+K..N, with the masses already scaled by (1-a) a^(n-t-1-K)."""
+    if not (0.0 < a < 1.0):
+        raise ParseError("a must be in (0,1)")
+    if not eps > 0 or t < -1 or K < 0:
+        raise ParseError("need eps > 0, t >= -1, K >= 0")
+    if r < 0 or r >= s.ell_at(t):
+        raise ParseError(f"row {r} out of range for level {t}")
+    if N is None:
+        N = t + K + _tail_exponent(a, eps)
+    first = t + 1 + K
+    levels, stored = [], 0
+    for n, (sheet, key, mass) in enumerate(_walk(s, space, r, t + 1, N, budget), t + 1):
+        if n >= first:
+            levels.append((sheet, key, (1.0 - a) * a ** (n - first) * mass))
+            stored += len(key)
+            if stored > budget:
+                raise BudgetExceeded(f"abel entry budget exceeded at level {n}", level=n)
+    return N, levels
 
 
 def abel_measure(s: StochasticSequence, t: int, r: int, a: float, K: int,
@@ -613,58 +815,61 @@ def abel_measure(s: StochasticSequence, t: int, r: int, a: float, K: int,
     mass(n,j,g) = (1-a)/a^{t+1+K} * 1_{n >= t+1+K} * a^n * (sigma^{(t+1)} * ... *
     sigma^{(n)})_{r,j}(g); stored total + tail = 1 with tail = a^{N-t-K}.
     """
-    if not (0.0 < a < 1.0):
-        raise ParseError("a must be in (0,1)")
-    if not eps > 0 or t < -1 or K < 0:
-        raise ParseError("need eps > 0, t >= -1, K >= 0")
-    if r < 0 or r >= s.ell_at(t):
-        raise ParseError(f"row {r} out of range for level {t}")
-    if N is None:
-        N = t + K + _tail_exponent(a, eps)
-    first = t + 1 + K
+    space = _key_space(s.group)
+    N, levels = _abel_levels(s, space, t, r, a, K, eps, N, budget)
     entries: dict = {}
-    dist = {(r, s.group.identity): 1.0}
-    for n in range(t + 1, N + 1):
-        dist = _propagate(s, dist, n, budget)
-        if n >= first:
-            scale = (1.0 - a) * a ** (n - first)
-            for (j, g), m in dist.items():
-                entries[(n, j, g)] = scale * m
-            if len(entries) > budget:
-                raise BudgetExceeded(f"abel entry budget exceeded at level {n}", level=n)
+    if levels:
+        sheet, key, mass = (np.concatenate(part) for part in zip(*levels))
+        first = t + 1 + K
+        n = np.repeat(np.arange(first, first + len(levels)), [len(k) for _, k, _ in levels])
+        entries = dict(zip(zip(n.tolist(), sheet.tolist(), space.decode(key)), mass.tolist()))
     tail = a ** (N - t - K)
     return AbelMeasure(t, r, a, K, N, entries, tail, s.group)
+
+
+def _split_sheets(terms: list, sheet: np.ndarray, keys: np.ndarray, masses: np.ndarray):
+    """Append the columns of the (cells, level) blocks keys and masses to
+    terms[j] = (key arrays, mass arrays), per sheet j of the level."""
+    bounds = _bounds(sheet, len(terms))
+    for (lo, hi), (key_parts, mass_parts) in zip(zip(bounds, bounds[1:]), terms):
+        key_parts.append(keys[:, lo:hi].ravel())
+        mass_parts.append(masses[:, lo:hi].ravel())
 
 
 def abel_identity_residual(s: StochasticSequence, t: int, a: float, K: int,
                            eps: float, budget: int = ELEMENT_BUDGET) -> float:
     """Residual of sum_r sigma^(t)_{s,r} * nu^{(t)}_{r,a;K} = nu^{(t-1)}_{s,a;K+1}.
 
-    Both sides are truncated at the same level so the geometric tails match.
+    Both sides are truncated at the same level so the geometric tails match,
+    and they are compared level by level on the union of their supports.
     """
     if t < 0:
         raise ParseError("the identity needs t >= 0")
+    if not (0.0 < a < 1.0):
+        raise ParseError("a must be in (0,1)")
     N = t + K + _tail_exponent(a, eps)
     mat = s.matrix(t)
-    mul = s.group.mul
-    abels = [abel_measure(s, t, r, a, K, eps, N=N, budget=budget)
-             for r in range(s.ell_at(t))]
+    space = _key_space(s.group)
+    nus = [_abel_levels(s, space, t, r, a, K, eps, N, budget)[1]
+           for r in range(s.ell_at(t))]
     worst = 0.0
     for srow in range(s.ell_at(t - 1)):
-        acc: dict = {}
-        for r, ab in enumerate(abels):
-            cell = mat[srow][r]
-            for x, wx in cell.items():
-                if wx == 0.0:
-                    continue
-                for (n, j, g), m in ab.entries.items():
-                    key = (n, j, mul(x, g))
-                    acc.setdefault(key, []).append(wx * m)
-        lhs = {k: math.fsum(v) for k, v in acc.items()}
-        rhs = abel_measure(s, t - 1, srow, a, K + 1, eps, N=N, budget=budget)
-        keys = set(lhs) | set(rhs.entries)
-        for k in keys:
-            worst = max(worst, abs(lhs.get(k, 0.0) - rhs.entries.get(k, 0.0)))
+        rhs = _abel_levels(s, space, t - 1, srow, a, K + 1, eps, N, budget)[1]
+        cells = []
+        for r, cell in enumerate(mat[srow]):
+            live = {x: w for x, w in cell.items() if w != 0.0}
+            if live:
+                cells.append((r, tuple(live), np.array(list(live.values()))[:, None]))
+        for lvl, (sheet, key, mass) in enumerate(rhs):
+            # per sheet: the lhs terms first and -rhs last, so each sum ends in lhs - rhs
+            terms = [([], []) for _ in range(s.ell_at(t + 1 + K + lvl))]
+            for r, xs, ws in cells:
+                nu_sheet, nu_key, nu_mass = nus[r][lvl]
+                _split_sheets(terms, nu_sheet, space.left(nu_key, xs), ws * nu_mass)
+            _split_sheets(terms, sheet, key[None, :], -mass[None, :])
+            for keys, masses in terms:
+                _, diff = _sum_by_key(keys, masses)
+                worst = max(worst, float(np.abs(diff).max(initial=0.0)))
     return worst
 
 

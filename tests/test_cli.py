@@ -305,6 +305,20 @@ class TestEndToEnd:
                     "--r", "0", "--a", "0.999999", "--eps", "1e-12")
         assert r.returncode == 3
 
+    def test_int64_overflow_exit_code(self, files):
+        sigma = os.path.join(files["dir"], "far.json")
+        with open(sigma, "w") as fh:
+            json.dump(StochasticSequence(GroupSpec("int"), [1], [[[{2**61: 1.0}]]]).to_json(), fh)
+        r = run_cli("walk-exact", "--sigma", sigma, "--level", "3")
+        assert r.returncode == 3
+        assert json.loads(r.stderr)["error"] == "BudgetExceeded"
+
+    def test_vp_huge_power(self):
+        r = run_cli("vp", "--g", "pow:1e308", "--M", "10")
+        assert r.returncode == 0, r.stderr
+        res = json.loads(r.stdout)["results"]
+        assert res["K"] == pytest.approx(1.0) and res["rho"]["kind"] == "power"
+
     def test_csv_folner(self, files):
         r = run_cli("--csv", "folner", "--lambda-z", files["lamz.json"],
                     "--f", "kl", "--a-values", "0.5,0.7,0.9",

@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2 as chi2_dist
 
 from fentropy.divergence import CHI2, KL, ConvexGenerator, FiniteMeasure, f_divergence
@@ -17,6 +19,7 @@ from fentropy.errors import (
 )
 from fentropy.free_boundary import harmonic_measure, minimality_scan, uniform_generator_measure
 from fentropy.sigma_walk import (
+    ELEMENT_BUDGET,
     SAMPLE_BLOCK,
     GroupSpec,
     LevelFunction,
@@ -24,6 +27,7 @@ from fentropy.sigma_walk import (
     _free_push,
     _geometric_tails,
     _row_choices,
+    _tail_exponent,
     abel_identity_residual,
     abel_measure,
     boundary_empirical,
@@ -77,6 +81,91 @@ def free_two_sheet_sequence():
         [{(-1,): 0.4, (2, 2): 0.1}, {(-2,): 0.2, (1, 2, -1): 0.3}],
     ]
     return StochasticSequence(GroupSpec("free", 2), [2, 2], [m0, m1])
+
+
+def cancelling_sequence():
+    """Two sheets on F_2 whose cells hold zero masses and multi-letter elements
+    that cancel against each other, such as (1, 2) and (-2,); (2, 1, -1) is not
+    reduced."""
+    m0 = [[{(1, 2): 0.5, (): 0.0}, {(-2,): 0.5}]]
+    m1 = [
+        [{(1, 2): 0.3, (-2,): 0.2}, {(-2, -1): 0.25, (2,): 0.0, (1,): 0.25}],
+        [{(-2,): 0.4, (2, 1, -1): 0.1}, {(1, 2): 0.5, (-1,): 0.0}],
+    ]
+    return StochasticSequence(GroupSpec("free", 2), [2, 2], [m0, m1])
+
+
+def reference_propagate(s, dist, n, budget):
+    """One exact step element by element through GroupSpec.mul, with one fsum
+    per (sheet, element): the dict propagation that the array levels replaced."""
+    mat = s.matrix(n)
+    mul = s.group.mul
+    acc: dict = {}
+    for (i, g), m in dist.items():
+        row = mat[i]
+        for j, cell in enumerate(row):
+            for x, w in cell.items():
+                key = (j, mul(g, x))
+                acc.setdefault(key, []).append(m * w)
+                if len(acc) > budget:
+                    raise BudgetExceeded(
+                        f"element budget {budget} exceeded at level {n}", level=n
+                    )
+    return {k: math.fsum(v) for k, v in acc.items()}
+
+
+def reference_distribution(s, n):
+    dist = {(0, s.group.identity): 1.0}
+    for k in range(n + 1):
+        dist = reference_propagate(s, dist, k, ELEMENT_BUDGET)
+    return dist
+
+
+def reference_abel(s, t, r, a, K, N):
+    """abel_measure's entries through reference_propagate."""
+    first = t + 1 + K
+    entries, dist = {}, {(r, s.group.identity): 1.0}
+    for n in range(t + 1, N + 1):
+        dist = reference_propagate(s, dist, n, ELEMENT_BUDGET)
+        if n >= first:
+            scale = (1.0 - a) * a ** (n - first)
+            entries.update({(n, j, g): scale * m for (j, g), m in dist.items()})
+    return entries
+
+
+def reference_identity_residual(s, t, a, K, N):
+    """abel_identity_residual through reference_abel and GroupSpec.mul."""
+    mat, mul = s.matrix(t), s.group.mul
+    abels = [reference_abel(s, t, r, a, K, N) for r in range(s.ell_at(t))]
+    worst = 0.0
+    for srow in range(s.ell_at(t - 1)):
+        acc: dict = {}
+        for r, ab in enumerate(abels):
+            for x, wx in mat[srow][r].items():
+                if wx == 0.0:
+                    continue
+                for (n, j, g), m in ab.items():
+                    acc.setdefault((n, j, mul(x, g)), []).append(wx * m)
+        lhs = {k: math.fsum(v) for k, v in acc.items()}
+        rhs = reference_abel(s, t - 1, srow, a, K + 1, N)
+        for k in set(lhs) | set(rhs):
+            worst = max(worst, abs(lhs.get(k, 0.0) - rhs.get(k, 0.0)))
+    return worst
+
+
+def loop_tail_exponent(a, eps):
+    """The loop that _tail_exponent replaced: the least m >= 1 with a^m < eps."""
+    m = 1
+    while a**m >= eps:
+        m += 1
+        if m > 10_000_000:
+            raise BudgetExceeded("geometric tail will not reach eps")
+    return m
+
+
+def assert_same_measure(got, want, tol=1e-14):
+    assert set(got) == set(want)
+    assert max((abs(got[k] - want[k]) for k in want), default=0.0) <= tol
 
 
 def reference_endpoints(s, steps, trajectories, seed):
@@ -208,6 +297,99 @@ class TestExactDistribution:
     def test_budget_exceeded(self):
         with pytest.raises(BudgetExceeded):
             exact_distribution(constant_sequence(MU2), 40, budget=10_000)
+
+
+class TestArrayLevels:
+    """The array levels against the dict propagation they replaced."""
+
+    @pytest.mark.parametrize("make,n", [
+        (lambda: two_sheet_sequence(), 12),
+        (lambda: two_sheet_sequence(3), 40),
+        (lambda: constant_sequence(MU2), 5),
+        (lambda: constant_sequence(MU3), 3),
+        (cancelling_sequence, 5),
+        (free_two_sheet_sequence, 4),
+        (lambda: StochasticSequence(Z, [1], [[[{2: 0.5, -3: 0.5, 7: 0.0}]]]), 9),
+    ])
+    def test_exact_distribution_matches_dict_propagation(self, make, n):
+        s = make()
+        assert_same_measure(exact_distribution(s, n).entries, reference_distribution(s, n))
+
+    def test_zero_mass_cells_stay_in_the_support(self):
+        entries = exact_distribution(cancelling_sequence(), 3).entries
+        assert (0, ()) in entries
+        assert any(m == 0.0 for m in entries.values())
+
+    @pytest.mark.parametrize("make,t,r,K", [
+        (lambda: two_sheet_sequence(1), 0, 1, 1),
+        (cancelling_sequence, 1, 0, 0),
+        (lambda: constant_sequence(MU3), -1, 0, 0),
+    ])
+    def test_abel_measure_matches_dict_propagation(self, make, t, r, K):
+        s = make()
+        ab = abel_measure(s, t, r, 0.5, K, 0.05)
+        assert_same_measure(ab.entries, reference_abel(s, t, r, 0.5, K, ab.N))
+
+    @pytest.mark.parametrize("make,t,a,eps", [
+        (lambda: two_sheet_sequence(2), 1, 0.3, 1e-10),
+        (lambda: two_sheet_sequence(2), 2, 0.7, 1e-6),
+        (cancelling_sequence, 1, 0.5, 0.1),
+        (lambda: constant_sequence(MU2), 0, 0.5, 0.05),
+    ])
+    def test_identity_residual_matches_dict_propagation(self, make, t, a, eps):
+        s = make()
+        got = abel_identity_residual(s, t, a, 0, eps)
+        want = reference_identity_residual(s, t, a, 0, t + _tail_exponent(a, eps))
+        assert got < 1e-12 and abs(got - want) <= 1e-14
+
+    def test_sparse_long_words(self):
+        s = StochasticSequence(GroupSpec("free", 2), [1], [[[{(1, 2): 1.0}]]])
+        assert exact_distribution(s, 100).entries == {(0, (1, 2) * 101): 1.0}
+
+    def test_int64_edges(self):
+        up = StochasticSequence(Z, [1], [[[{2**61: 1.0}]]])
+        assert exact_distribution(up, 2).entries == {(0, 3 * 2**61): 1.0}
+        with pytest.raises(BudgetExceeded):
+            exact_distribution(up, 3)
+        down = StochasticSequence(Z, [1], [[[{-2**61: 1.0}]]])
+        assert exact_distribution(down, 3).entries == {(0, -2**63): 1.0}
+        with pytest.raises(BudgetExceeded):
+            exact_distribution(down, 4)
+        with pytest.raises(BudgetExceeded):
+            exact_distribution(StochasticSequence(Z, [1], [[[{2**64: 1.0}]]]), 0)
+
+
+class TestTailExponent:
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(1e-3, 0.999), st.integers(1, 5000), st.sampled_from([-1, 0, 1]))
+    def test_matches_loop_at_the_threshold(self, a, m, nudge):
+        # eps = a^m exactly, or one float either side of it
+        eps = a**m
+        if nudge:
+            eps = math.nextafter(eps, math.inf * nudge)
+        assume(eps > 0)
+        assert _tail_exponent(a, eps) == loop_tail_exponent(a, eps)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-2.0, 2.0), st.floats(1e-300, 4.0))
+    def test_matches_loop(self, a, eps):
+        assume(a < eps or (0 < a < 1 and math.log(eps) / math.log(a) < 20_000))
+        assert _tail_exponent(a, eps) == loop_tail_exponent(a, eps)
+
+    @pytest.mark.parametrize("a,eps", [(0.999999, 1e-12), (1.0, 0.5), (1.5, 1e-3)])
+    def test_unreachable_tail(self, a, eps):
+        with pytest.raises(BudgetExceeded):
+            _tail_exponent(a, eps)
+
+    def test_largest_exponent(self):
+        # the greatest m the loop still returns, checked by its definition
+        a = 0.5 ** (1 / 9_999_999.5)
+        eps = 0.5
+        m = _tail_exponent(a, eps)
+        assert m == 10_000_000
+        assert a**m < eps <= a ** (m - 1)
+        with pytest.raises(BudgetExceeded):
+            _tail_exponent(a, math.nextafter(a**m, 0.0))
 
 
 class TestSampling:
