@@ -7,6 +7,7 @@ C_rho norm is the sup over events A of int_A |f| dnu / rho(nu(A)).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,7 +25,17 @@ from .errors import (
 )
 
 EXACT_ATOM_CAP = 20
-_GRID = np.unique(np.concatenate([
+
+
+def _sorted_unique(x: np.ndarray) -> np.ndarray:
+    """np.unique for NaN-free floats, without importing numpy.ma."""
+    x = np.sort(x)
+    keep = np.ones(len(x), dtype=bool)
+    keep[1:] = x[1:] != x[:-1]
+    return x[keep]
+
+
+_GRID = _sorted_unique(np.concatenate([
     np.linspace(0.0, 1.0, 1025),
     np.logspace(-12, 0, 257),
 ]))
@@ -50,10 +61,20 @@ class Majorant:
     def eval(self, t: float) -> float:
         return float(self.eval_array(np.array([t]))[0])
 
+    # float copies of the breakpoints, filled on first use; they live in the
+    # instance __dict__, outside the fields that ==, hash and repr read
+    @functools.cached_property
+    def _ts(self) -> np.ndarray:
+        return np.asarray(self.ts, dtype=float)
+
+    @functools.cached_property
+    def _ys(self) -> np.ndarray:
+        return np.asarray(self.ys, dtype=float)
+
     def eval_array(self, t: np.ndarray) -> np.ndarray:
         if self.kind == "power":
             return np.asarray(t, dtype=float) ** (1.0 / self.q)
-        return np.interp(t, self.ts, self.ys)
+        return np.interp(t, self._ts, self._ys)
 
     def validate(self, grid: np.ndarray = _GRID, tol: float = 1e-9) -> None:
         y = self.eval_array(grid)
@@ -67,12 +88,12 @@ class Majorant:
         if np.any(mid < (y[:-1] + y[1:]) / 2.0 - 1e-9):
             raise ValidationError("majorant must be concave")
         xs = np.linspace(0.0, 1.0, 65)
-        for x in xs:
-            ys_ = xs[xs + x <= 1.0 + 1e-15]
-            lhs = self.eval(x) + self.eval_array(ys_)
-            rhs = self.eval_array(np.minimum(x + ys_, 1.0))
-            if np.any(lhs < rhs - 1e-9):
-                raise ValidationError("majorant must be sub-additive")
+        rx = self.eval_array(xs)
+        pairs = xs[:, None] + xs[None, :]  # every (x, y); only x + y <= 1 counts
+        lhs = rx[:, None] + rx[None, :]
+        rhs = self.eval_array(np.minimum(pairs, 1.0))
+        if np.any((lhs < rhs - 1e-9) & (pairs <= 1.0 + 1e-15)):
+            raise ValidationError("majorant must be sub-additive")
 
     def to_json(self) -> dict:
         if self.kind == "power":
@@ -255,29 +276,101 @@ def rho_abs_continuity(m: FiniteMeasure, nu: FiniteMeasure, rho: Majorant) -> bo
     return bool(np.all(m_sums <= bound + 1e-12))
 
 
-def _largest_feasible(G, C: float) -> float:
-    """sup{s : G(s) <= C}; the feasible set of a convex G is an interval."""
-    s_feas = 1.0
-    tries = 0
-    while G(s_feas) > C:
-        s_feas /= 2.0
-        tries += 1
-        if tries > 2000:
-            return 0.0
-    s_hi = max(2.0 * s_feas, 2.0)
-    while G(s_hi) <= C:
-        s_hi *= 2.0
-        if s_hi > 1e15:
-            raise NotSuperlinear("G never exceeds the bound on the search range")
-    lo, hi = s_feas, s_hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if G(mid) <= C:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * max(1.0, lo):
+# numpy's vector pow, exp and log can differ from the libm call a Python float
+# takes by an ulp or two (2 at most for t log1p t over 3e5 draws); values of G
+# this close to the bound are taken again one float at a time, so that every
+# comparison with the bound is the one a scalar loop makes
+_NEAR_BOUND = 2.0**-48
+
+
+def _call(G, x: float) -> float:
+    try:
+        return G(x)
+    except OverflowError:  # G(x) is past the largest float, so past any bound
+        return math.inf
+
+
+def _growth_evaluator(G, C: np.ndarray):
+    """G(1) against each bound in C, and the evaluator (s, c) -> G(s) for the
+    rest of the call; c is the bound of each point.
+
+    A G that maps a float array to a float array of its shape is called once
+    per array, with overflow read as +inf. Any other G is called on one Python
+    float at a time, with an OverflowError read as +inf.
+    """
+    def elementwise(s, c=None):
+        return np.array([_call(G, x) for x in s.tolist()], dtype=float)
+
+    def on_array(s, c, g=None):
+        if g is None:
+            with np.errstate(over="ignore"):
+                g = G(s)
+        near = np.flatnonzero((c * (1.0 - _NEAR_BOUND) <= g) & (g <= c * (1.0 + _NEAR_BOUND)))
+        if near.size:
+            g = g.copy()
+            g[near] = elementwise(s[near])
+        return g
+
+    ones = np.ones(len(C))
+    try:
+        with np.errstate(over="ignore"):
+            g = G(ones.copy())
+    except (TypeError, ValueError):
+        g = None
+    if isinstance(g, np.ndarray) and g.shape == ones.shape and g.dtype == np.float64:
+        return on_array(ones, C, g), on_array
+    return elementwise(ones), elementwise
+
+
+def _largest_feasible_grid(G, C: np.ndarray) -> np.ndarray:
+    """sup{s : G(s) <= C} for each bound in C; the feasible set of a convex G
+    is an interval.
+
+    Each point follows one rule: halve s from 1 until G(s) <= C (0 after 2000
+    halvings), double s_hi from max(2s, 2) while G(s_hi) <= C, then bisect at
+    most 200 times until hi - lo <= 1e-13 max(1, lo). A point stops under its
+    own test, and each round evaluates G once on the points still active.
+    """
+    n = len(C)
+    lo = np.ones(n)
+    g, evaluate = _growth_evaluator(G, C)
+    # every point still halving holds the same s
+    idx = np.flatnonzero(g > C)
+    s = 1.0
+    for _ in range(2000):
+        if not idx.size:
             break
+        s /= 2.0
+        lo[idx] = s
+        c = C[idx]
+        idx = idx[evaluate(lo[idx], c) > c]
+    # a point still above its bound after 2000 halvings gets 0 and stops
+    lo[idx] = 0.0
+    live = np.ones(n, dtype=bool)
+    live[idx] = False
+    live = np.flatnonzero(live)
+
+    hi = np.maximum(2.0 * lo, 2.0)
+    idx = live
+    while idx.size:
+        c = C[idx]
+        idx = idx[evaluate(hi[idx], c) <= c]
+        hi[idx] *= 2.0
+        if np.any(hi[idx] > 1e15):
+            raise NotSuperlinear("G never exceeds the bound on the search range")
+
+    idx = live
+    for _ in range(200):
+        if not idx.size:
+            break
+        a, b, c = lo[idx], hi[idx], C[idx]
+        mid = 0.5 * (a + b)
+        ok = evaluate(mid, c) <= c
+        a = np.where(ok, mid, a)
+        b = np.where(ok, b, mid)
+        lo[idx] = a
+        hi[idx] = b
+        idx = idx[b - a > 1e-13 * np.maximum(1.0, a)]
     return lo
 
 
@@ -291,11 +384,11 @@ def vallee_poussin(G, M: float, grid_size: int = 512):
     if not M > 0:
         raise ParseError("M must be positive")
     g_eval = G.eval if hasattr(G, "eval") else G
-    vs = np.unique(np.concatenate([
+    vs = _sorted_unique(np.concatenate([
         np.linspace(0.0, 1.0, grid_size + 1)[1:],
         np.logspace(-10, 0, grid_size // 2),
     ]))
-    rho1 = np.array([v * _largest_feasible(g_eval, M / v) for v in vs])
+    rho1 = vs * _largest_feasible_grid(g_eval, M / vs)
     K = rho1[-1]
     if K <= 0:
         raise NotSuperlinear("rho1(1) = 0; the bound admits no function at all")

@@ -345,3 +345,18 @@ class TestEndToEnd:
         assert "wall_clock_seconds" not in json.loads(r.stdout)
         r2 = run_cli("--timing", "solve-q", "--mu", files["uniform2.json"])
         assert "wall_clock_seconds" in json.loads(r2.stdout)
+
+
+class TestVpInProcess:
+    """`vp` run in this process, so that a RuntimeWarning fails the test."""
+
+    @pytest.mark.parametrize("g, M, results", [
+        ("pow:1e308", "10", '{"K":1,"rho":{"kind":"power","q":1}}'),
+        ("pow:2", "4", '{"K":1.9999999999999432,"rho":{"kind":"power","q":2}}'),
+        ("pow:3", "1.7",
+         '{"K":1.193483191927271,"rho":{"kind":"power","q":1.5000000000000819}}'),
+    ])
+    def test_power_reports(self, g, M, results):
+        code, payload = cli.run(["vp", "--g", g, "--M", M])
+        assert code == 0
+        assert cli.canonical_json(json.loads(payload)["results"]) == results

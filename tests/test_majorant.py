@@ -1,5 +1,8 @@
 import itertools
+import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,10 +15,13 @@ from fentropy.errors import (
     TooManyAtoms,
     ValidationError,
 )
+from fentropy import majorant
 from fentropy.majorant import (
+    _GRID,
     Majorant,
     WeightedFunction,
     _positive_atoms,
+    _sorted_unique,
     combine,
     concave_envelope,
     conditional_expectation,
@@ -66,6 +72,28 @@ class TestMajorantGauge:
         bad = Majorant("pwl", ts=(0.0, 0.5, 1.0), ys=(0.0, 0.2, 1.0))
         with pytest.raises(Exception):
             bad.validate()
+
+    @pytest.mark.parametrize("ts, ys, message", [
+        ((0.0, 1.0), (0.0, 0.9), r"rho\(0\)=0, rho\(1\)=1"),
+        ((0.0, 0.5, 1.0), (0.0, 0.3, 1.0), "dominate the diagonal"),
+        ((0.0, 0.5, 0.8, 1.0), (0.0, 0.9, 0.85, 1.0), "non-decreasing"),
+        ((0.0, 0.2, 0.4, 1.0), (0.0, 0.5, 0.55, 1.0), "concave"),
+        # convex corner on a grid point: the midpoint test cannot see it,
+        # but rho(1/4) + rho(1/4) < rho(1/2)
+        ((0.0, 0.25, 0.5, 1.0), (0.0, 0.25, 0.6, 1.0), "sub-additive"),
+    ], ids=["endpoints", "diagonal", "monotone", "concave", "subadditive"])
+    def test_validate_names_the_failed_condition(self, ts, ys, message):
+        with pytest.raises(ValidationError, match=message):
+            Majorant("pwl", ts=ts, ys=ys).validate()
+
+    def test_breakpoint_cache_leaves_value_semantics(self):
+        rho = concave_envelope([[0, 0], [0.3, 0.6], [0.7, 0.9], [1, 1]])
+        twin = Majorant.from_json(rho.to_json())
+        before = (hash(rho), repr(rho), json.dumps(rho.to_json()))
+        ys = rho.eval_array(np.linspace(0.0, 1.0, 9))
+        assert ys.tolist() == np.interp(np.linspace(0.0, 1.0, 9), rho.ts, rho.ys).tolist()
+        assert (hash(rho), repr(rho), json.dumps(rho.to_json())) == before
+        assert rho == twin and hash(rho) == hash(twin)
 
     def test_json_round_trip(self):
         for rho in (power_majorant(2.0),
@@ -258,6 +286,140 @@ class TestValleePoussin:
             M = sum(nu.mass(k) * G(abs(f.values[k])) for k in nu.labels())
             rho, K = vallee_poussin(G, max(M, 1e-9))
             assert rho_norm(f, rho, mode="exact") <= K * (1 + 1e-9)
+
+
+def _largest_feasible(G, C: float) -> float:
+    """The scalar bisection, one bound at a time: the reference that
+    majorant._largest_feasible_grid must reproduce bit for bit."""
+    s_feas = 1.0
+    tries = 0
+    while G(s_feas) > C:
+        s_feas /= 2.0
+        tries += 1
+        if tries > 2000:
+            return 0.0
+    s_hi = max(2.0 * s_feas, 2.0)
+    while G(s_hi) <= C:
+        s_hi *= 2.0
+        if s_hi > 1e15:
+            raise NotSuperlinear("G never exceeds the bound on the search range")
+    lo, hi = s_feas, s_hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if G(mid) <= C:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-13 * max(1.0, lo):
+            break
+    return lo
+
+
+def _inf_on_overflow(G):
+    def g(t):
+        try:
+            return G(t)
+        except OverflowError:
+            return math.inf
+    return g
+
+
+def oracle_vallee_poussin(G, M, monkeypatch):
+    """vallee_poussin with its grid bisection replaced by the scalar loop."""
+    with monkeypatch.context() as m:
+        m.setattr(majorant, "_largest_feasible_grid", lambda g, C: np.array(
+            [_largest_feasible(_inf_on_overflow(g), c) for c in C]))
+        return vallee_poussin(G, M)
+
+
+GROWTH = {
+    "t2": lambda t: t * t,
+    "t3": lambda t: t**3,
+    "tlog1p": lambda t: t * math.log1p(t),
+    "t1.5": lambda t: t**1.5,
+    "t1e308": lambda t: t**1e308,
+    "max-sq": lambda t: max(t, 0.0)**2,  # raises on arrays: one float at a time
+}
+# the last three bounds send t**3 (the first two) and t**1.5 through a
+# bisection step where numpy's vector pow and libm's pow round to opposite
+# sides of the bound, on a machine with AVX-512
+BOUNDS = [1e-9, 1.0, 4.0, 50.0, *np.exp(np.random.default_rng(1101).uniform(-6.0, 5.0, 4)),
+          50.56102646277762, 4.204025283560229, 0.00043629255306156786]
+
+
+class TestValleePoussinGrid:
+    @pytest.mark.parametrize("name", GROWTH)
+    def test_bit_identical_to_scalar_oracle(self, name, monkeypatch):
+        G = GROWTH[name]
+        for M in BOUNDS:
+            rho, K = vallee_poussin(G, float(M))
+            rho_o, K_o = oracle_vallee_poussin(G, float(M), monkeypatch)
+            assert json.dumps([K, rho.to_json()]) == json.dumps([K_o, rho_o.to_json()]), M
+
+    @pytest.mark.parametrize("M", [1.0, 1e6])  # rho1 without decay; s_hi past 1e15
+    def test_linear_growth_not_superlinear(self, M, monkeypatch):
+        with pytest.raises(NotSuperlinear):
+            vallee_poussin(lambda t: t, M)
+        with pytest.raises(NotSuperlinear):
+            oracle_vallee_poussin(lambda t: t, M, monkeypatch)
+
+    @pytest.mark.parametrize("G", [lambda t: t * t + 1.0, lambda t: max(t, 0.0)**2 + 1.0],
+                             ids=["array", "elementwise"])
+    def test_zero_after_2000_halvings(self, G):
+        C = np.array([0.5, 2.0, 1e-3, 5.0])
+        got = majorant._largest_feasible_grid(G, C)
+        assert got.tolist() == [_largest_feasible(G, c) for c in C]
+        assert got[0] == got[2] == 0.0
+
+    @pytest.mark.parametrize("G", [lambda t: t**1e308, lambda t: math.pow(t, 1e308)],
+                             ids=["array", "elementwise"])
+    def test_overflow_reads_as_infinity(self, G):
+        rho, K = vallee_poussin(G, 10.0)
+        assert rho == power_majorant(1.0) and K == 1.0
+
+    def test_array_growth_is_called_once_per_round(self, monkeypatch):
+        arrays, floats = [], []
+
+        def G(t):
+            (arrays if isinstance(t, np.ndarray) else floats).append(t)
+            return t * t
+
+        vallee_poussin(G, 4.0)
+        oracle = []
+        oracle_vallee_poussin(lambda t: oracle.append(t) or t * t, 4.0, monkeypatch)
+        assert len(oracle) > 10**4
+        assert 10 < len(arrays) < 300
+        # floats only where G lands within 2^-48 of the bound
+        assert len(floats) < len(oracle) / 100
+
+    def test_elementwise_growth_sees_the_oracle_inputs(self, monkeypatch):
+        seen, oracle = [], []
+
+        def G(t):
+            g = max(t, 0.0)**2
+            seen.append(t)
+            return g
+
+        rho, K = vallee_poussin(G, 4.0)
+        oracle_vallee_poussin(lambda t: oracle.append(t) or max(t, 0.0)**2, 4.0,
+                              monkeypatch)
+        assert all(type(t) is float for t in seen)
+        assert sorted(seen) == sorted(oracle)
+
+    def test_sorted_unique_matches_np_unique(self):
+        grids = [np.concatenate([np.linspace(0.0, 1.0, 1025), np.logspace(-12, 0, 257)])]
+        for n in (8, 64, 512, 1000):
+            grids.append(np.concatenate([np.linspace(0.0, 1.0, n + 1)[1:],
+                                         np.logspace(-10, 0, n // 2)]))
+        for x in grids:
+            assert _sorted_unique(x).tobytes() == np.unique(x).tobytes()
+        assert _GRID.tobytes() == np.unique(grids[0]).tobytes()
+
+    def test_cli_import_leaves_numpy_ma_out(self):
+        code = "import sys, fentropy.cli; print('numpy.ma' in sys.modules)"
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "False"
 
 
 class TestWeightedFunction:
