@@ -4,6 +4,9 @@ Reports are emitted as canonical JSON (sorted keys, 17 significant digits) so
 that identical configs and seeds reproduce byte-identical bytes; wall-clock
 timing is opt-in for that reason. Output files are written via a temp file
 and renamed, never left partial.
+
+Each handler imports the library names it uses, so a process loads only the
+modules of its subcommand; solve-q, harmonic, tmap and tinv load no numpy.
 """
 
 from __future__ import annotations
@@ -15,10 +18,7 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
-from .divergence import FiniteMeasure, generator_from_string
 from .errors import (
     BudgetExceeded,
     FentropyError,
@@ -26,40 +26,6 @@ from .errors import (
     UnsupportedPayloadForCsv,
     ValidationError,
 )
-from .free_boundary import (
-    Q_RESIDUAL_TOL,
-    CylinderMeasure,
-    GeneratorMeasure,
-    cylinder_entropy,
-    entropy_gradient_at_harmonic,
-    harmonic_measure,
-    minimality_scan,
-    solve_q,
-    t_inverse,
-    t_map,
-)
-from .majorant import (
-    Majorant,
-    WeightedFunction,
-    concave_envelope,
-    rho_abs_continuity,
-    rho_norm,
-    split_integrable,
-    vallee_poussin,
-)
-from .sigma_walk import (
-    LevelFunction,
-    StochasticSequence,
-    abel_identity_residual,
-    abel_measure,
-    boundary_empirical,
-    check_harmonic,
-    exact_distribution,
-    folner_entropy_curve,
-    sample_trajectory,
-    validate_sigma,
-)
-from .words import letter_order
 
 
 def canonical_json(obj) -> str:
@@ -72,9 +38,9 @@ def canonical_json(obj) -> str:
 def _write(obj, out):
     if obj is None or isinstance(obj, bool):
         out.append(json.dumps(obj))
-    elif isinstance(obj, (int, np.integer)):
+    elif isinstance(obj, int):
         out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
+    elif isinstance(obj, float):
         x = float(obj)
         if math.isinf(x):
             out.append('"inf"' if x > 0 else '"-inf"')
@@ -93,13 +59,16 @@ def _write(obj, out):
             out.append(":")
             _write(val, out)
         out.append("}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
+    elif isinstance(obj, (list, tuple)):
         out.append("[")
         for k, val in enumerate(obj):
             if k:
                 out.append(",")
             _write(val, out)
         out.append("]")
+    elif hasattr(obj, "tolist"):
+        # numpy scalars and arrays, through their Python equivalents
+        _write(obj.tolist(), out)
     else:
         raise TypeError(f"cannot serialize {type(obj)}")
 
@@ -135,11 +104,15 @@ def _load_json(path: str):
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _load_mu(path: str) -> GeneratorMeasure:
+def _load_mu(path: str):
+    from .free_boundary import GeneratorMeasure
+
     return GeneratorMeasure.from_json(_load_json(path))
 
 
-def _load_rho(path: str) -> Majorant:
+def _load_rho(path: str):
+    from .majorant import Majorant
+
     rho = Majorant.from_json(_load_json(path))
     rho.validate()
     return rho
@@ -169,6 +142,9 @@ def _parse_levels(s: str) -> range:
 # --- command handlers ---------------------------------------------------------
 
 def cmd_solve_q(args):
+    from .free_boundary import solve_q
+    from .words import letter_order
+
     mu = _load_mu(args.mu)
     qv = solve_q(mu, tol=args.tol)
     res = qv.residuals(mu)
@@ -181,11 +157,16 @@ def cmd_solve_q(args):
 
 
 def cmd_harmonic(args):
+    from .free_boundary import harmonic_measure
+
     mu = _load_mu(args.mu)
     return harmonic_measure(mu, args.depth).to_json()
 
 
 def cmd_entropy(args):
+    from .divergence import generator_from_string
+    from .free_boundary import CylinderMeasure, cylinder_entropy, harmonic_measure, t_inverse
+
     lam = _load_mu(getattr(args, "lambda"))
     f = generator_from_string(args.f)
     if args.nu:
@@ -196,16 +177,25 @@ def cmd_entropy(args):
 
 
 def cmd_tmap(args):
+    from .divergence import generator_from_string
+    from .free_boundary import t_map
+
     mu = _load_mu(args.mu)
     return t_map(mu, generator_from_string(args.f)).to_json()
 
 
 def cmd_tinv(args):
+    from .divergence import generator_from_string
+    from .free_boundary import t_inverse
+
     lam = _load_mu(getattr(args, "lambda"))
     return t_inverse(lam, generator_from_string(args.f), tol=args.tol).to_json()
 
 
 def cmd_scan(args):
+    from .divergence import generator_from_string
+    from .free_boundary import minimality_scan
+
     lam = _load_mu(getattr(args, "lambda"))
     return minimality_scan(
         lam, generator_from_string(args.f), args.depth, args.samples, args.seed,
@@ -215,14 +205,19 @@ def cmd_scan(args):
 
 
 def cmd_gradient(args):
+    from .divergence import generator_from_string
+    from .free_boundary import entropy_gradient_at_harmonic
+
     lam = _load_mu(getattr(args, "lambda"))
     grad = entropy_gradient_at_harmonic(
         lam, generator_from_string(args.f), args.depth, h_step=args.h_step
     )
-    return {"gradient": grad.tolist(), "max_abs_component": float(np.abs(grad).max())}
+    return {"gradient": grad.tolist(), "max_abs_component": float(abs(grad).max())}
 
 
 def cmd_walk_exact(args):
+    from .sigma_walk import StochasticSequence, exact_distribution
+
     s = StochasticSequence.from_json(_load_json(args.sigma))
     dist = exact_distribution(s, args.level)
     enc = s.group.encode
@@ -234,6 +229,8 @@ def cmd_walk_exact(args):
 
 
 def cmd_walk_sample(args):
+    from .sigma_walk import StochasticSequence, sample_trajectory
+
     s = StochasticSequence.from_json(_load_json(args.sigma))
     traj = sample_trajectory(s, args.steps, args.seed)
     enc = s.group.encode
@@ -241,22 +238,30 @@ def cmd_walk_sample(args):
 
 
 def cmd_walk_boundary(args):
+    from .sigma_walk import boundary_empirical
+
     mu = _load_mu(args.mu)
     return boundary_empirical(mu, args.steps, args.trajectories, args.seed, args.depth)
 
 
 def cmd_harmonic_check(args):
+    from .sigma_walk import LevelFunction, StochasticSequence, check_harmonic
+
     s = StochasticSequence.from_json(_load_json(args.sigma))
     h = LevelFunction.from_json(_load_json(args.h), s.group)
     return {"max_residual": check_harmonic(s, h, _parse_levels(args.levels))}
 
 
 def cmd_validate_sigma(args):
+    from .sigma_walk import StochasticSequence, validate_sigma
+
     s = StochasticSequence.from_json(_load_json(args.sigma))
     return validate_sigma(s)
 
 
 def cmd_abel(args):
+    from .sigma_walk import StochasticSequence, abel_measure
+
     s = StochasticSequence.from_json(_load_json(args.sigma))
     ab = abel_measure(s, args.t, args.r, args.a, args.K, args.eps)
     enc = s.group.encode
@@ -269,11 +274,16 @@ def cmd_abel(args):
 
 
 def cmd_abel_identity(args):
+    from .sigma_walk import StochasticSequence, abel_identity_residual
+
     s = StochasticSequence.from_json(_load_json(args.sigma))
     return {"max_residual": abel_identity_residual(s, args.t, args.a, args.K, args.eps)}
 
 
 def cmd_folner(args):
+    from .divergence import FiniteMeasure, generator_from_string
+    from .sigma_walk import folner_entropy_curve
+
     lam = FiniteMeasure.from_json(_load_json(args.lambda_z))
     lam = FiniteMeasure({int(k): v for k, v in lam.atoms.items()})
     f = generator_from_string(args.f)
@@ -283,17 +293,24 @@ def cmd_folner(args):
 
 
 def cmd_rho_norm(args):
+    from .majorant import WeightedFunction, rho_norm
+
     wf = WeightedFunction.from_json(_load_json(args.function))
     return {"norm": rho_norm(wf, _load_rho(args.rho), mode=args.mode)}
 
 
 def cmd_rho_ac(args):
+    from .divergence import FiniteMeasure
+    from .majorant import rho_abs_continuity
+
     m = FiniteMeasure.from_json(_load_json(args.m))
     nu = FiniteMeasure.from_json(_load_json(args.nu))
     return {"absolutely_continuous": rho_abs_continuity(m, nu, _load_rho(args.rho))}
 
 
 def cmd_envelope(args):
+    from .majorant import concave_envelope
+
     samples = _load_json(args.samples)
     return concave_envelope(samples).to_json()
 
@@ -315,11 +332,15 @@ def _parse_growth(spec: str):
 
 
 def cmd_vp(args):
+    from .majorant import vallee_poussin
+
     rho, K = vallee_poussin(_parse_growth(args.g), args.M)
     return {"rho": rho.to_json(), "K": K}
 
 
 def cmd_split(args):
+    from .majorant import WeightedFunction, rho_norm, split_integrable
+
     wf = WeightedFunction.from_json(_load_json(args.function))
     rho = _load_rho(args.rho)
     b = split_integrable(wf, rho, args.C)
@@ -357,6 +378,8 @@ SUBCOMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .free_boundary import Q_RESIDUAL_TOL
+
     # SUPPRESS keeps subparser re-parsing from clobbering globally parsed flags
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--out", help="output path (written atomically)")

@@ -20,9 +20,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import AtomMismatch, MissingTranslate, NotProbability, ParseError
+
+# numpy is imported inside each function that uses it, so the scalar ConvexGenerator methods
+# never load it; TYPE_CHECKING is spelled out so that typing stays unloaded too
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    import numpy as np
 
 INF = math.inf
 
@@ -60,6 +64,8 @@ class ConvexGenerator:
     def eval_array(self, t: np.ndarray) -> np.ndarray:
         """eval applied elementwise to an array of t > 0."""
         if self.kind == "kl":
+            import numpy as np
+
             return t * np.log(t)
         if self.kind == "chi2":
             return (t - 1.0) ** 2
@@ -183,6 +189,8 @@ def divergence_arrays(p: np.ndarray, q: np.ndarray, f: ConvexGenerator):
     math.fsum, which rounds the exact sum once, so neither their order nor
     the zero terms of atoms outside a row's branch can change it.
     """
+    import numpy as np
+
     if p.ndim == 1:
         return _divergence_rows(p[None, :], q[None, :], f)[0]
     if q.ndim == 1:
@@ -197,6 +205,8 @@ def _divergence_rows(p: np.ndarray, q: np.ndarray, f: ConvexGenerator) -> list:
     masses are positive, f(0+) q where p = 0 < q, and exact zeros elsewhere.
     Escaped mass needs no term, since f'(inf) is 0 or inf for every builtin f.
     """
+    import numpy as np
+
     p_pos = p > ZERO_MASS
     q_pos = q > ZERO_MASS
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -227,6 +237,8 @@ def _divergence_rows(p: np.ndarray, q: np.ndarray, f: ConvexGenerator) -> list:
 
 def f_divergence(P: FiniteMeasure, Q: FiniteMeasure, f: ConvexGenerator) -> float:
     """D_f(P||Q) on a common finite atom set, with divergence_arrays' conventions."""
+    import numpy as np
+
     if P.labels() != Q.labels():
         raise AtomMismatch("P and Q live on different atom sets")
     _require_probability(P, "P")

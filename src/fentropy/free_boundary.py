@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .divergence import INF, PROB_TOL, ConvexGenerator, divergence_arrays
 from .errors import (
     BadLetter,
@@ -35,6 +33,12 @@ from .words import (
     word_array,
     word_index,
 )
+
+# numpy is imported inside each function that uses it, so solve_q, t_map and t_inverse
+# never load it; TYPE_CHECKING is spelled out so that typing stays unloaded too
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    import numpy as np
 
 Q_RESIDUAL_TOL = 1e-12
 SAMPLE_BLOCK = 4096  # samples per seeded block of the scan and the Monte Carlo samplers
@@ -162,8 +166,8 @@ def solve_q(mu: GeneratorMeasure, tol: float = Q_RESIDUAL_TOL) -> QVector:
     free of cancellation, so stiff mu (some p_k tiny) keeps full accuracy.
     h(1) > 0 and h(0+) = 1 - d < 0, so halving u from 1/2 brackets the root.
     """
-    if not tol > 0:
-        raise ParseError("tol must be positive")
+    if not 0 < tol < INF:
+        raise ParseError(f"tol must be positive and finite, got {tol!r}")
     p = [mu.p[j] for j in range(1, mu.d + 1)]
     e = math.fsum([1.0] + [-2.0 * pk for pk in p])
 
@@ -221,6 +225,8 @@ class TailRule:
 
         Entries are the same floats as conditional() returns.
         """
+        import numpy as np
+
         k = 2 * d
         if self.kind == "uniform":
             table = np.full((k, k), 1.0 / (k - 1))
@@ -480,8 +486,8 @@ def t_inverse(lam: GeneratorMeasure, f: ConvexGenerator,
     admissibility constraint sum_i v_i = 1 pins c by Brent's method, and p
     is then recovered from the first-passage system in closed form.
     """
-    if not tol > 0:
-        raise ParseError("tol must be positive")
+    if not 0 < tol < INF:
+        raise ParseError(f"tol must be positive and finite, got {tol!r}")
     d = lam.d
 
     def vsum(c: float) -> float:
@@ -542,6 +548,8 @@ class EntropyEngine:
 
     def __init__(self, lam: GeneratorMeasure, f: ConvexGenerator, depth: int,
                  tail: TailRule, normalise: bool = False):
+        import numpy as np
+
         if depth < 1:
             raise DepthMismatch("depth must be >= 1")
         self.lam = lam
@@ -575,6 +583,8 @@ class EntropyEngine:
             self.push_matrices[j] = coef
 
     def mass_vector(self, nu: CylinderMeasure) -> np.ndarray:
+        import numpy as np
+
         d = self.lam.d
         if nu.d != d or nu.depth != self.depth:
             raise DepthMismatch(
@@ -604,6 +614,8 @@ class EntropyEngine:
         A block is gathered ENTROPY_CELLS depth-(n+1) cells at a time; each
         row's value equals the one-vector call on that row bit for bit.
         """
+        import numpy as np
+
         if x.ndim == 1:
             return self._entropy_rows(x[None, :])[0]
         step = max(1, ENTROPY_CELLS // len(self.refine_src))
@@ -613,6 +625,8 @@ class EntropyEngine:
         return out
 
     def _entropy_rows(self, x: np.ndarray) -> list:
+        import numpy as np
+
         q1 = self.refined(x)
         if self.normalise:
             # both totals equal 1 in exact arithmetic; divide out the q solver's
@@ -632,6 +646,8 @@ class EntropyEngine:
     @staticmethod
     def _checked_totals(rows: np.ndarray, what: str, skip=False) -> np.ndarray:
         """fsum total of each row, as a column; rows not in skip must total within 1e-3 of 1."""
+        import numpy as np
+
         totals = np.array([math.fsum(row) for row in rows.tolist()])
         bad = ~((0.999 < totals) & (totals < 1.001) | skip)
         if bad.any():
@@ -647,6 +663,8 @@ def _scan_block(rng: np.random.Generator, rows: int, m: int, zero_fraction: floa
     and zeroing permutation) are made for all SAMPLE_BLOCK samples before the
     Dirichlet rows, so no sample depends on how many of the block are used.
     """
+    import numpy as np
+
     conc = 10.0 ** rng.uniform(-1.0, 1.0, SAMPLE_BLOCK)
     zeroed = rng.random(SAMPLE_BLOCK) < zero_fraction
     uniform_tail = rng.random(SAMPLE_BLOCK) < uniform_tail_fraction
@@ -663,6 +681,8 @@ def _scan_block(rng: np.random.Generator, rows: int, m: int, zero_fraction: floa
 
 def _normalise_rows(x: np.ndarray) -> np.ndarray:
     """Each row divided by its total; a row whose total is <= 0 becomes uniform."""
+    import numpy as np
+
     total = x.sum(axis=1, keepdims=True)
     return np.divide(x, total, out=np.full(x.shape, 1.0 / x.shape[1]), where=total > 0.0)
 
@@ -682,6 +702,8 @@ def minimality_scan(lam: GeneratorMeasure, f: ConvexGenerator, depth: int,
     uniform tail, else the harmonic one. The argmin is the first sample of
     minimal entropy.
     """
+    import numpy as np
+
     if samples < 1 or depth < 1:
         raise ParseError("need samples >= 1 and depth >= 1")
     if seed < 0:
@@ -734,6 +756,8 @@ def gradient_of_masses(engine: EntropyEngine, x: np.ndarray, h_step: float) -> n
 
     All 2(m-1) shifted mass vectors go to the engine as one block.
     """
+    import numpy as np
+
     if not h_step > 0:
         raise ParseError("h_step must be positive")
     m = len(x)

@@ -388,7 +388,12 @@ def vallee_poussin(G, M: float, grid_size: int = 512):
         np.linspace(0.0, 1.0, grid_size + 1)[1:],
         np.logspace(-10, 0, grid_size // 2),
     ]))
-    rho1 = vs * _largest_feasible_grid(g_eval, M / vs)
+    with np.errstate(over="ignore"):
+        C = M / vs
+    if not np.isfinite(C).all():
+        raise ParseError(f"M must be finite, and M/v finite for v >= {float(vs[0])!r}; "
+                         f"got M = {M!r}")
+    rho1 = vs * _largest_feasible_grid(g_eval, C)
     K = rho1[-1]
     if K <= 0:
         raise NotSuperlinear("rho1(1) = 0; the bound admits no function at all")

@@ -8,9 +8,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import BadLetter, RankMismatch
+
+# numpy is imported inside each function that uses it, so reduction and word arithmetic
+# never load it; TYPE_CHECKING is spelled out so that typing stays unloaded too
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _check_letters(letters, d: int):
@@ -93,12 +97,16 @@ def enumerate_words(d: int, depth: int) -> list:
 
 def letter_positions(letters: np.ndarray, d: int) -> np.ndarray:
     """Position of each letter in letter_order(d); the inverse of position p is 2d-1-p."""
+    import numpy as np
+
     return np.where(letters < 0, letters + d, letters + d - 1)
 
 
 def word_array(d: int, depth: int) -> np.ndarray:
     """The reduced words of length depth >= 1 as rows of an int array, in
     enumerate_words order."""
+    import numpy as np
+
     order = np.array(letter_order(d))
     # allowed[p] lists, in order, the letters that may follow the letter at position p
     allowed = np.array([[x for x in order if x != -y] for y in order])
@@ -116,6 +124,8 @@ def word_index(words: np.ndarray, d: int) -> np.ndarray:
     letters, then each later letter's rank among the 2d-1 letters allowed
     after the one before it.
     """
+    import numpy as np
+
     pos = letter_positions(words, d)
     index = pos[:, 0].astype(np.int64)
     for k in range(1, words.shape[1]):

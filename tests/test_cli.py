@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from fentropy import cli
@@ -60,6 +61,21 @@ class TestCanonicalJson:
 
     def test_infinity_encoding(self):
         assert cli.canonical_json({"h": math.inf}) == '{"h":"inf"}'
+
+    @pytest.mark.parametrize("value, python", [
+        (np.float64(0.1), 0.1),
+        (np.float32(0.1), float(np.float32(0.1))),
+        (np.int64(-7), -7),
+        (np.array(2.5), 2.5),
+        (np.array([0.1, np.inf, -np.inf, np.nan]), [0.1, math.inf, -math.inf, math.nan]),
+        (np.array([[1 / 3, 2.0], [0.0, -1e-300]]), [[1 / 3, 2.0], [0.0, -1e-300]]),
+    ])
+    def test_numpy_values_encode_as_python(self, value, python):
+        assert cli.canonical_json({"x": value}) == cli.canonical_json({"x": python})
+
+    def test_numpy_array_bytes(self):
+        doc = {"g": np.array([[0.5, 1.0], [np.float32(0.25), -3.0]]), "n": np.int64(3)}
+        assert cli.canonical_json(doc) == '{"g":[[0.5,1],[0.25,-3]],"n":3}'
 
     def test_csv_curve(self):
         payload = {"curve": [{"a": 0.5, "h": 1.0}, {"a": 0.9, "h": 0.5},
@@ -186,7 +202,7 @@ class TestEndToEnd:
         assert json.loads(r.stderr)["error"] == "NotProbability"
 
     @pytest.mark.parametrize("case", ["rho-norm", "split", "split-C", "walk-exact",
-                                      "validate-sigma", "vp"])
+                                      "validate-sigma", "vp", "vp-M-inf", "vp-M-1e308"])
     def test_non_finite_input_exit_code(self, files, case):
         fn = os.path.join(files["dir"], "nan_fn.json")
         with open(fn, "w") as fh:
@@ -204,12 +220,19 @@ class TestEndToEnd:
             "walk-exact": ("walk-exact", "--sigma", sigma, "--level", "2"),
             "validate-sigma": ("validate-sigma", "--sigma", sigma),
             "vp": ("vp", "--g", "pow:2", "--M", "nan"),
+            # M/v overflows on the v-grid; the error must name M, not G
+            "vp-M-inf": ("vp", "--g", "pow:2", "--M", "inf"),
+            "vp-M-1e308": ("vp", "--g", "pow:2", "--M", "1e308"),
         }[case]
         r = run_cli(*args)
         assert r.returncode == 2, r.stdout
         assert "error" in json.loads(r.stderr)
+        if case.startswith("vp-M-"):
+            assert json.loads(r.stderr)["error"] == "ParseError"
+            assert "RuntimeWarning" not in r.stderr
 
-    @pytest.mark.parametrize("case", ["tinv-tol", "harmonic-check", "folner", "abel",
+    @pytest.mark.parametrize("case", ["tinv-tol", "tinv-tol-inf", "solve-q-tol-nan",
+                                      "solve-q-tol-inf", "harmonic-check", "folner", "abel",
                                       "abel-identity", "gradient", "entropy-power",
                                       "gradient-depth-0", "scan-seed", "walk-sample-seed",
                                       "walk-boundary-seed", "walk-boundary-trajectories",
@@ -241,6 +264,10 @@ class TestEndToEnd:
         args = {
             "tinv-tol": ("tinv", "--lambda", files["uniform2.json"], "--f", "kl",
                          "--tol", "nan"),
+            "tinv-tol-inf": ("tinv", "--lambda", files["uniform2.json"], "--f", "kl",
+                             "--tol", "inf"),
+            "solve-q-tol-nan": ("solve-q", "--mu", files["asym.json"], "--tol", "nan"),
+            "solve-q-tol-inf": ("solve-q", "--mu", files["asym.json"], "--tol", "inf"),
             "harmonic-check": ("harmonic-check", "--sigma", files["sigmaz.json"],
                                "--h", h, "--levels", "1:1"),
             "folner": ("folner", "--lambda-z", files["lamz.json"], "--f", "kl",
@@ -293,6 +320,21 @@ class TestEndToEnd:
         r = run_cli(*args)
         assert r.returncode == 2, (r.returncode, r.stdout)
         assert "error" in json.loads(r.stderr)
+
+    def test_scalar_subcommands_load_no_numpy(self, files):
+        script = ("import json, sys\n"
+                  "from fentropy import cli\n"
+                  "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+                  "print(json.dumps([codes, 'numpy' in sys.modules]))\n")
+        argvs = [["solve-q", "--mu", files["asym.json"]],
+                 ["harmonic", "--mu", files["asym.json"], "--depth", "3"],
+                 ["tmap", "--mu", files["asym.json"], "--f", "chi2"],
+                 ["tinv", "--lambda", files["asym.json"], "--f", "kl"]]
+        r = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                           capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        lines = r.stdout.splitlines()
+        assert len(lines) == 5 and json.loads(lines[-1]) == [[0, 0, 0, 0], False]
 
     def test_import_leaves_scipy_out(self):
         code = ("import sys, fentropy.cli; "
@@ -360,3 +402,60 @@ class TestVpInProcess:
         code, payload = cli.run(["vp", "--g", g, "--M", M])
         assert code == 0
         assert cli.canonical_json(json.loads(payload)["results"]) == results
+
+
+def _smoke_argv(files):
+    """One small valid invocation of every subcommand."""
+    d = files["dir"]
+
+    def w(name, doc):
+        path = os.path.join(d, name)
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        return path
+
+    h = w("h.json", poisson_transform_cylinder(uniform_generator_measure(2), (1,), 1)
+          .to_json(GroupSpec("free", 2)))
+    m = w("m.json", {"atoms": {"a": 0.2, "b": 0.3, "c": 0.5}})
+    nu = w("nu.json", {"atoms": {"a": 0.3, "b": 0.3, "c": 0.4}})
+    samples = w("samples.json", [[0, 0], [0.25, 0.6], [0.5, 0.7], [1, 1]])
+    mu, lam, sigma = files["asym.json"], files["uniform2.json"], files["sigma.json"]
+    return {
+        "solve-q": ("solve-q", "--mu", mu),
+        "harmonic": ("harmonic", "--mu", mu, "--depth", "2"),
+        "entropy": ("entropy", "--lambda", mu, "--f", "power:0.5", "--depth", "2"),
+        "tmap": ("tmap", "--mu", mu, "--f", "chi2"),
+        "tinv": ("tinv", "--lambda", mu, "--f", "kl"),
+        "scan": ("scan", "--lambda", lam, "--f", "kl", "--depth", "2", "--samples", "50",
+                 "--seed", "3"),
+        "gradient": ("gradient", "--lambda", mu, "--f", "kl", "--depth", "2"),
+        "validate-sigma": ("validate-sigma", "--sigma", sigma),
+        "walk-exact": ("walk-exact", "--sigma", sigma, "--level", "3"),
+        "walk-sample": ("walk-sample", "--sigma", sigma, "--steps", "5", "--seed", "1"),
+        "walk-boundary": ("walk-boundary", "--mu", mu, "--steps", "20",
+                          "--trajectories", "100", "--seed", "2", "--depth", "1"),
+        "harmonic-check": ("harmonic-check", "--sigma", sigma, "--h", h, "--levels", "1:1"),
+        "abel": ("abel", "--sigma", files["sigmaz.json"], "--t", "-1", "--r", "0",
+                 "--a", "0.5"),
+        "abel-identity": ("abel-identity", "--sigma", files["sigmaz.json"], "--t", "0",
+                          "--a", "0.5"),
+        "folner": ("folner", "--lambda-z", files["lamz.json"], "--f", "kl",
+                   "--a-values", "0.5,0.9", "--max-level", "6"),
+        "rho-norm": ("rho-norm", "--function", files["fn.json"], "--rho", files["rho.json"]),
+        "rho-ac": ("rho-ac", "--m", m, "--nu", nu, "--rho", files["rho.json"]),
+        "envelope": ("envelope", "--samples", samples),
+        "vp": ("vp", "--g", "tlogt", "--M", "2"),
+        "split": ("split", "--function", files["fn.json"], "--rho", files["rho.json"],
+                  "--C", "1"),
+    }
+
+
+@pytest.mark.parametrize("sub", list(cli.SUBCOMMANDS))
+def test_fresh_process_matches_in_process(files, sub):
+    """Each subcommand in its own interpreter, which imports only what the
+    handler imports: a missing handler-local import fails here."""
+    argv = _smoke_argv(files)[sub]
+    r = run_cli(*argv)
+    assert r.returncode == 0, r.stderr
+    code, payload = cli.run(list(argv))
+    assert code == 0 and r.stdout == payload

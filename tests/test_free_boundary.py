@@ -10,6 +10,7 @@ from fentropy.errors import (
     DepthMismatch,
     NoConvergence,
     NotProbability,
+    ParseError,
     RankTooSmall,
     StepTooLarge,
 )
@@ -91,6 +92,14 @@ class TestSolveQ:
     def test_non_finite_weights_rejected(self, bad):
         with pytest.raises(NotProbability):
             GeneratorMeasure(2, {1: 0.5, -1: 0.5, 2: bad, -2: bad})
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan, math.inf])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        # an infinite tol would switch off the residual and v-sum certificates
+        with pytest.raises(ParseError, match="tol"):
+            solve_q(ASYM, tol=tol)
+        with pytest.raises(ParseError, match="tol"):
+            t_inverse(ASYM, KL, tol=tol)
 
     @pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8])
     def test_stiff_measure(self, eps):

@@ -12,6 +12,7 @@ from fentropy.errors import (
     BadSample,
     InvalidWeight,
     NotSuperlinear,
+    ParseError,
     TooManyAtoms,
     ValidationError,
 )
@@ -269,6 +270,13 @@ class TestValleePoussin:
     def test_not_superlinear(self):
         with pytest.raises(NotSuperlinear):
             vallee_poussin(lambda t: t, 1.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("M", [math.inf, 1e308, 1e299])
+    def test_bound_that_overflows_the_grid_rejected(self, M):
+        # M/v must stay finite down to v = 1e-10, the smallest grid point
+        with pytest.raises(ParseError, match="M must be finite"):
+            vallee_poussin(lambda t: t * t, M)
 
     def test_norm_guarantee_random_instances(self):
         rng = np.random.default_rng(18)
