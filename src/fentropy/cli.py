@@ -378,8 +378,8 @@ SUBCOMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .free_boundary import Q_RESIDUAL_TOL
-
+    # defaults that mirror the library's are literals, so that building the parser
+    # imports no library module; tests pin each one against the library
     # SUPPRESS keeps subparser re-parsing from clobbering globally parsed flags
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--out", help="output path (written atomically)")
@@ -394,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, kwargs in arguments.items():
             p.add_argument("--" + flag.replace("_", "-"), **kwargs)
 
-    add("solve-q", mu={"required": True}, tol={"type": float, "default": Q_RESIDUAL_TOL})
+    add("solve-q", mu={"required": True}, tol={"type": float, "default": 1e-12})
     add("harmonic", mu={"required": True}, depth={"type": int, "required": True})
     # "lambda" is a Python keyword, so those flags are passed as **{"lambda": ...}
     add("entropy", **{"lambda": {"required": True}}, f={"required": True},

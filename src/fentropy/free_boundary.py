@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .divergence import INF, PROB_TOL, ConvexGenerator, divergence_arrays
+from .divergence import INF, PROB_TOL, ConvexGenerator, divergence_arrays, row_fsums
 from .errors import (
     BadLetter,
     DepthMismatch,
@@ -617,14 +617,15 @@ class EntropyEngine:
         import numpy as np
 
         if x.ndim == 1:
-            return self._entropy_rows(x[None, :])[0]
+            return float(self._entropy_rows(x[None, :])[0])
         step = max(1, ENTROPY_CELLS // len(self.refine_src))
         out = np.empty(len(x))
         for s in range(0, len(x), step):
             out[s:s + step] = self._entropy_rows(x[s:s + step])
         return out
 
-    def _entropy_rows(self, x: np.ndarray) -> list:
+    def _entropy_rows(self, x: np.ndarray) -> np.ndarray:
+        """Entropy of each row of x; a row leaves the later generators' calls once it is infinite."""
         import numpy as np
 
         q1 = self.refined(x)
@@ -632,24 +633,29 @@ class EntropyEngine:
             # both totals equal 1 in exact arithmetic; divide out the q solver's
             # roundoff, and refuse measures (such as user input) far from 1
             q1 = q1 / self._checked_totals(q1, "cylinder")
-        terms = []
-        for j in letter_order(self.lam.d):
+        letters = letter_order(self.lam.d)
+        terms = np.empty((len(x), len(letters)))
+        live = np.arange(len(x))  # rows whose terms are all finite so far
+        for k, j in enumerate(letters):
             pj = self.translated(x, j)
             if self.normalise:
-                # a row is infinite once one term is; its later totals go unchecked
-                infinite = np.isinf(terms).any(axis=0)
-                pj = pj / self._checked_totals(pj, "translated cylinder", infinite)
-            terms.append(self.lam.p[j] * divergence_arrays(pj, q1, self.f))
-        # the terms are >= 0 or inf, and fsum of a row with an inf term is inf
-        return [math.fsum(row) for row in np.transpose(terms).tolist()]
+                pj = pj / self._checked_totals(pj, "translated cylinder")
+            term = self.lam.p[j] * divergence_arrays(pj, q1, self.f)
+            terms[live, k] = term
+            dead = term == INF
+            if dead.any():
+                keep = ~dead
+                live, x, q1 = live[keep], x[keep], q1[keep]
+        # a row with an inf term is inf, as math.fsum of its terms (each >= 0 or inf) would be
+        out = np.full(len(terms), INF)
+        out[live] = row_fsums(terms[live])
+        return out
 
     @staticmethod
-    def _checked_totals(rows: np.ndarray, what: str, skip=False) -> np.ndarray:
-        """fsum total of each row, as a column; rows not in skip must total within 1e-3 of 1."""
-        import numpy as np
-
-        totals = np.array([math.fsum(row) for row in rows.tolist()])
-        bad = ~((0.999 < totals) & (totals < 1.001) | skip)
+    def _checked_totals(rows: np.ndarray, what: str) -> np.ndarray:
+        """fsum total of each row, as a column; each must lie within 1e-3 of 1."""
+        totals = row_fsums(rows)
+        bad = ~((0.999 < totals) & (totals < 1.001))
         if bad.any():
             raise NotProbability(f"{what} total {float(totals[bad][0])!r} is not near 1")
         return totals[:, None]

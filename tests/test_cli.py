@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -335,6 +336,41 @@ class TestEndToEnd:
         assert r.returncode == 0, r.stderr
         lines = r.stdout.splitlines()
         assert len(lines) == 5 and json.loads(lines[-1]) == [[0, 0, 0, 0], False]
+
+    def test_gauge_subcommands_load_no_free_group_modules(self, files):
+        script = ("import json, sys\n"
+                  "from fentropy import cli\n"
+                  "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+                  "loaded = [m for m in ('fentropy.free_boundary', 'fentropy.words')\n"
+                  "          if m in sys.modules]\n"
+                  "print(json.dumps([codes, loaded]))\n")
+        subs = ["vp", "rho-norm", "rho-ac", "envelope", "split"]
+        argvs = [list(_smoke_argv(files)[sub]) for sub in subs]
+        r = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                           capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        lines = r.stdout.splitlines()
+        assert len(lines) == len(subs) + 1 and json.loads(lines[-1]) == [[0] * len(subs), []]
+
+    def test_parser_defaults_mirror_the_library(self):
+        from fentropy.free_boundary import (Q_RESIDUAL_TOL, entropy_gradient_at_harmonic,
+                                            minimality_scan, t_inverse)
+
+        def parsed(*argv):
+            return vars(cli.build_parser().parse_args(list(argv)))
+
+        def library(fn, name):
+            return inspect.signature(fn).parameters[name].default
+
+        assert parsed("solve-q", "--mu", "m.json")["tol"] == Q_RESIDUAL_TOL
+        assert parsed("tinv", "--lambda", "l.json", "--f", "kl")["tol"] == library(t_inverse,
+                                                                                   "tol")
+        scan = parsed("scan", "--lambda", "l.json", "--f", "kl", "--depth", "2",
+                      "--samples", "1", "--seed", "0")
+        for name in ("zero_fraction", "uniform_tail_fraction"):
+            assert scan[name] == library(minimality_scan, name)
+        gradient = parsed("gradient", "--lambda", "l.json", "--f", "kl", "--depth", "2")
+        assert gradient["h_step"] == library(entropy_gradient_at_harmonic, "h_step")
 
     def test_import_leaves_scipy_out(self):
         code = ("import sys, fentropy.cli; "

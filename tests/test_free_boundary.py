@@ -1,10 +1,12 @@
 import math
 import re
+from types import SimpleNamespace
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
+from fentropy import divergence
 from fentropy.divergence import CHI2, INF, KL, ConvexGenerator, generator_from_string
 from fentropy.errors import (
     DepthMismatch,
@@ -617,6 +619,32 @@ class TestEntropyBlocks:
             assert all(type(v) is float for v in expected)
             assert [v.hex() for v in got.tolist()] == [v.hex() for v in expected]
             assert INF in expected and min(expected) < INF
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("spec", ["kl", "chi2", "power:0.5", "power:2"])
+    def test_scan_blocks_take_the_certified_sum(self, monkeypatch, d, spec):
+        # a certificate that never held would keep every value through the
+        # math.fsum fallback and lose only the speed, so count the fsums
+        fsums = []
+
+        def counted_fsum(row):
+            fsums.append(len(row))
+            return math.fsum(row)
+
+        f = generator_from_string(spec)
+        lam = uniform_generator_measure(d)
+        qv = solve_q(t_inverse(lam, f))
+        engines = {True: EntropyEngine(lam, f, 3, TailRule("uniform")),
+                   False: EntropyEngine(lam, f, 3, TailRule("harmonic", qv))}
+        x, uniform_tail = _scan_block(np.random.default_rng([11, 0]), 300,
+                                      len(engines[True].words_n), 0.05, 0.1)
+        monkeypatch.setattr(divergence, "math", SimpleNamespace(**{**vars(math),
+                                                                   "fsum": counted_fsum}))
+        h = np.empty(len(x))
+        for tail, engine in engines.items():
+            h[uniform_tail == tail] = engine.entropy(x[uniform_tail == tail])
+        assert fsums == []
+        assert np.isfinite(h).sum() >= 200
 
     def test_block_refuses_a_row_far_from_one(self):
         lam = uniform_generator_measure(2)
