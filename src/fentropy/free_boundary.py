@@ -8,6 +8,7 @@ q_j = p_j + q_j * sum_{i != j} p_i q_{-i}, and v_i = q_i/(1+q_i).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -154,6 +155,15 @@ def _brent(fn, lo: float, hi: float, f_lo: float, f_hi: float, xtol: float) -> f
     raise NoConvergence(f"Brent's method did not converge in {_BRENT_STEPS} steps")
 
 
+def _measure_key(mu: GeneratorMeasure) -> tuple:
+    """mu's (letter, weight type, weight) triples in letter order, as a memo key.
+
+    The key does not depend on dict order; the weight type is part of it, so
+    weights of another type (np.float32, say) never share a float's result.
+    """
+    return tuple(sorted((j, type(w), w) for j, w in mu.p.items()))
+
+
 def solve_q(mu: GeneratorMeasure, tol: float = Q_RESIDUAL_TOL) -> QVector:
     """First-passage probabilities q from one scalar equation.
 
@@ -165,9 +175,19 @@ def solve_q(mu: GeneratorMeasure, tol: float = Q_RESIDUAL_TOL) -> QVector:
     h(u) = 1 - e/u - sum_k 2 p_k (1 + u/(2 p_k + R_k)) / (u + R_k) = 0,
     free of cancellation, so stiff mu (some p_k tiny) keeps full accuracy.
     h(1) > 0 and h(0+) = 1 - d < 0, so halving u from 1/2 brackets the root.
+
+    Each distinct (mu, tol) is solved once per process (a bounded memo that
+    does not keep failures); every call returns a fresh QVector.
     """
     if not 0 < tol < INF:
         raise ParseError(f"tol must be positive and finite, got {tol!r}")
+    qv = _solve_q_memo(mu.d, _measure_key(mu), tol)
+    return QVector(qv.d, dict(qv.q))
+
+
+@functools.lru_cache(maxsize=32)
+def _solve_q_memo(d: int, key: tuple, tol: float) -> QVector:
+    mu = GeneratorMeasure(d, {j: w for j, _, w in key})
     p = [mu.p[j] for j in range(1, mu.d + 1)]
     e = math.fsum([1.0] + [-2.0 * pk for pk in p])
 
@@ -309,13 +329,19 @@ class CylinderMeasure:
             depth = int(doc["depth"])
             kind = doc["tail"]
             masses = {decode_word(k, d): float(v) for k, v in doc["masses"].items()}
-        except (KeyError, TypeError, ValueError) as exc:
+            q = ({int(k): float(v) for k, v in doc["q"].items()}
+                 if kind == "harmonic" and "q" in doc else None)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad CylinderMeasure JSON: {exc}") from exc
         if kind == "harmonic":
-            if "q" not in doc:
+            if q is None:
                 raise ParseError("harmonic tail needs a 'q' object in JSON")
-            qv = QVector(d, {int(k): float(v) for k, v in doc["q"].items()})
-            tail = TailRule("harmonic", qv)
+            letters = letter_order(d)
+            if set(q) != set(letters):
+                raise ParseError(f"harmonic tail q must be keyed by exactly {sorted(letters)}")
+            if not all(0.0 < x < 1.0 for x in q.values()):
+                raise ParseError("harmonic tail q values must be finite and lie in (0, 1)")
+            tail = TailRule("harmonic", QVector(d, q))
         else:
             tail = TailRule(kind)
         return cls(d, depth, masses, tail)
@@ -485,10 +511,19 @@ def t_inverse(lam: GeneratorMeasure, f: ConvexGenerator,
     Given c, q_j = Phi^{-1}(c/lam_j) where Phi(q) = Psi_f(q)-Psi_f(1/q); the
     admissibility constraint sum_i v_i = 1 pins c by Brent's method, and p
     is then recovered from the first-passage system in closed form.
+
+    Each distinct (lam, f, tol) is solved once per process (a bounded memo
+    that does not keep failures); every call returns a fresh GeneratorMeasure.
     """
     if not 0 < tol < INF:
         raise ParseError(f"tol must be positive and finite, got {tol!r}")
-    d = lam.d
+    mu = _t_inverse_memo(lam.d, _measure_key(lam), f, tol)
+    return GeneratorMeasure(mu.d, dict(mu.p))
+
+
+@functools.lru_cache(maxsize=32)
+def _t_inverse_memo(d: int, key: tuple, f: ConvexGenerator, tol: float) -> GeneratorMeasure:
+    lam = GeneratorMeasure(d, {j: w for j, _, w in key})
 
     def vsum(c: float) -> float:
         return 2.0 * math.fsum(
@@ -529,6 +564,50 @@ def t_inverse(lam: GeneratorMeasure, f: ConvexGenerator,
 
 # --- vectorized entropy engine for scanning and gradients ---------------------
 
+@dataclass(frozen=True)
+class _GatherMaps:
+    """The index data of every EntropyEngine of one rank d and depth n.
+
+    Cells are flat indices into the (2d, 2d) conditional table. refine_cells
+    picks c(w[-2] -> w[-1]) for each depth-(n+1) word w; push holds, per
+    letter j in letter_order, (src, other, first, second): the source
+    indices into x, the rows that do not start with j, and the cells of
+    their two coefficients c(u[-3] -> u[-2]) and c(u[-2] -> u[-1]).
+    """
+
+    words_n: np.ndarray
+    refine_src: np.ndarray
+    refine_cells: np.ndarray
+    push: tuple
+
+
+@functools.lru_cache(maxsize=8)
+def _gather_maps(d: int, depth: int) -> _GatherMaps:
+    """Built once per (d, depth) per process; every array is read-only, as engines share them."""
+    import numpy as np
+
+    k = 2 * d
+    words = word_array(d, depth + 1)
+    m1 = len(words)
+    pos = letter_positions(words, d)
+    refine_cells = pos[:, -2] * k + pos[:, -1]
+    push = []
+    for j in letter_order(d):
+        own = words[:, 0] == j
+        src = np.empty(m1, dtype=np.int64)
+        src[own] = word_index(words[own, 1:], d)
+        other = ~own
+        u = np.hstack([np.full((int(other.sum()), 1), -j), words[other]])
+        pu = letter_positions(u, d)
+        src[other] = word_index(u[:, :depth], d)
+        push.append((src, other, pu[:, -3] * k + pu[:, -2], pu[:, -2] * k + pu[:, -1]))
+    words_n = word_array(d, depth)
+    refine_src = np.arange(m1) // (2 * d - 1)
+    for a in (words_n, refine_src, refine_cells, *(a for entry in push for a in entry)):
+        a.flags.writeable = False
+    return _GatherMaps(words_n, refine_src, refine_cells, tuple(push))
+
+
 class EntropyEngine:
     """Entropy of depth-n mass vectors through one gather map per generator.
 
@@ -541,9 +620,12 @@ class EntropyEngine:
       else x[index(u[:n])] * c(u[-3] -> u[-2]) * c(u[-2] -> u[-1]) with
       u = (-j,) + w, the depth-(n+2) cylinder a_j^-1 C_w.
     refine_matrix and push_matrices[j] hold the per-row coefficients,
-    refine_src and push_src[j] the source indices into x. With normalise,
-    both depth-(n+1) measures are divided by their fsum totals, which must
-    lie in (0.999, 1.001); cylinder_entropy uses this for arbitrary input.
+    refine_src and push_src[j] the source indices into x. The index data
+    depends only on (d, n), so _gather_maps builds it once per process and
+    engines of one shape share it read-only; an engine gathers only its
+    tail's coefficients. With normalise, both depth-(n+1) measures are
+    divided by their fsum totals, which must lie in (0.999, 1.001);
+    cylinder_entropy uses this for arbitrary input.
     """
 
     def __init__(self, lam: GeneratorMeasure, f: ConvexGenerator, depth: int,
@@ -558,27 +640,17 @@ class EntropyEngine:
         self.tail = tail
         self.normalise = normalise
         d = lam.d
-        self.words_n = word_array(d, depth)
-        words = word_array(d, depth + 1)
-        m1 = len(words)
+        maps = _gather_maps(d, depth)
+        self.words_n = maps.words_n
+        self.refine_src = maps.refine_src
         c = tail.conditional_table(d)
-        pos = letter_positions(words, d)
-
-        self.refine_src = np.arange(m1) // (2 * d - 1)
-        self.refine_matrix = c[pos[:, -2], pos[:, -1]]
+        self.refine_matrix = c.take(maps.refine_cells)
 
         self.push_src = {}
         self.push_matrices = {}
-        for j in letter_order(d):
-            own = words[:, 0] == j
-            src = np.empty(m1, dtype=np.int64)
-            coef = np.ones(m1)
-            src[own] = word_index(words[own, 1:], d)
-            other = ~own
-            u = np.hstack([np.full((int(other.sum()), 1), -j), words[other]])
-            pu = letter_positions(u, d)
-            src[other] = word_index(u[:, :depth], d)
-            coef[other] = c[pu[:, -3], pu[:, -2]] * c[pu[:, -2], pu[:, -1]]
+        for j, (src, other, first, second) in zip(letter_order(d), maps.push):
+            coef = np.ones(len(src))
+            coef[other] = c.take(first) * c.take(second)
             self.push_src[j] = src
             self.push_matrices[j] = coef
 

@@ -11,7 +11,7 @@ import pytest
 from fentropy import cli
 from fentropy.divergence import FiniteMeasure
 from fentropy.errors import UnsupportedPayloadForCsv
-from fentropy.free_boundary import uniform_generator_measure
+from fentropy.free_boundary import harmonic_measure, uniform_generator_measure
 from fentropy.majorant import Majorant, WeightedFunction
 from fentropy.sigma_walk import (GroupSpec, StochasticSequence, constant_sequence,
                                  poisson_transform_cylinder)
@@ -231,6 +231,31 @@ class TestEndToEnd:
         if case.startswith("vp-M-"):
             assert json.loads(r.stderr)["error"] == "ParseError"
             assert "RuntimeWarning" not in r.stderr
+
+    @pytest.mark.parametrize("case", ["missing-letter", "extra-letter", "text", "zero",
+                                      "negative", "one", "nan", "not-an-object"])
+    def test_bad_harmonic_tail_q_exit_code(self, files, case):
+        doc = harmonic_measure(uniform_generator_measure(2), 2).to_json()
+        q = doc["q"]
+        if case == "missing-letter":
+            del q["-2"]
+        elif case == "extra-letter":
+            q["3"] = q["1"]
+        elif case == "text":
+            q["1"] = "a third"
+        elif case in ("zero", "negative", "one"):
+            q["1"] = q["-1"] = {"zero": 0.0, "negative": -0.5, "one": 1.0}[case]
+        elif case == "nan":
+            q["2"] = math.nan
+        else:
+            doc["q"] = [1 / 3] * 4
+        nu = os.path.join(files["dir"], "nu.json")
+        with open(nu, "w") as fh:
+            json.dump(doc, fh)
+        r = run_cli("entropy", "--lambda", files["uniform2.json"], "--f", "kl", "--nu", nu)
+        assert r.returncode == 2, r.stderr
+        assert json.loads(r.stderr)["error"] == "ParseError"
+        assert "Warning" not in r.stderr and "Traceback" not in r.stderr
 
     @pytest.mark.parametrize("case", ["tinv-tol", "tinv-tol-inf", "solve-q-tol-nan",
                                       "solve-q-tol-inf", "harmonic-check", "folner", "abel",

@@ -1,5 +1,9 @@
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 from decimal import Decimal, localcontext
 
@@ -24,7 +28,10 @@ from fentropy.free_boundary import (
     GeneratorMeasure,
     TailRule,
     _brent,
+    _gather_maps,
     _scan_block,
+    _solve_q_memo,
+    _t_inverse_memo,
     closed_form_harmonic_entropy,
     convolve,
     cylinder_entropy,
@@ -41,8 +48,10 @@ from fentropy.free_boundary import (
     translate_mass,
     uniform_generator_measure,
 )
-from fentropy.words import ReducedWord, enumerate_words, letter_order
+from fentropy.words import (ReducedWord, enumerate_words, letter_order, letter_positions,
+                            word_array, word_index)
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 ASYM = GeneratorMeasure(2, {1: 0.4, -1: 0.4, 2: 0.1, -2: 0.1})
 ASYM3 = GeneratorMeasure(3, {1: 0.25, -1: 0.25, 2: 0.15, -2: 0.15, 3: 0.1, -3: 0.1})
 
@@ -678,3 +687,200 @@ class TestSerialization:
         for w in nu.masses:
             assert back.mass(w) == pytest.approx(nu.mass(w), abs=1e-15)
         assert back.tail.kind == "harmonic"
+
+
+def reference_engine_arrays(lam, depth, tail):
+    """Index and coefficient arrays built per engine, as EntropyEngine did before
+    its index data was shared: the oracle for _gather_maps."""
+    d = lam.d
+    words_n = word_array(d, depth)
+    words = word_array(d, depth + 1)
+    m1 = len(words)
+    c = tail.conditional_table(d)
+    pos = letter_positions(words, d)
+    out = {"words_n": words_n, "refine_src": np.arange(m1) // (2 * d - 1),
+           "refine_matrix": c[pos[:, -2], pos[:, -1]]}
+    for j in letter_order(d):
+        own = words[:, 0] == j
+        src = np.empty(m1, dtype=np.int64)
+        coef = np.ones(m1)
+        src[own] = word_index(words[own, 1:], d)
+        other = ~own
+        u = np.hstack([np.full((int(other.sum()), 1), -j), words[other]])
+        pu = letter_positions(u, d)
+        src[other] = word_index(u[:, :depth], d)
+        coef[other] = c[pu[:, -3], pu[:, -2]] * c[pu[:, -2], pu[:, -1]]
+        out[f"push_src[{j}]"] = src
+        out[f"push_matrices[{j}]"] = coef
+    return out
+
+
+def engine_arrays(engine):
+    out = {"words_n": engine.words_n, "refine_src": engine.refine_src,
+           "refine_matrix": engine.refine_matrix}
+    for j in letter_order(engine.lam.d):
+        out[f"push_src[{j}]"] = engine.push_src[j]
+        out[f"push_matrices[{j}]"] = engine.push_matrices[j]
+    return out
+
+
+def clear_caches():
+    for memo in (_gather_maps, _solve_q_memo, _t_inverse_memo):
+        memo.cache_clear()
+
+
+class TestGatherMaps:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+    def test_engine_arrays_equal_per_engine_construction(self, d, depth):
+        rng = np.random.default_rng(100 + 10 * d + depth)
+        lam, mu = random_measure(rng, d), random_measure(rng, d)
+        for tail in (TailRule("harmonic", solve_q(mu)), TailRule("uniform")):
+            got = engine_arrays(EntropyEngine(lam, KL, depth, tail))
+            expected = reference_engine_arrays(lam, depth, tail)
+            assert list(got) == list(expected)
+            for name, a in expected.items():
+                assert got[name].dtype == a.dtype, name
+                assert np.array_equal(got[name], a), name
+
+    def test_engines_of_one_shape_share_index_arrays(self):
+        rng = np.random.default_rng(5)
+        a = EntropyEngine(random_measure(rng), KL, 3, TailRule("uniform"))
+        b = EntropyEngine(random_measure(rng), CHI2, 3,
+                          TailRule("harmonic", solve_q(random_measure(rng))), normalise=True)
+        assert a.words_n is b.words_n and a.refine_src is b.refine_src
+        assert a.push_src is not b.push_src
+        for j in letter_order(2):
+            assert a.push_src[j] is b.push_src[j]
+            assert a.push_matrices[j] is not b.push_matrices[j]
+        assert a.refine_matrix is not b.refine_matrix
+        other = EntropyEngine(a.lam, KL, 2, TailRule("uniform"))
+        assert other.refine_src is not a.refine_src
+
+    def test_shared_arrays_are_read_only(self):
+        engine = EntropyEngine(uniform_generator_measure(2), KL, 2, TailRule("uniform"))
+        for a in [engine.words_n, engine.refine_src, *engine.push_src.values()]:
+            with pytest.raises(ValueError):
+                a[0] = 0
+        engine.refine_matrix[0] = engine.refine_matrix[0]  # the engine's own arrays stay writable
+
+    def test_cache_size_is_fixed(self):
+        assert _gather_maps.cache_info().maxsize == 8
+
+
+class TestSolverMemo:
+    def test_repeat_returns_a_fresh_qvector(self):
+        a = solve_q(ASYM)
+        b = solve_q(ASYM)
+        assert a == b and a is not b and a.q is not b.q
+        a.q[1] = 0.9
+        assert solve_q(ASYM) == b and b.q[1] != 0.9
+
+    def test_repeat_returns_a_fresh_measure(self):
+        a = t_inverse(ASYM, KL)
+        b = t_inverse(ASYM, KL)
+        assert a == b and a is not b and a.p is not b.p
+        a.p[1] = 0.9
+        assert t_inverse(ASYM, KL) == b and b.p[1] != 0.9
+
+    def test_key_does_not_depend_on_dict_order(self):
+        clear_caches()
+        reordered = GeneratorMeasure(2, dict(reversed(list(ASYM.p.items()))))
+        assert list(reordered.p) != list(ASYM.p)
+        mu = t_inverse(ASYM, KL)
+        qv = solve_q(ASYM)
+        misses = (_t_inverse_memo.cache_info().misses, _solve_q_memo.cache_info().misses)
+        assert t_inverse(reordered, KL) == mu and solve_q(reordered) == qv
+        assert (_t_inverse_memo.cache_info().misses,
+                _solve_q_memo.cache_info().misses) == misses
+
+    def test_tol_is_part_of_the_key(self):
+        # ASYM's T-map back-residual is ~1e-16: within 1e-10, not within 1e-17
+        t_inverse(ASYM, KL)
+        with pytest.raises(NoConvergence):
+            t_inverse(ASYM, KL, tol=1e-17)
+        solve_q(ASYM)
+        misses = _solve_q_memo.cache_info().misses
+        solve_q(ASYM, tol=1e-11)
+        assert _solve_q_memo.cache_info().misses == misses + 1
+
+    def test_failures_raise_on_every_call(self):
+        eps = 1e-9
+        stiff = GeneratorMeasure(2, {1: (1 - eps) / 2, -1: (1 - eps) / 2,
+                                     2: eps / 2, -2: eps / 2})
+        f = generator_from_string("power:0.5")
+        messages = []
+        for _ in range(3):
+            with pytest.raises(NoConvergence) as exc:
+                t_inverse(stiff, f)
+            messages.append(str(exc.value))
+        assert len(set(messages)) == 1
+        for _ in range(2):
+            with pytest.raises(NoConvergence):
+                t_inverse(ASYM, KL, tol=1e-17)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_tol_raises_after_a_cached_success(self, tol):
+        t_inverse(ASYM, KL)
+        solve_q(ASYM)
+        with pytest.raises(ParseError, match="tol must be positive and finite"):
+            t_inverse(ASYM, KL, tol=tol)
+        with pytest.raises(ParseError, match="tol must be positive and finite"):
+            solve_q(ASYM, tol=tol)
+
+    def test_cache_sizes_are_fixed(self):
+        assert _solve_q_memo.cache_info().maxsize == 32
+        assert _t_inverse_memo.cache_info().maxsize == 32
+
+    def test_weight_type_is_part_of_the_key(self):
+        # float32 weights compute in float32 and miss the q certificate, so a
+        # float32 measure must not be answered from an equal float measure's entry
+        exact = {1: 0.375, -1: 0.375, 2: 0.125, -2: 0.125}
+        solve_q(GeneratorMeasure(2, exact))
+        with pytest.raises(NoConvergence):
+            solve_q(GeneratorMeasure(2, {j: np.float32(w) for j, w in exact.items()}))
+
+    def test_scalar_solvers_load_no_numpy(self):
+        script = ("import sys\n"
+                  "from fentropy.divergence import KL\n"
+                  "from fentropy.free_boundary import GeneratorMeasure, solve_q, t_inverse, t_map\n"
+                  "mu = GeneratorMeasure(2, {1: 0.4, -1: 0.4, 2: 0.1, -2: 0.1})\n"
+                  "for _ in range(2):\n"
+                  "    solve_q(mu)\n"
+                  "    t_map(mu, KL)\n"
+                  "    t_inverse(mu, KL)\n"
+                  "print('numpy' in sys.modules)\n")
+        r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": SRC})
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "False"
+
+
+class TestWarmColdDeterminism:
+    CASES = [(2, "kl", 3), (2, "power:0.5", 2), (3, "chi2", 2)]
+
+    @staticmethod
+    def outputs(d, spec, depth):
+        rng = np.random.default_rng(60 + d)
+        lam, f = random_measure(rng, d), generator_from_string(spec)
+        rep = minimality_scan(lam, f, depth, 700, 13)
+        grad = entropy_gradient_at_harmonic(lam, f, depth, h_step=1e-7)
+        return rep, grad.tobytes()
+
+    @staticmethod
+    def fill_caches():
+        # other lambdas and (d, depth) shapes, past every memo's size
+        rng = np.random.default_rng(99)
+        for k in range(40):
+            d = 2 + k % 3
+            lam = random_measure(rng, d)
+            solve_q(t_inverse(lam, KL))
+            EntropyEngine(lam, KL, 1 + k % 5, TailRule("uniform"))
+
+    def test_cold_warm_and_evicted_runs_agree(self):
+        clear_caches()
+        cold = [self.outputs(*case) for case in self.CASES]
+        warm = [self.outputs(*case) for case in self.CASES]
+        self.fill_caches()
+        evicted = [self.outputs(*case) for case in self.CASES]
+        assert warm == cold and evicted == cold
