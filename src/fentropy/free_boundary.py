@@ -12,7 +12,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .divergence import INF, PROB_TOL, ConvexGenerator, divergence_arrays, row_fsums
+from .divergence import INF, KL, PROB_TOL, ConvexGenerator, divergence_arrays, row_fsums
 from .errors import (
     BadLetter,
     DepthMismatch,
@@ -231,19 +231,11 @@ class TailRule:
         if self.kind == "harmonic" and self.qvec is None:
             raise ParseError("harmonic tail rule needs a QVector")
 
-    def conditional(self, last: int, nxt: int, d: int) -> float:
-        """Next-letter probability given the current last letter."""
-        if nxt == -last:
-            return 0.0
-        if self.kind == "uniform":
-            return 1.0 / (2 * d - 1)
-        q, v = self.qvec.q, self.qvec.v
-        return q[last] * v[nxt] / v[last]
-
     def conditional_table(self, d: int) -> np.ndarray:
-        """conditional(last, nxt) for all letter pairs, indexed by letter positions.
+        """Next-letter probabilities c(last -> nxt), indexed by letter positions.
 
-        Entries are the same floats as conditional() returns.
+        c is 0 where nxt = -last; otherwise 1/(2d-1) for the uniform tail and
+        q_last v_nxt / v_last for the harmonic one.
         """
         import numpy as np
 
@@ -282,34 +274,6 @@ class CylinderMeasure:
 
     def mass(self, w: tuple) -> float:
         return self.masses.get(w, 0.0)
-
-    def refine(self) -> "CylinderMeasure":
-        """Extend to depth+1 using the tail rule."""
-        out = {}
-        for w, m in sorted(self.masses.items()):
-            last = w[-1]
-            for x in letter_order(self.d):
-                if x == -last:
-                    continue
-                out[w + (x,)] = m * self.tail.conditional(last, x, self.d)
-        return CylinderMeasure(self.d, self.depth + 1, out, self.tail)
-
-    def refine_to(self, depth: int) -> "CylinderMeasure":
-        nu = self
-        while nu.depth < depth:
-            nu = nu.refine()
-        return nu
-
-    def marginal(self, depth: int) -> "CylinderMeasure":
-        """Sum masses over extensions down to the given smaller depth."""
-        if depth > self.depth or depth < 1:
-            raise DepthMismatch(f"cannot marginalize depth {self.depth} to {depth}")
-        acc: dict = {}
-        for w, m in self.masses.items():
-            acc.setdefault(w[:depth], []).append(m)
-        return CylinderMeasure(
-            self.d, depth, {w: math.fsum(v) for w, v in sorted(acc.items())}, self.tail
-        )
 
     def to_json(self) -> dict:
         doc = {
@@ -439,25 +403,24 @@ def closed_form_harmonic_entropy(lam: GeneratorMeasure, mu: GeneratorMeasure,
     )
 
 
-def convolve(mu: GeneratorMeasure, nu: CylinderMeasure, target_depth: int) -> CylinderMeasure:
-    """mu * nu on depth-m cylinders, m+1 <= nu.depth."""
-    src = nu.marginal(target_depth + 1) if nu.depth > target_depth + 1 else nu
-    acc: dict = {}
-    for j in letter_order(mu.d):
-        pushed = pushforward(ReducedWord((j,), mu.d), src, target_depth)
-        for w, m in pushed.masses.items():
-            acc.setdefault(w, []).append(mu.p[j] * m)
-    out = {w: math.fsum(v) for w, v in sorted(acc.items())}
-    return CylinderMeasure(nu.d, target_depth, out, nu.tail)
-
-
 def stationarity_residual(mu: GeneratorMeasure, nu: CylinderMeasure,
                           target_depth: int) -> float:
-    """max_w |(mu * nu)(C_w) - nu(C_w)| over depth-m cylinders."""
-    conv = convolve(mu, nu, target_depth)
-    marg = nu.marginal(target_depth)
-    labels = set(conv.masses) | set(marg.masses)
-    return max(abs(conv.mass(w) - marg.mass(w)) for w in labels)
+    """max_w |(mu * nu)(C_w) - nu(C_w)| over depth-m cylinders, 1 <= m < nu.depth.
+
+    With x the depth-n masses of nu, mu * nu - nu at depth n+1 is
+    sum_j mu_j translated(x, j) - refined(x) through EntropyEngine's gather
+    maps. The depth-m residual sums it over blocks of (2d-1)^(n+1-m) rows,
+    the depth-(n+1) words that share a length-m prefix in enumerate_words order.
+    """
+    if mu.d != nu.d:
+        raise DepthMismatch("mu and nu have different ranks")
+    if not 1 <= target_depth < nu.depth:
+        raise DepthMismatch(f"target depth must lie in 1..{nu.depth - 1}, got {target_depth}")
+    engine = EntropyEngine(mu, KL, nu.depth, nu.tail)
+    x = engine.mass_vector(nu)
+    diff = sum(mu.p[j] * engine.translated(x, j) for j in letter_order(mu.d)) - engine.refined(x)
+    block = (2 * mu.d - 1) ** (nu.depth + 1 - target_depth)
+    return float(abs(diff.reshape(-1, block).sum(axis=1)).max())
 
 
 # --- T map and its inverse ----------------------------------------------------

@@ -25,6 +25,7 @@ from .errors import (
 )
 
 EXACT_ATOM_CAP = 20
+VP_GRID_SIZE = 512  # vallee_poussin's v-grid: this many uniform points, half as many log-spaced
 
 
 def _sorted_unique(x: np.ndarray) -> np.ndarray:
@@ -76,15 +77,15 @@ class Majorant:
             return np.asarray(t, dtype=float) ** (1.0 / self.q)
         return np.interp(t, self._ts, self._ys)
 
-    def validate(self, grid: np.ndarray = _GRID, tol: float = 1e-9) -> None:
-        y = self.eval_array(grid)
-        if abs(self.eval(0.0)) > tol or abs(self.eval(1.0) - 1.0) > tol:
+    def validate(self) -> None:
+        y = self.eval_array(_GRID)
+        if abs(self.eval(0.0)) > 1e-9 or abs(self.eval(1.0) - 1.0) > 1e-9:
             raise ValidationError("majorant must satisfy rho(0)=0, rho(1)=1")
-        if np.any(y < grid - 1e-12):
+        if np.any(y < _GRID - 1e-12):
             raise ValidationError("majorant must dominate the diagonal")
         if np.any(np.diff(y) < -1e-12):
             raise ValidationError("majorant must be non-decreasing")
-        mid = self.eval_array((grid[:-1] + grid[1:]) / 2.0)
+        mid = self.eval_array((_GRID[:-1] + _GRID[1:]) / 2.0)
         if np.any(mid < (y[:-1] + y[1:]) / 2.0 - 1e-9):
             raise ValidationError("majorant must be concave")
         xs = np.linspace(0.0, 1.0, 65)
@@ -374,7 +375,7 @@ def _largest_feasible_grid(G, C: np.ndarray) -> np.ndarray:
     return lo
 
 
-def vallee_poussin(G, M: float, grid_size: int = 512):
+def vallee_poussin(G, M: float):
     """Gauge from an integrability bound: rho1(v) = sup{t : G(t/v) <= M/v}.
 
     Returns (rho, K) with K = rho1(1) and rho the normalized concave hull of
@@ -385,8 +386,8 @@ def vallee_poussin(G, M: float, grid_size: int = 512):
         raise ParseError("M must be positive")
     g_eval = G.eval if hasattr(G, "eval") else G
     vs = _sorted_unique(np.concatenate([
-        np.linspace(0.0, 1.0, grid_size + 1)[1:],
-        np.logspace(-10, 0, grid_size // 2),
+        np.linspace(0.0, 1.0, VP_GRID_SIZE + 1)[1:],
+        np.logspace(-10, 0, VP_GRID_SIZE // 2),
     ]))
     with np.errstate(over="ignore"):
         C = M / vs

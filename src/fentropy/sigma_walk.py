@@ -504,25 +504,23 @@ def sample_endpoints(s: StochasticSequence, steps: int, trajectories: int,
     Trajectories are drawn in blocks of SAMPLE_BLOCK: block b holds trajectories
     [b*B, (b+1)*B), and trajectory b*B + r takes row r of
     default_rng([seed, b]).random((rows, steps + 1)), one uniform per level. A
-    trajectory's randomness depends only on (seed, its index).
+    trajectory's randomness depends only on (seed, its index). Each
+    trajectory carries its element as an int64 key (on F_d, an id in one
+    _WordTable per call); (sheet, key) pairs are counted per block and the
+    keys decoded once, at the end.
     """
     if steps < 0 or trajectories < 0 or seed < 0:
         raise ParseError("steps, trajectories and seed must be >= 0")
     tables = [_level_tables(s.group, s.matrix(n)) for n in range(steps + 1)]
+    space = _key_space(s.group)
     free = s.group.kind == "free"
     ell = s.ell_at(steps)
-    # a reduced word is no longer than the letters multiplied into it
-    cap = sum(table[0][2].shape[1] for table in tables) if free else 0
     counts: Counter = Counter()
     for start in range(0, trajectories, SAMPLE_BLOCK):
         rows = min(SAMPLE_BLOCK, trajectories - start)
         u = np.random.default_rng([seed, start // SAMPLE_BLOCK]).random((rows, steps + 1))
         sheet = np.zeros(rows, dtype=np.intp)
-        if free:
-            stack = np.zeros((rows, cap + 1), dtype=np.int32)
-            length = np.zeros(rows, dtype=np.intp)
-        else:
-            g = np.zeros(rows, dtype=np.int64)
+        g = np.full(rows, space.identity, dtype=np.int64)
         for n, table in enumerate(tables):
             nxt = np.empty_like(sheet)
             step = np.empty((rows,) + table[0][2].shape[1:], dtype=table[0][2].dtype)
@@ -534,25 +532,18 @@ def sample_endpoints(s: StochasticSequence, steps: int, trajectories: int,
             sheet = nxt
             if free:
                 for letters in step.T:
-                    _free_push(stack, length, letters)
+                    g = space._push(g, letters)
             else:
                 g += step
-        if free:
-            stack[np.arange(stack.shape[1]) >= length[:, None]] = 0
-            keys = np.column_stack([sheet, stack[:, :length.max()]])
-            uniq, num = np.unique(keys, axis=0, return_counts=True)
-            for key, c in zip(uniq.tolist(), num.tolist()):
-                # reduced letters are nonzero, so the word is the row's nonzero prefix
-                counts[(key[0], tuple(x for x in key[1:] if x))] += c
-        else:
-            # one count per (sheet, rank of g among the endpoints), in (sheet, g) order
-            elems, rank = np.unique(g, return_inverse=True)
-            num = np.bincount(sheet * len(elems) + rank, minlength=ell * len(elems))
-            hit = np.flatnonzero(num)
-            elems = elems.tolist()
-            for code, c in zip(hit.tolist(), num[hit].tolist()):
-                counts[(code // len(elems), elems[code % len(elems)])] += c
-    return counts
+        # one count per (sheet, rank of g among the endpoints), in (sheet, g) order
+        elems, rank = np.unique(g, return_inverse=True)
+        num = np.bincount(sheet * len(elems) + rank, minlength=ell * len(elems))
+        hit = np.flatnonzero(num)
+        elems = elems.tolist()
+        for code, c in zip(hit.tolist(), num[hit].tolist()):
+            counts[(code // len(elems), elems[code % len(elems)])] += c
+    elems = space.decode(np.array([key for _, key in counts], dtype=np.int64))
+    return Counter({(j, x): c for ((j, _), c), x in zip(counts.items(), elems)})
 
 
 # --- harmonic functions -------------------------------------------------------
@@ -876,6 +867,8 @@ def abel_identity_residual(s: StochasticSequence, t: int, a: float, K: int,
 # --- Folner experiment on Z ---------------------------------------------------
 
 GEOM_BLOCK = 256
+GEOM_B = 0.5  # ratio of the two-sided geometric sigma^(0) of the Folner experiment
+WINDOW_MARGIN = 64  # positions kept beyond the support of lambda_a's stored levels
 
 
 def _geometric_prefix(x: np.ndarray, b: float) -> np.ndarray:
@@ -941,11 +934,10 @@ def folner_sequence_z(max_level: int):
 
 
 def folner_entropy_curve(lam: FiniteMeasure, f: ConvexGenerator, a_values,
-                         eps: float, max_level: int | None = None,
-                         geom_b: float = 0.5, window_margin: int = 64) -> dict:
+                         eps: float, max_level: int | None = None) -> dict:
     """Entropy h_{lam,f} of the Abel projections lambda_a on Z.
 
-    sigma^(0) is the two-sided geometric with ratio geom_b (full support, so
+    sigma^(0) is the two-sided geometric with ratio GEOM_B (full support, so
     lambda_a is strictly positive and all shift divergences are finite);
     sigma^(n) is uniform on [-2^n, 2^n]. When max_level caps the truncation
     below what eps asks for, the dropped geometric weight is renormalized into
@@ -955,8 +947,8 @@ def folner_entropy_curve(lam: FiniteMeasure, f: ConvexGenerator, a_values,
     shifted mass is at or below ZERO_MASS are dropped before D_f is taken,
     since their masses are below the float resolution of lambda_a's total.
     """
-    if not 0.0 < geom_b < 1.0:
-        raise ParseError("geom_b must lie in (0,1)")
+    if max_level is not None and max_level < 0:
+        raise ParseError(f"max_level must be >= 0, got {max_level}")
     shifts = sorted(int(k) for k in lam.atoms)
     if not lam.is_probability:
         raise ParseError("lambda on Z must be a probability measure")
@@ -984,9 +976,9 @@ def folner_entropy_curve(lam: FiniteMeasure, f: ConvexGenerator, a_values,
         for wgt, (arr, lo) in zip(weights, rhos):
             m_a[lo - lo_all: lo - lo_all + len(arr)] += wgt * arr
         smax = max(abs(s) for s in shifts) if shifts else 0
-        window_lo = lo_all - window_margin - smax
-        window_hi = hi_all + window_margin + smax
-        lam_a = _geometric_tails(m_a, lo_all, window_lo, window_hi, geom_b)
+        window_lo = lo_all - WINDOW_MARGIN - smax
+        window_hi = hi_all + WINDOW_MARGIN + smax
+        lam_a = _geometric_tails(m_a, lo_all, window_lo, window_hi, GEOM_B)
         # far tails cancel below float resolution in the prefix sums; the true
         # values there are strictly positive but smaller than the noise floor
         np.clip(lam_a, 0.0, None, out=lam_a)

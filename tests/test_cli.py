@@ -267,7 +267,8 @@ class TestEndToEnd:
                                       "harmonic-check-levels-reversed",
                                       "harmonic-check-levels-past-tables",
                                       "harmonic-check-levels-zero", "folner-a-values-text",
-                                      "folner-a-values-empty", "vp-pow-text", "vp-pow-nan",
+                                      "folner-a-values-empty", "folner-max-level-negative",
+                                      "vp-pow-text", "vp-pow-nan",
                                       "vp-pow-inf", "scan-zero-fraction-nan",
                                       "scan-zero-fraction-2",
                                       "scan-uniform-tail-fraction-nan"])
@@ -336,6 +337,9 @@ class TestEndToEnd:
                                      "--a-values", "x"),
             "folner-a-values-empty": ("folner", "--lambda-z", files["lamz.json"], "--f", "kl",
                                       "--a-values", ","),
+            "folner-max-level-negative": ("folner", "--lambda-z", files["lamz.json"],
+                                          "--f", "kl", "--a-values", "0.5",
+                                          "--max-level", "-1"),
             "vp-pow-text": ("vp", "--g", "pow:abc", "--M", "10"),
             "vp-pow-nan": ("vp", "--g", "pow:nan", "--M", "10"),
             "vp-pow-inf": ("vp", "--g", "pow:inf", "--M", "10"),

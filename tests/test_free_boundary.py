@@ -33,7 +33,6 @@ from fentropy.free_boundary import (
     _solve_q_memo,
     _t_inverse_memo,
     closed_form_harmonic_entropy,
-    convolve,
     cylinder_entropy,
     entropy_gradient_at_harmonic,
     gradient_of_masses,
@@ -50,6 +49,8 @@ from fentropy.free_boundary import (
 )
 from fentropy.words import (ReducedWord, enumerate_words, letter_order, letter_positions,
                             word_array, word_index)
+from oracles import (convolve, marginal, refine, refine_to,
+                     stationarity_residual as oracle_stationarity_residual)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 ASYM = GeneratorMeasure(2, {1: 0.4, -1: 0.4, 2: 0.1, -2: 0.1})
@@ -201,14 +202,14 @@ class TestHarmonicMeasure:
 
     def test_marginal_consistency(self):
         nu = harmonic_measure(ASYM, 3)
-        marg = nu.marginal(2)
+        marg = marginal(nu, 2)
         direct = harmonic_measure(ASYM, 2)
         for w in direct.masses:
             assert marg.mass(w) == pytest.approx(direct.mass(w), abs=1e-14)
 
     def test_refine_inverts_marginal(self):
         nu = harmonic_measure(ASYM, 2)
-        again = nu.refine().marginal(2)
+        again = marginal(refine(nu), 2)
         for w in nu.masses:
             assert again.mass(w) == pytest.approx(nu.mass(w), abs=1e-14)
 
@@ -219,6 +220,36 @@ class TestHarmonicMeasure:
             nu = harmonic_measure(mu, 4)
             for depth in (1, 2, 3):
                 assert stationarity_residual(mu, nu, depth) < 1e-12
+
+
+class TestStationarityResidual:
+    @pytest.mark.parametrize("d,depth", [(2, 2), (2, 3), (2, 4), (2, 5),
+                                         (3, 2), (3, 3), (3, 4), (3, 5)])
+    def test_matches_dict_oracle(self, d, depth):
+        rng = np.random.default_rng(90 + 10 * d + depth)
+        words = enumerate_words(d, depth)
+        mu = random_measure(rng, d)
+        nus = [harmonic_measure(mu, depth)]
+        for tail in (TailRule("harmonic", solve_q(mu)), TailRule("uniform")):
+            for zeroed in (False, True):
+                x = rng.dirichlet(np.ones(len(words)))
+                if zeroed:
+                    x[rng.choice(len(words), size=max(1, len(words) // 4), replace=False)] = 0.0
+                nus.append(CylinderMeasure(d, depth, dict(zip(words, x.tolist())), tail))
+        for nu in nus:
+            for m in range(1, depth):
+                got = stationarity_residual(mu, nu, m)
+                assert abs(got - oracle_stationarity_residual(mu, nu, m)) <= 1e-15, m
+
+    def test_non_stationary_measure_fails(self):
+        nu = harmonic_measure(ASYM, 3)
+        for m in (1, 2):
+            assert stationarity_residual(uniform_generator_measure(2), nu, m) > 1e-3
+
+    @pytest.mark.parametrize("mu,m", [(ASYM3, 1), (ASYM, 0), (ASYM, 3), (ASYM, -1)])
+    def test_bad_rank_or_depth_rejected(self, mu, m):
+        with pytest.raises(DepthMismatch):
+            stationarity_residual(mu, harmonic_measure(ASYM, 3), m)
 
 
 class TestPushforward:
@@ -302,6 +333,23 @@ class TestRnGenerator:
             assert r_gh == pytest.approx(r_h * r_g, abs=1e-12)
 
 
+def translated_prefix_mass(words, x, g, w):
+    """(g nu)(C_w) from nu's masses x on the rows of words = word_array(d, |w| + |g|).
+
+    Row u maps to the reduced word g[:r-c] + u[c:], where c counts the
+    letters of u that cancel the end of g; the masses of the rows whose
+    image starts with w are summed with math.fsum.
+    """
+    r, n = len(g), len(w)
+    g = np.array(g, dtype=np.int64)
+    c = np.cumprod(words[:, :r] == -g[::-1], axis=1).sum(axis=1)[:, None]
+    i = np.arange(n)
+    # letter i of the image is g[i] for i < r - c, else u[i + 2c - r]
+    tail = np.take_along_axis(words, np.maximum(i + 2 * c - r, 0), axis=1)
+    prefix = np.where(i < r - c, np.concatenate([g, np.zeros(n, dtype=np.int64)])[:n], tail)
+    return math.fsum(x[(prefix == w).all(axis=1)].tolist())
+
+
 class TestTranslateMass:
     @pytest.mark.parametrize("mu", [ASYM, ASYM3], ids=["F2", "F3"])
     def test_matches_pushforward(self, mu):
@@ -310,8 +358,12 @@ class TestTranslateMass:
         for w in ((1,), (2, -1), (1, 1, 2)):
             for r in range(4):
                 nu = harmonic_measure(mu, len(w) + r)
+                words = word_array(mu.d, len(w) + r)
+                x = np.array([nu.mass(u) for u in map(tuple, words.tolist())])
                 for g in enumerate_words(mu.d, r):
-                    oracle = pushforward(ReducedWord(g, mu.d), nu, len(w)).mass(w)
+                    oracle = translated_prefix_mass(words, x, g, w)
+                    if r <= 2:
+                        assert oracle == pushforward(ReducedWord(g, mu.d), nu, len(w)).mass(w)
                     assert abs(translate_mass(qv, g, w) - oracle) <= 1e-14, (g, w)
                     # g^-1 cancels the common prefix of g and w
                     c = next((k for k in range(len(w)) if g[k:k + 1] != w[k:k + 1]), len(w))
@@ -362,7 +414,7 @@ class TestCylinderEntropy:
         lam = uniform_generator_measure(2)
         nu = harmonic_measure(lam, 2)
         h2 = cylinder_entropy(lam, nu, KL)
-        h4 = cylinder_entropy(lam, nu.refine_to(4), KL)
+        h4 = cylinder_entropy(lam, refine_to(nu, 4), KL)
         assert h4 == pytest.approx(h2, abs=1e-10)
 
     def test_uniform_fd_closed_form(self):
@@ -377,7 +429,7 @@ class TestCylinderEntropy:
         nu = harmonic_measure(mu, 3)
         conv = convolve(mu, nu, 2)
         for w in enumerate_words(2, 2):
-            assert conv.mass(w) == pytest.approx(nu.marginal(2).mass(w), abs=1e-12)
+            assert conv.mass(w) == pytest.approx(marginal(nu, 2).mass(w), abs=1e-12)
 
 
 class TestTMap:
@@ -497,10 +549,10 @@ class TestMinimalityScan:
                 nu = CylinderMeasure(d, depth, {w: float(m) for w, m in zip(words, x)}, tail)
                 engine = EntropyEngine(lam, KL, depth, tail)
                 x = engine.mass_vector(nu)
-                nu1 = nu.refine()
+                nu1 = refine(nu)
                 np.testing.assert_allclose(
                     engine.refined(x), [nu1.mass(w) for w in words1], rtol=1e-14, atol=0)
-                nu2 = nu1.refine()
+                nu2 = refine(nu1)
                 for j in letter_order(d):
                     oracle = pushforward(ReducedWord((j,), d), nu2, depth + 1)
                     np.testing.assert_allclose(

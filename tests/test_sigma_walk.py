@@ -286,11 +286,11 @@ class TestExactDistribution:
     def test_boundary_family_stationarity(self):
         # for the constant-mu walk the harmonic cylinder family satisfies
         # mu * nu^(n) = nu^(n-1)
-        from fentropy.free_boundary import convolve
+        from oracles import convolve, marginal
 
         nu = harmonic_measure(MU2, 4)
         conv = convolve(MU2, nu, 3)
-        marg = nu.marginal(3)
+        marg = marginal(nu, 3)
         worst = max(abs(conv.mass(w) - marg.mass(w)) for w in marg.masses)
         assert worst < 1e-12
 
@@ -683,6 +683,15 @@ class TestFolner:
         assert row["truncation_level"] == 8
         assert row["tail_mass"] == pytest.approx(0.9**9)
 
+    @pytest.mark.parametrize("max_level", [-1, -5])
+    def test_negative_max_level_rejected(self, max_level):
+        with pytest.raises(ParseError, match="max_level"):
+            folner_entropy_curve(FiniteMeasure({-1: 0.5, 1: 0.5}), KL, [0.5], 1e-6,
+                                 max_level=max_level)
+        row = folner_entropy_curve(FiniteMeasure({-1: 0.5, 1: 0.5}), KL, [0.5], 1e-6,
+                                   max_level=0)["curve"][0]
+        assert row["truncation_level"] == 0 and row["tail_mass"] == 0.5
+
 
 class TestGeometricTails:
     @staticmethod
@@ -710,11 +719,6 @@ class TestGeometricTails:
         assert np.max(np.abs(got - ref) / ref) <= 1e-15
         if b == 0.5:
             assert np.array_equal(got, ref)
-
-    def test_bad_ratio_rejected(self):
-        with pytest.raises(ParseError):
-            folner_entropy_curve(FiniteMeasure({1: 1.0}), KL, [0.5], 1e-4,
-                                 max_level=4, geom_b=1.0)
 
 
 class TestMonteCarloChiSquared:
