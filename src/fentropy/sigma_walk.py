@@ -229,6 +229,12 @@ def validate_sigma(s: StochasticSequence) -> dict:
 _INT64 = np.iinfo(np.int64)
 
 
+def _check_key_range(lo: int, hi: int) -> None:
+    """Raise BudgetExceeded where the keys lo..hi of Z leave int64."""
+    if lo < _INT64.min or hi > _INT64.max:
+        raise BudgetExceeded("a Z element leaves the int64 key range")
+
+
 class _IntKeys:
     """Elements of Z as their own int64 keys: g x = x g = g + x."""
 
@@ -239,8 +245,7 @@ class _IntKeys:
         lo, hi = int(min(elems)), int(max(elems))
         if len(keys):
             lo, hi = min(lo, lo + int(keys.min())), max(hi, hi + int(keys.max()))
-        if lo < _INT64.min or hi > _INT64.max:
-            raise BudgetExceeded("a Z element leaves the int64 key range")
+        _check_key_range(lo, hi)
         return np.array(elems, dtype=np.int64)[:, None] + keys
 
     left = right  # Z is abelian
@@ -369,13 +374,81 @@ def _row_cells(row) -> tuple:
     return tuple(xs), np.array(ws)[:, None], parts
 
 
-def _step(space, level: tuple, cells: list, ell: int, n: int, budget: int) -> tuple:
-    """One exact step: level n-1 arrays (sheet, key, mass) -> level n, with ell sheets.
+@dataclass(frozen=True)
+class _Sparse:
+    """A level as parallel (sheet, key, mass) arrays in (sheet, key) order."""
+
+    sheet: np.ndarray
+    key: np.ndarray
+    mass: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return len(self.key)
+
+    def triples(self) -> "_Sparse":
+        return self
+
+    def scaled(self, c: float) -> "_Sparse":
+        return _Sparse(self.sheet, self.key, c * self.mass)
+
+    def spans(self, rows: int) -> list:
+        """(entries, least key, largest key) of sheets 0..rows-1; None for an empty sheet."""
+        bounds = _bounds(self.sheet, rows)
+        return [(hi - lo, int(self.key[lo]), int(self.key[hi - 1])) if hi > lo else None
+                for lo, hi in zip(bounds, bounds[1:])]
+
+    def row(self, i: int, span: tuple) -> tuple:
+        """Sheet i on Z as (masses, reached flags) over its keys span[1]..span[2]."""
+        count, kmin, kmax = span
+        lo = int(np.searchsorted(self.sheet, i))
+        at = self.key[lo:lo + count] - kmin
+        mass = np.zeros(kmax - kmin + 1)
+        reach = np.zeros(kmax - kmin + 1, dtype=bool)
+        mass[at] = self.mass[lo:lo + count]
+        reach[at] = True
+        return mass, reach
+
+
+@dataclass(frozen=True)
+class _Dense:
+    """A level on Z over its hull: (sheet j, key lo + k) has mass[j, k] and is in
+    the support where reach[j, k]. A cell outside the support holds 0.0."""
+
+    lo: int
+    mass: np.ndarray  # (sheets, width)
+    reach: np.ndarray  # (sheets, width), bool
+    row_spans: list  # as _Sparse.spans
+    size: int  # cells in the support
+
+    @property
+    def width(self) -> int:
+        return self.mass.shape[1]
+
+    def triples(self) -> _Sparse:
+        sheet, at = np.nonzero(self.reach)
+        return _Sparse(sheet, at + self.lo, self.mass[self.reach])
+
+    def scaled(self, c: float) -> "_Dense":
+        return _Dense(self.lo, c * self.mass, self.reach, self.row_spans, self.size)
+
+    def spans(self, rows: int) -> list:
+        return self.row_spans
+
+    def row(self, i: int, span: tuple) -> tuple:
+        """Sheet i as views (masses, reached flags) over its keys span[1]..span[2]."""
+        _, kmin, kmax = span
+        at = slice(kmin - self.lo, kmax - self.lo + 1)
+        return self.mass[i, at], self.reach[i, at]
+
+
+def _step(space, level: _Sparse, cells: list, ell: int, n: int, budget: int) -> _Sparse:
+    """One exact step: level n-1 -> level n, with ell sheets, by sorting keys.
 
     cells holds _row_cells of each row of sigma^(n). Every (sheet, element) a
     cell reaches stays in the support, also with zero mass.
     """
-    sheet, key, mass = level
+    sheet, key, mass = level.sheet, level.key, level.mass
     terms = [([], []) for _ in range(ell)]
     bounds = _bounds(sheet, len(cells))
     for lo, hi, (xs, ws, parts) in zip(bounds, bounds[1:], cells):
@@ -391,21 +464,87 @@ def _step(space, level: tuple, cells: list, ell: int, n: int, budget: int) -> tu
     if sum(sizes) > budget:
         raise BudgetExceeded(f"element budget {budget} exceeded at level {n}", level=n)
     if not sheets:
-        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64), np.empty(0)
-    return (np.repeat([j for j, _, _ in sheets], sizes),
-            np.concatenate([uniq for _, uniq, _ in sheets]),
-            np.concatenate([total for _, _, total in sheets]))
+        return _Sparse(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64), np.empty(0))
+    return _Sparse(np.repeat([j for j, _, _ in sheets], sizes),
+                   np.concatenate([uniq for _, uniq, _ in sheets]),
+                   np.concatenate([total for _, _, total in sheets]))
+
+
+def _int_step(space, level, cells: list, ell: int, n: int, budget: int):
+    """One exact step on Z: dense over the new level's hull where that is small.
+
+    _step would build one (sheet, key) term per reached source entry and
+    element of its row. A dense step takes one product per element of a row
+    and key in the row's span, and holds the new level over its hull. Where
+    both counts are at most twice the number of terms, the step is dense, so
+    no dense array is larger than twice _step's term arrays; otherwise it is
+    _step's. Either way a key past int64 raises at the same level.
+    """
+    spans = level.spans(len(cells))
+    live, terms, products, lo, hi = [], 0, 0, None, None
+    for i, span in enumerate(spans):
+        xs = cells[i][0]
+        if span and xs:
+            count, kmin, kmax = span
+            xmin, xmax = int(min(xs)), int(max(xs))
+            _check_key_range(min(xmin, xmin + kmin), max(xmax, xmax + kmax))
+            terms += count * len(xs)
+            products += (kmax - kmin + 1) * len(xs)
+            lo = kmin + xmin if lo is None else min(lo, kmin + xmin)
+            hi = kmax + xmax if hi is None else max(hi, kmax + xmax)
+            live.append(i)
+    if live and max(products, ell * (hi - lo + 1)) <= 2 * terms:
+        out = _dense_step(level, spans, live, cells, ell, lo, hi)
+        if out.size > budget:
+            raise BudgetExceeded(f"element budget {budget} exceeded at level {n}", level=n)
+        return out
+    return _step(space, level.triples(), cells, ell, n, budget)
+
+
+def _dense_step(level, spans: list, live: list, cells: list, ell: int, lo: int,
+                hi: int) -> _Dense:
+    """The level after level over the keys lo..hi, from the source rows in live.
+
+    For each source row i in order and each element x of each cell (i, j) in
+    cell order, row j gains w * mass[i] shifted by x: the order in which _step
+    feeds np.bincount. So every sum has the same terms in the same order from
+    0.0, and an unreached source cell adds only +0.0.
+    """
+    mass = np.zeros((ell, hi - lo + 1))
+    reach = np.zeros(mass.shape, dtype=bool)
+    first, last = [None] * ell, [None] * ell
+    for i in live:
+        xs, ws, parts = cells[i]
+        _, kmin, kmax = spans[i]
+        size = kmax - kmin + 1
+        row_mass, row_reach = level.row(i, spans[i])
+        moved = ws * row_mass
+        for j, part in parts.items():
+            out, out_reach = mass[j], reach[j]
+            shifts = [int(x) + kmin - lo for x in xs[part]]
+            for at, term in zip(shifts, moved[part]):
+                # in place on views: out[a:b] += term would also copy the sum back
+                seg, seg_reach = out[at:at + size], out_reach[at:at + size]
+                seg += term
+                seg_reach |= row_reach
+            start, stop = lo + min(shifts), lo + max(shifts) + size - 1
+            first[j] = start if first[j] is None else min(first[j], start)
+            last[j] = stop if last[j] is None else max(last[j], stop)
+    count = reach.sum(axis=1).tolist()
+    return _Dense(lo, mass, reach, [(c, f, k) if c else None
+                                    for c, f, k in zip(count, first, last)], sum(count))
 
 
 def _walk(s: StochasticSequence, space, row: int, first: int, last: int, budget: int):
-    """The level arrays of levels first..last of the walk started at (row, e) before level first."""
+    """The levels first..last of the walk started at (row, e) before level first."""
     cells: dict = {}  # _row_cells per stored matrix, which repeats past the horizon
-    level = np.array([row]), np.array([space.identity], dtype=np.int64), np.array([1.0])
+    step = _int_step if isinstance(space, _IntKeys) else _step
+    level = _Sparse(np.array([row]), np.array([space.identity], dtype=np.int64), np.array([1.0]))
     for n in range(first, last + 1):
         mat = s.matrix(n)
         if id(mat) not in cells:
             cells[id(mat)] = [_row_cells(r) for r in mat]
-        level = _step(space, level, cells[id(mat)], len(mat[0]), n, budget)
+        level = step(space, level, cells[id(mat)], len(mat[0]), n, budget)
         yield level
 
 
@@ -415,9 +554,11 @@ def exact_distribution(s: StochasticSequence, n: int,
     if n < 0:
         raise ParseError("level must be >= 0")
     space = _key_space(s.group)
-    for sheet, key, mass in _walk(s, space, 0, 0, n, budget):
+    for level in _walk(s, space, 0, 0, n, budget):
         pass
-    return LeveledMeasure(n, dict(zip(zip(sheet.tolist(), space.decode(key)), mass.tolist())))
+    out = level.triples()
+    return LeveledMeasure(n, dict(zip(zip(out.sheet.tolist(), space.decode(out.key)),
+                                      out.mass.tolist())))
 
 
 def _row_choices(row):
@@ -506,8 +647,9 @@ def sample_endpoints(s: StochasticSequence, steps: int, trajectories: int,
     default_rng([seed, b]).random((rows, steps + 1)), one uniform per level. A
     trajectory's randomness depends only on (seed, its index). Each
     trajectory carries its element as an int64 key (on F_d, an id in one
-    _WordTable per call); (sheet, key) pairs are counted per block and the
-    keys decoded once, at the end.
+    _WordTable per call). Each block's (sheet, key) pairs are counted apart;
+    the blocks are merged, and the keys decoded, once at the end. The Counter
+    is in (sheet, key) order.
     """
     if steps < 0 or trajectories < 0 or seed < 0:
         raise ParseError("steps, trajectories and seed must be >= 0")
@@ -515,7 +657,7 @@ def sample_endpoints(s: StochasticSequence, steps: int, trajectories: int,
     space = _key_space(s.group)
     free = s.group.kind == "free"
     ell = s.ell_at(steps)
-    counts: Counter = Counter()
+    blocks = []  # per block: (sheets, keys, counts) of its distinct endpoints
     for start in range(0, trajectories, SAMPLE_BLOCK):
         rows = min(SAMPLE_BLOCK, trajectories - start)
         u = np.random.default_rng([seed, start // SAMPLE_BLOCK]).random((rows, steps + 1))
@@ -535,15 +677,22 @@ def sample_endpoints(s: StochasticSequence, steps: int, trajectories: int,
                     g = space._push(g, letters)
             else:
                 g += step
-        # one count per (sheet, rank of g among the endpoints), in (sheet, g) order
-        elems, rank = np.unique(g, return_inverse=True)
-        num = np.bincount(sheet * len(elems) + rank, minlength=ell * len(elems))
-        hit = np.flatnonzero(num)
-        elems = elems.tolist()
-        for code, c in zip(hit.tolist(), num[hit].tolist()):
-            counts[(code // len(elems), elems[code % len(elems)])] += c
-    elems = space.decode(np.array([key for _, key in counts], dtype=np.int64))
-    return Counter({(j, x): c for ((j, _), c), x in zip(counts.items(), elems)})
+        blocks.append(_count_pairs(sheet, g, None, ell))
+    if not blocks:
+        return Counter()
+    sheet, key, num = _count_pairs(*(np.concatenate(part) for part in zip(*blocks)), ell)
+    return Counter(dict(zip(zip(sheet.tolist(), space.decode(key)),
+                            num.astype(np.int64).tolist())))
+
+
+def _count_pairs(sheet: np.ndarray, key: np.ndarray, num, ell: int) -> tuple:
+    """The distinct (sheet, key) pairs in (sheet, key) order, with the sums of
+    num per pair (with num None, the number of times each pair occurs)."""
+    # one bin per (sheet, rank of the key among the keys)
+    elems, rank = np.unique(key, return_inverse=True)
+    total = np.bincount(sheet * len(elems) + rank, weights=num, minlength=ell * len(elems))
+    hit = np.flatnonzero(total)
+    return hit // len(elems), elems[hit % len(elems)], total[hit]
 
 
 # --- harmonic functions -------------------------------------------------------
@@ -777,8 +926,8 @@ def _tail_exponent(a: float, eps: float) -> int:
 
 def _abel_levels(s: StochasticSequence, space, t: int, r: int, a: float, K: int,
                  eps: float, N: int | None, budget: int) -> tuple:
-    """(N, levels) of nu_{r,a;K}^{(t)}: one (sheet, key, mass) triple per level
-    n = t+1+K..N, with the masses already scaled by (1-a) a^(n-t-1-K)."""
+    """(N, levels) of nu_{r,a;K}^{(t)}: one walk level per n = t+1+K..N, with
+    the masses already scaled by (1-a) a^(n-t-1-K)."""
     if not (0.0 < a < 1.0):
         raise ParseError("a must be in (0,1)")
     if not eps > 0 or t < -1 or K < 0:
@@ -789,10 +938,10 @@ def _abel_levels(s: StochasticSequence, space, t: int, r: int, a: float, K: int,
         N = t + K + _tail_exponent(a, eps)
     first = t + 1 + K
     levels, stored = [], 0
-    for n, (sheet, key, mass) in enumerate(_walk(s, space, r, t + 1, N, budget), t + 1):
+    for n, level in enumerate(_walk(s, space, r, t + 1, N, budget), t + 1):
         if n >= first:
-            levels.append((sheet, key, (1.0 - a) * a ** (n - first) * mass))
-            stored += len(key)
+            levels.append(level.scaled((1.0 - a) * a ** (n - first)))
+            stored += level.size
             if stored > budget:
                 raise BudgetExceeded(f"abel entry budget exceeded at level {n}", level=n)
     return N, levels
@@ -810,9 +959,12 @@ def abel_measure(s: StochasticSequence, t: int, r: int, a: float, K: int,
     N, levels = _abel_levels(s, space, t, r, a, K, eps, N, budget)
     entries: dict = {}
     if levels:
-        sheet, key, mass = (np.concatenate(part) for part in zip(*levels))
+        levels = [level.triples() for level in levels]
+        sheet = np.concatenate([level.sheet for level in levels])
+        key = np.concatenate([level.key for level in levels])
+        mass = np.concatenate([level.mass for level in levels])
         first = t + 1 + K
-        n = np.repeat(np.arange(first, first + len(levels)), [len(k) for _, k, _ in levels])
+        n = np.repeat(np.arange(first, first + len(levels)), [level.size for level in levels])
         entries = dict(zip(zip(n.tolist(), sheet.tolist(), space.decode(key)), mass.tolist()))
     tail = a ** (N - t - K)
     return AbelMeasure(t, r, a, K, N, entries, tail, s.group)
@@ -827,12 +979,38 @@ def _split_sheets(terms: list, sheet: np.ndarray, keys: np.ndarray, masses: np.n
         mass_parts.append(masses[:, lo:hi].ravel())
 
 
+def _dense_difference(lhs: list, rhs) -> np.ndarray | None:
+    """The sum of w * nu shifted by x over the (x, w, nu) of lhs, minus rhs, on
+    one hull of a level on Z.
+
+    Each cell takes the lhs terms in order and -rhs last, the order in which the
+    sparse comparison feeds np.bincount. None where a level is sparse, or where
+    the hull holds more than twice as many cells as that comparison has terms.
+    """
+    levels = [nu for _, _, nu in lhs] + [rhs]
+    if not all(isinstance(level, _Dense) for level in levels):
+        return None
+    lo = min([rhs.lo] + [nu.lo + x for x, _, nu in lhs])
+    end = max([rhs.lo + rhs.width] + [nu.lo + x + nu.width for x, _, nu in lhs])
+    sheets = rhs.mass.shape[0]
+    if sheets * (end - lo) > 2 * sum(level.size for level in levels):
+        return None
+    out = np.zeros((sheets, end - lo))
+    for x, w, nu in lhs:
+        seg = out[:, nu.lo + x - lo:nu.lo + x - lo + nu.width]
+        seg += w * nu.mass
+    seg = out[:, rhs.lo - lo:rhs.lo - lo + rhs.width]
+    seg -= rhs.mass
+    return out
+
+
 def abel_identity_residual(s: StochasticSequence, t: int, a: float, K: int,
                            eps: float, budget: int = ELEMENT_BUDGET) -> float:
     """Residual of sum_r sigma^(t)_{s,r} * nu^{(t)}_{r,a;K} = nu^{(t-1)}_{s,a;K+1}.
 
     Both sides are truncated at the same level so the geometric tails match,
-    and they are compared level by level on the union of their supports.
+    and they are compared level by level on the union of their supports: on
+    one dense hull where the levels are dense (on Z), else by sorting keys.
     """
     if t < 0:
         raise ParseError("the identity needs t >= 0")
@@ -851,13 +1029,21 @@ def abel_identity_residual(s: StochasticSequence, t: int, a: float, K: int,
             live = {x: w for x, w in cell.items() if w != 0.0}
             if live:
                 cells.append((r, tuple(live), np.array(list(live.values()))[:, None]))
-        for lvl, (sheet, key, mass) in enumerate(rhs):
+        shifts = [(r, int(x), w) for r, xs, ws in cells
+                  for x, w in zip(xs, ws[:, 0].tolist())] if isinstance(space, _IntKeys) else None
+        for lvl, level in enumerate(rhs):
+            diff = None if shifts is None else _dense_difference(
+                [(x, w, nus[r][lvl]) for r, x, w in shifts], level)
+            if diff is not None:
+                worst = max(worst, float(np.abs(diff).max(initial=0.0)))
+                continue
             # per sheet: the lhs terms first and -rhs last, so each sum ends in lhs - rhs
             terms = [([], []) for _ in range(s.ell_at(t + 1 + K + lvl))]
             for r, xs, ws in cells:
-                nu_sheet, nu_key, nu_mass = nus[r][lvl]
-                _split_sheets(terms, nu_sheet, space.left(nu_key, xs), ws * nu_mass)
-            _split_sheets(terms, sheet, key[None, :], -mass[None, :])
+                nu = nus[r][lvl].triples()
+                _split_sheets(terms, nu.sheet, space.left(nu.key, xs), ws * nu.mass)
+            level = level.triples()
+            _split_sheets(terms, level.sheet, level.key[None, :], -level.mass[None, :])
             for keys, masses in terms:
                 _, diff = _sum_by_key(keys, masses)
                 worst = max(worst, float(np.abs(diff).max(initial=0.0)))

@@ -441,11 +441,12 @@ class TestEndToEnd:
         json.loads(open(out).read())
 
     def test_byte_identical_reruns(self, files):
+        """Two runs of one seeded scan print the same bytes."""
         args = ("scan", "--lambda", files["uniform2.json"], "--f", "kl",
                 "--depth", "2", "--samples", "200", "--seed", "7")
-        r1 = run_cli(*args, env={"FE_THREADS": "1"})
-        r8 = run_cli(*args, env={"FE_THREADS": "8"})
-        assert r1.stdout == r8.stdout and r1.returncode == 0
+        r1 = run_cli(*args)
+        r2 = run_cli(*args)
+        assert r1.stdout == r2.stdout and r1.returncode == 0
 
     def test_timing_flag_is_opt_in(self, files):
         r = run_cli("solve-q", "--mu", files["uniform2.json"])
@@ -524,3 +525,156 @@ def test_fresh_process_matches_in_process(files, sub):
     assert r.returncode == 0, r.stderr
     code, payload = cli.run(list(argv))
     assert code == 0 and r.stdout == payload
+
+
+# --- walk reports against recorded outputs ---------------------------------
+
+def _z_sigma(ell, matrices, beyond="hold-last"):
+    return {"group": {"kind": "int"}, "ell": ell, "beyond": beyond, "matrices": [
+        [[[{"elem": str(x), "mass": m} for x, m in cell] for cell in row] for row in mat]
+        for mat in matrices]}
+
+
+WALK_SIGMAS = {
+    "coin": _z_sigma([1], [[[[(-1, 0.5), (1, 0.5)]]]]),
+    # two sheets; the cell (1, 1) of the repeated matrix holds a zero mass
+    "sheets": _z_sigma([2, 2], [
+        [[[(-1, 0.1), (0, 0.15), (1, 0.05)], [(-1, 0.2), (0, 0.3), (2, 0.2)]]],
+        [[[(-1, 0.25), (1, 0.25)], [(0, 0.3), (1, 0.2), (3, 0.0)]],
+         [[(-2, 0.1), (0, 0.1), (1, 0.2)], [(-1, 0.35), (1, 0.25)]]]]),
+    # its levels span 10^12 keys: the walk stays on sorted keys
+    "wide": _z_sigma([1], [[[[(0, 0.5), (10**12, 0.5)]]]]),
+    "up": _z_sigma([1], [[[[(2**61, 1.0)]]]]),
+}
+
+# (sigma, argv without --sigma, exit code, stdout, stderr), as printed by the
+# sorting-step implementation of the Z walks; the dense levels must print the
+# same bytes
+WALK_REPORTS = [
+    ('coin', ['walk-exact', '--level', '6'], 0,
+     ('{"command":"walk-exact","config":{"command":"walk-exact","level":6,"si'
+      'gma":"sigma.json"},"results":{"entries":{"0|-1":0.2734375,"0|-3":0.164'
+      '0625,"0|-5":0.0546875,"0|-7":0.0078125,"0|1":0.2734375,"0|3":0.1640625'
+      ',"0|5":0.0546875,"0|7":0.0078125},"level":6,"total":1},"version":"0.1.'
+      '0"}\n'),
+     ''),
+    ('sheets', ['walk-exact', '--level', '5'], 0,
+     ('{"command":"walk-exact","config":{"command":"walk-exact","level":5,"si'
+      'gma":"sigma.json"},"results":{"entries":{"0|-1":0.058527593750000009,"'
+      '0|-2":0.049390953125000005,"0|-3":0.028597296875000004,"0|-4":0.020175'
+      '046875000002,"0|-5":0.0082829843750000017,"0|-6":0.0034350937500000002'
+      ',"0|-7":0.0014161249999999998,"0|0":0.067997718750000005,"0|1":0.06745'
+      '396875000001,"0|10":0,"0|11":0,"0|2":0.054660250000000007,"0|3":0.0425'
+      '41421875000006,"0|4":0.022922484375000003,"0|5":0.013556859375000001,"'
+      '0|6":0.0036399531250000004,"0|7":0.0018452500000000005,"0|8":0,"0|9":0'
+      ',"1|-1":0.082132500000000011,"1|-2":0.054472937500000006,"1|-3":0.0411'
+      '47562500000005,"1|-4":0.018808468750000005,"1|-5":0.008686093749999998'
+      '5,"1|-6":0.0032659374999999997,"1|0":0.085184187500000008,"1|1":0.0884'
+      '17875000000007,"1|10":0,"1|11":0,"1|12":0,"1|2":0.070767812499999999,"'
+      '1|3":0.05205459375000001,"1|4":0.029053843750000002,"1|5":0.0151585625'
+      '00000002,"1|6":0.0045613125000000011,"1|7":0.0018453125000000006,"1|8"'
+      ':0,"1|9":0},"level":5,"total":1},"version":"0.1.0"}\n'),
+     ''),
+    ('wide', ['walk-exact', '--level', '3'], 0,
+     ('{"command":"walk-exact","config":{"command":"walk-exact","level":3,"si'
+      'gma":"sigma.json"},"results":{"entries":{"0|0":0.0625,"0|1000000000000'
+      '":0.25,"0|2000000000000":0.375,"0|3000000000000":0.25,"0|4000000000000'
+      '":0.0625},"level":3,"total":1},"version":"0.1.0"}\n'),
+     ''),
+    ('up', ['walk-exact', '--level', '3'], 3,
+     '',
+     ('{"error":"BudgetExceeded","message":"a Z element leaves the int64 key '
+      'range"}\n')),
+    ('coin', ['abel', '--t', '0', '--r', '0', '--a', '0.5', '--eps', '0.01'], 0,
+     ('{"command":"abel","config":{"K":0,"a":0.5,"command":"abel","eps":0.01,'
+      '"r":0,"sigma":"sigma.json","t":0},"results":{"K":0,"N":7,"a":0.5,"entr'
+      'ies":{"1|0|-1":0.25,"1|0|1":0.25,"2|0|-2":0.0625,"2|0|0":0.125,"2|0|2"'
+      ':0.0625,"3|0|-1":0.046875,"3|0|-3":0.015625,"3|0|1":0.046875,"3|0|3":0'
+      '.015625,"4|0|-2":0.015625,"4|0|-4":0.00390625,"4|0|0":0.0234375,"4|0|2'
+      '":0.015625,"4|0|4":0.00390625,"5|0|-1":0.009765625,"5|0|-3":0.00488281'
+      '25,"5|0|-5":0.0009765625,"5|0|1":0.009765625,"5|0|3":0.0048828125,"5|0'
+      '|5":0.0009765625,"6|0|-2":0.003662109375,"6|0|-4":0.00146484375,"6|0|-'
+      '6":0.000244140625,"6|0|0":0.0048828125,"6|0|2":0.003662109375,"6|0|4":'
+      '0.00146484375,"6|0|6":0.000244140625,"7|0|-1":0.00213623046875,"7|0|-3'
+      '":0.00128173828125,"7|0|-5":0.00042724609375,"7|0|-7":6.103515625e-05,'
+      '"7|0|1":0.00213623046875,"7|0|3":0.00128173828125,"7|0|5":0.0004272460'
+      '9375,"7|0|7":6.103515625e-05},"r":0,"stored_total":0.9921875,"t":0,"ta'
+      'il_mass":0.0078125},"version":"0.1.0"}\n'),
+     ''),
+    ('sheets', ['abel', '--t', '0', '--r', '1', '--a', '0.3', '--eps', '0.01'], 0,
+     ('{"command":"abel","config":{"K":0,"a":0.29999999999999999,"command":"a'
+      'bel","eps":0.01,"r":1,"sigma":"sigma.json","t":0},"results":{"K":0,"N"'
+      ':4,"a":0.29999999999999999,"entries":{"1|0|-2":0.069999999999999993,"1'
+      '|0|0":0.069999999999999993,"1|0|1":0.13999999999999999,"1|1|-1":0.2449'
+      '9999999999997,"1|1|1":0.17499999999999999,"2|0|-1":0.02310000000000000'
+      '2,"2|0|-3":0.012599999999999998,"2|0|0":0.025199999999999997,"2|0|1":0'
+      '.010500000000000001,"2|0|2":0.021000000000000001,"2|1|-1":0.0042000000'
+      '000000006,"2|1|-2":0.032024999999999991,"2|1|0":0.043049999999999998,"'
+      '2|1|1":0.016799999999999999,"2|1|2":0.021525000000000002,"2|1|3":0,"2|'
+      '1|4":0,"3|0|-1":0.0044414999999999993,"3|0|-2":0.0049297500000000001,"'
+      '3|0|-3":0.00012600000000000003,"3|0|-4":0.0019057499999999999,"3|0|0":'
+      '0.0047092500000000008,"3|0|1":0.0065520000000000005,"3|0|2":0.00244125'
+      '00000000003,"3|0|3":0.0028665000000000006,"3|0|4":0,"3|0|5":0,"3|1|-1"'
+      ':0.0090011249999999987,"3|1|-2":0.0011970000000000001,"3|1|-3":0.00449'
+      '66249999999989,"3|1|0":0.0057330000000000002,"3|1|1":0.007945874999999'
+      '9998,"3|1|2":0.0037799999999999999,"3|1|3":0.0028743750000000002,"3|1|'
+      '4":0,"3|1|5":0,"4|0|-1":0.0013031549999999996,"4|0|-2":0.0008202599999'
+      '9999974,"4|0|-3":0.00091759499999999978,"4|0|-4":4.5360000000000006e-0'
+      '5,"4|0|-5":0.00027782999999999991,"4|0|0":0.0016499699999999995,"4|0|1'
+      '":0.0012048749999999998,"4|0|2":0.0012965399999999997,"4|0|3":0.000496'
+      '12499999999993,"4|0|4":0.00038745000000000001,"4|0|5":0,"4|0|6":0,"4|1'
+      '|-1":0.0013872599999999995,"4|1|-2":0.0017336024999999992,"4|1|-3":0.0'
+      '0025136999999999995,"4|1|-4":0.00064366312499999976,"4|1|0":0.00219972'
+      '37499999994,"4|1|1":0.0016991099999999998,"4|1|2":0.001510582499999999'
+      '6,"4|1|3":0.00068795999999999994,"4|1|4":0.00038756812500000002,"4|1|5'
+      '":0,"4|1|6":0,"4|1|7":0,"4|1|8":0},"r":1,"stored_total":0.991899999999'
+      '99989,"t":0,"tail_mass":0.0080999999999999996},"version":"0.1.0"}\n'),
+     ''),
+    ('wide', ['abel', '--t', '-1', '--r', '0', '--a', '0.5', '--eps', '0.05'], 0,
+     ('{"command":"abel","config":{"K":0,"a":0.5,"command":"abel","eps":0.050'
+      '000000000000003,"r":0,"sigma":"sigma.json","t":-1},"results":{"K":0,"N'
+      '":4,"a":0.5,"entries":{"0|0|0":0.25,"0|0|1000000000000":0.25,"1|0|0":0'
+      '.0625,"1|0|1000000000000":0.125,"1|0|2000000000000":0.0625,"2|0|0":0.0'
+      '15625,"2|0|1000000000000":0.046875,"2|0|2000000000000":0.046875,"2|0|3'
+      '000000000000":0.015625,"3|0|0":0.00390625,"3|0|1000000000000":0.015625'
+      ',"3|0|2000000000000":0.0234375,"3|0|3000000000000":0.015625,"3|0|40000'
+      '00000000":0.00390625,"4|0|0":0.0009765625,"4|0|1000000000000":0.004882'
+      '8125,"4|0|2000000000000":0.009765625,"4|0|3000000000000":0.009765625,"'
+      '4|0|4000000000000":0.0048828125,"4|0|5000000000000":0.0009765625},"r":'
+      '0,"stored_total":0.96875,"t":-1,"tail_mass":0.03125},"version":"0.1.0"'
+      '}\n'),
+     ''),
+    ('coin', ['abel-identity', '--t', '1', '--a', '0.3'], 0,
+     ('{"command":"abel-identity","config":{"K":0,"a":0.29999999999999999,"co'
+      'mmand":"abel-identity","eps":1e-10,"sigma":"sigma.json","t":1},"result'
+      's":{"max_residual":8.6736173798840355e-19},"version":"0.1.0"}\n'),
+     ''),
+    ('sheets', ['abel-identity', '--t', '1', '--a', '0.3'], 0,
+     ('{"command":"abel-identity","config":{"K":0,"a":0.29999999999999999,"co'
+      'mmand":"abel-identity","eps":1e-10,"sigma":"sigma.json","t":1},"result'
+      's":{"max_residual":2.7755575615628914e-17},"version":"0.1.0"}\n'),
+     ''),
+    ('sheets', ['abel-identity', '--t', '2', '--a', '0.7', '--K', '1'], 0,
+     ('{"command":"abel-identity","config":{"K":1,"a":0.69999999999999996,"co'
+      'mmand":"abel-identity","eps":1e-10,"sigma":"sigma.json","t":2},"result'
+      's":{"max_residual":1.3877787807814457e-17},"version":"0.1.0"}\n'),
+     ''),
+    ('wide', ['abel-identity', '--t', '0', '--a', '0.5'], 0,
+     ('{"command":"abel-identity","config":{"K":0,"a":0.5,"command":"abel-ide'
+      'ntity","eps":1e-10,"sigma":"sigma.json","t":0},"results":{"max_residua'
+      'l":0},"version":"0.1.0"}\n'),
+     ''),
+]
+
+
+@pytest.mark.parametrize("name, argv, code, stdout, stderr", WALK_REPORTS,
+                         ids=[f"{r[1][0]}-{r[0]}-{i}" for i, r in enumerate(WALK_REPORTS)])
+def test_walk_reports_match_recorded(tmp_path, name, argv, code, stdout, stderr):
+    # the report echoes the --sigma path, so the file is named relative to the run's cwd
+    (tmp_path / "sigma.json").write_text(json.dumps(WALK_SIGMAS[name]))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    r = subprocess.run([sys.executable, "-m", "fentropy.cli", argv[0], "--sigma", "sigma.json",
+                        *argv[1:]], capture_output=True, text=True, cwd=tmp_path, env=env)
+    assert (r.returncode, r.stdout, r.stderr) == (code, stdout, stderr)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2 as chi2_dist
 
+from fentropy import sigma_walk
 from fentropy.divergence import CHI2, KL, ConvexGenerator, FiniteMeasure, f_divergence
 from fentropy.errors import (
     BadLetter,
@@ -359,6 +361,244 @@ class TestArrayLevels:
             exact_distribution(StochasticSequence(Z, [1], [[[{2**64: 1.0}]]]), 0)
 
 
+def two_sheet_cycle(seed):
+    """two_sheet_sequence(seed) with a third matrix on {-2, 0, 3}, repeated by "cycle"."""
+    s = two_sheet_sequence(seed)
+    rng = np.random.default_rng(seed + 100)
+    m2 = []
+    for _ in range(2):
+        w = rng.dirichlet(np.ones(2))
+        m2.append([{x: float(v) * w[j] for x, v in zip((-2, 0, 3), rng.dirichlet(np.ones(3)))}
+                   for j in range(2)])
+    return StochasticSequence(Z, [2, 2, 2], [*s.matrices, m2], beyond="cycle")
+
+
+def no_reach_sequence():
+    """Sheet 1 is never reached at level 0, and row 1 of the repeated matrix
+    feeds only sheet 0."""
+    return StochasticSequence(Z, [2, 2], [[[{1: 0.5, -1: 0.5}, {}]],
+                                          [[{1: 0.3, 0: 0.2}, {-1: 0.5}], [{2: 1.0}, {}]]])
+
+
+def wide_sequence():
+    """Steps 0 and 10^12: each level spans 10^12 keys with a few in its support."""
+    return StochasticSequence(Z, [1], [[[{0: 0.5, 10**12: 0.5}]]])
+
+
+DENSE_CASES = {
+    "coin": coin_sequence,
+    "two-sheet-0": lambda: two_sheet_sequence(0),
+    "two-sheet-3": lambda: two_sheet_sequence(3),
+    "cycle-1": lambda: two_sheet_cycle(1),
+    "cycle-2": lambda: two_sheet_cycle(2),
+    # its keys at a level are one residue mod 5, so a dense step would take five
+    # products per term: it stays on sorted keys
+    "zero-mass": lambda: StochasticSequence(Z, [1], [[[{2: 0.5, -3: 0.5, 7: 0.0}]]]),
+    "zero-mass-dense": lambda: StochasticSequence(Z, [1], [[[{1: 0.5, -1: 0.25, 0: 0.25,
+                                                               5: 0.0}]]]),
+    # sorted keys for six levels, until the gaps between the keys fill in
+    "sparse-then-dense": lambda: StochasticSequence(Z, [1], [[[{0: 0.5, 1: 0.25, 9: 0.25}]]]),
+    "no-reach": no_reach_sequence,
+    # row 1 of the repeated matrix holds only a zero mass: an empty lhs in the Abel identity
+    "zero-row": lambda: StochasticSequence(Z, [2, 2], [
+        [[{1: 0.5}, {-1: 0.5}]],
+        [[{1: 0.25, 0: 0.25, -1: 0.25}, {0: 0.25}], [{0: 0.0}, {}]]]),
+    # a dense level, then one wide step that keeps the walk on sorted keys,
+    # while the Abel measures from level 2 on are dense again
+    "coin-wide-coin": lambda: StochasticSequence(
+        Z, [1, 1, 1], [[[{1: 0.5, -1: 0.5}]], [[{0: 0.5, 10**9: 0.5}]],
+                       [[{1: 0.5, -1: 0.5}]]]),
+}
+
+
+def sparse_oracle(fn):
+    """fn() with every step on Z and every Abel comparison on sorted keys."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sigma_walk, "_int_step", lambda space, level, *rest: sigma_walk._step(
+            space, level.triples(), *rest))
+        mp.setattr(sigma_walk, "_dense_difference", lambda lhs, rhs: None)
+        return fn()
+
+
+def with_dense_counts(fn):
+    """fn() and the numbers of dense steps and dense Abel comparisons it made."""
+    steps, diffs = [], []
+    step, diff = sigma_walk._dense_step, sigma_walk._dense_difference
+
+    def counted_diff(lhs, rhs):
+        out = diff(lhs, rhs)
+        diffs.extend([] if out is None else [1])
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sigma_walk, "_dense_step", lambda *a: steps.append(1) or step(*a))
+        mp.setattr(sigma_walk, "_dense_difference", counted_diff)
+        return fn(), len(steps), len(diffs)
+
+
+def exact_items(s, n):
+    return list(exact_distribution(s, n).entries.items())
+
+
+def abel_items(s, t, r, K, a, eps):
+    ab = abel_measure(s, t, r, a, K, eps)
+    return ab.N, ab.tail_mass, list(ab.entries.items())
+
+
+class TestDenseLevels:
+    """Dense levels on Z against the sorting step, which stays for wide levels
+    and serves as the oracle: equal with ==, entry order included."""
+
+    @pytest.mark.parametrize("case", list(DENSE_CASES))
+    @pytest.mark.parametrize("n", [0, 1, 7, 25])
+    def test_exact_distribution_bit_identical(self, case, n):
+        s = DENSE_CASES[case]()
+        assert exact_items(s, n) == sparse_oracle(lambda: exact_items(s, n))
+
+    @pytest.mark.parametrize("case", list(DENSE_CASES))
+    @pytest.mark.parametrize("t,r,K,a,eps", [
+        (-1, 0, 0, 0.5, 1e-6), (0, 1, 0, 0.3, 1e-10), (1, 0, 2, 0.7, 1e-4), (1, 1, 1, 0.5, 0.01),
+    ])
+    def test_abel_measure_bit_identical(self, case, t, r, K, a, eps):
+        s = DENSE_CASES[case]()
+        r = min(r, s.ell_at(t) - 1)
+        assert abel_items(s, t, r, K, a, eps) == sparse_oracle(
+            lambda: abel_items(s, t, r, K, a, eps))
+
+    @pytest.mark.parametrize("case", list(DENSE_CASES))
+    @pytest.mark.parametrize("t,a,K,eps", [
+        (0, 0.5, 0, 1e-10), (1, 0.3, 0, 1e-10), (2, 0.7, 0, 1e-10), (1, 0.5, 2, 1e-6),
+    ])
+    def test_identity_residual_bit_identical(self, case, t, a, K, eps):
+        s = DENSE_CASES[case]()
+        got = abel_identity_residual(s, t, a, K, eps)
+        assert got == sparse_oracle(lambda: abel_identity_residual(s, t, a, K, eps))
+
+    @pytest.mark.parametrize("case", list(DENSE_CASES))
+    def test_dense_path_taken(self, case):
+        s = DENSE_CASES[case]()
+        _, steps, _ = with_dense_counts(lambda: exact_distribution(s, 25))
+        _, _, diffs = with_dense_counts(lambda: abel_identity_residual(s, 2, 0.5, 0, 1e-6))
+        if case == "zero-mass":
+            assert steps == diffs == 0
+        else:
+            assert steps > 0 and diffs > 0
+
+    def test_sparse_then_dense(self):
+        s = DENSE_CASES["sparse-then-dense"]()
+        kinds = [type(level) for level in sigma_walk._walk(s, sigma_walk._IntKeys(), 0, 0, 9,
+                                                            ELEMENT_BUDGET)]
+        assert kinds == [sigma_walk._Sparse] * 6 + [sigma_walk._Dense] * 4
+
+    def test_zero_mass_cells_stay_in_the_support(self):
+        s = DENSE_CASES["zero-mass-dense"]()
+        entries, steps, _ = with_dense_counts(lambda: exact_distribution(s, 12).entries)
+        assert steps > 0 and 0.0 in entries.values()
+        assert list(entries) == sorted(entries)
+
+    def test_unreached_sheet(self):
+        s = no_reach_sequence()
+        assert exact_distribution(s, 0).entries == {(0, -1): 0.5, (0, 1): 0.5}
+        # level 1 is dense; row 1 of its matrix has no reach, so only row 0 moves mass
+        entries, steps, _ = with_dense_counts(lambda: exact_distribution(s, 1).entries)
+        assert steps == 1 and entries == {
+            (0, -1): 0.5 * 0.2, (0, 0): 0.5 * 0.3, (0, 1): 0.5 * 0.2, (0, 2): 0.5 * 0.3,
+            (1, -2): 0.5 * 0.5, (1, 0): 0.5 * 0.5}
+
+    @pytest.mark.parametrize("case", [case for case in DENSE_CASES if case != "zero-mass"])
+    def test_dense_levels_within_the_guard(self, case):
+        """A dense step takes at most twice as many products, and its level holds
+        at most twice as many cells, as the sorting step would build terms; a
+        dense Abel comparison holds at most twice as many cells as its terms."""
+        seen = []
+        step, diff = sigma_walk._int_step, sigma_walk._dense_difference
+
+        def watched_step(space, level, cells, ell, n, budget):
+            out = step(space, level, cells, ell, n, budget)
+            src = level.triples()
+            terms = products = 0
+            for i, (xs, _, _) in enumerate(cells):
+                keys = src.key[src.sheet == i]
+                if len(keys) and xs:
+                    terms += len(keys) * len(xs)
+                    products += (int(keys.max()) - int(keys.min()) + 1) * len(xs)
+            if isinstance(out, sigma_walk._Dense):
+                assert products <= 2 * terms
+            seen.append((out, terms))
+            return out
+
+        def watched_diff(lhs, rhs):
+            out = diff(lhs, rhs)
+            terms = sum(len(nu.triples().key) for _, _, nu in lhs) + len(rhs.triples().key)
+            seen.append((out, terms))
+            return out
+
+        s = DENSE_CASES[case]()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sigma_walk, "_int_step", watched_step)
+            mp.setattr(sigma_walk, "_dense_difference", watched_diff)
+            exact_distribution(s, 25)
+            abel_identity_residual(s, 2, 0.5, 0, 1e-6)
+        sizes = [(getattr(out, "mass", out).size, terms) for out, terms in seen
+                 if isinstance(out, (sigma_walk._Dense, np.ndarray))]
+        assert sizes and all(size <= 2 * terms for size, terms in sizes)
+
+    def test_abel_comparison_guard(self):
+        """The comparison is dense only where its hull holds at most twice as
+        many cells as it has terms: here 3 levels of 4 entries each, so 24 cells."""
+        *_, nu = sigma_walk._walk(coin_sequence(), sigma_walk._IntKeys(), 0, 0, 2, ELEMENT_BUDGET)
+        assert isinstance(nu, sigma_walk._Dense) and nu.size == 4
+        near = sigma_walk._dense_difference([(0, 0.5, nu), (2, 0.5, nu)], nu)
+        assert near.shape == (1, 9)
+        assert sigma_walk._dense_difference([(0, 0.5, nu), (17, 0.5, nu)], nu) is not None
+        assert sigma_walk._dense_difference([(0, 0.5, nu), (18, 0.5, nu)], nu) is None
+
+    def test_wide_span_stays_on_sorted_keys(self):
+        s = wide_sequence()
+        tracemalloc.start()
+        try:
+            (entries, steps, _) = with_dense_counts(lambda: exact_distribution(s, 3).entries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert entries == {(0, k * 10**12): m
+                           for k, m in enumerate([0.0625, 0.25, 0.375, 0.25, 0.0625])}
+        # a dense level over this hull would need 4 * 10^12 cells
+        assert steps == 0 and peak < 2**20
+
+    @pytest.mark.parametrize("t,r,K,a,eps", [(-1, 0, 0, 0.5, 1e-6), (0, 0, 1, 0.3, 1e-10)])
+    def test_wide_span_abel_matches_sorted_keys(self, t, r, K, a, eps):
+        s = wide_sequence()
+        (got, steps, diffs) = with_dense_counts(lambda: (
+            abel_items(s, t, r, K, a, eps), abel_identity_residual(s, t + 1, a, K, eps)))
+        assert steps == diffs == 0
+        assert got == sparse_oracle(lambda: (abel_items(s, t, r, K, a, eps),
+                                             abel_identity_residual(s, t + 1, a, K, eps)))
+        assert got[1] < 1e-12
+
+    @pytest.mark.parametrize("make,n,budget", [
+        (coin_sequence, 40, 12), (lambda: two_sheet_sequence(3), 30, 25),
+        (lambda: DENSE_CASES["zero-mass"](), 30, 50),
+        (lambda: StochasticSequence(Z, [1], [[[{2**61: 1.0}]]]), 5, ELEMENT_BUDGET),
+        (lambda: StochasticSequence(Z, [1], [[[{-2**61: 0.5, 0: 0.5}]]]), 5, ELEMENT_BUDGET),
+    ])
+    def test_budget_raises_as_on_sorted_keys(self, make, n, budget):
+        s = make()
+
+        def raised():
+            with pytest.raises(BudgetExceeded) as exc:
+                exact_distribution(s, n, budget)
+            return str(exc.value), exc.value.level
+
+        def raised_abel():
+            with pytest.raises(BudgetExceeded) as exc:
+                abel_measure(s, -1, 0, 0.5, 0, 1e-12, N=n, budget=budget)
+            return str(exc.value), exc.value.level
+
+        assert raised() == sparse_oracle(raised)
+        assert raised_abel() == sparse_oracle(raised_abel)
+
+
 class TestTailExponent:
     @settings(max_examples=300, deadline=None)
     @given(st.floats(1e-3, 0.999), st.integers(1, 5000), st.sampled_from([-1, 0, 1]))
@@ -432,6 +672,14 @@ class TestSampling:
              "two-sheet-free": free_two_sheet_sequence()}[seq]
         n = SAMPLE_BLOCK + 5
         assert sample_endpoints(s, 3, n, 12) == reference_endpoints(s, 3, n, 12)
+
+    @pytest.mark.parametrize("n", [SAMPLE_BLOCK - 1, 2 * SAMPLE_BLOCK + 5])
+    def test_counter_in_sheet_key_order(self, n):
+        """One block or several, the Counter holds int counts in (sheet, element) order on Z."""
+        for s in (coin_sequence(), two_sheet_sequence(3)):
+            counts = sample_endpoints(s, 4, n, 31)
+            assert list(counts) == sorted(counts)
+            assert all(type(c) is int for c in counts.values()) and sum(counts.values()) == n
 
     def test_chi_squared_free_two_sheet(self):
         s = free_two_sheet_sequence()
