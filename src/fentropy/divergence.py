@@ -213,6 +213,45 @@ def divergence_arrays(p: np.ndarray, q: np.ndarray, f: ConvexGenerator):
     return values
 
 
+def divergence_bounds(p: np.ndarray, q: np.ndarray, f: ConvexGenerator):
+    """A plain sum s and a radius r per row with |divergence_arrays(p, q, f) - s| <= r.
+
+    p is 2-D and q is 1-D or of p's shape, as in divergence_arrays; the terms
+    come from the same _divergence_terms. s = terms.sum(axis=1), and a row
+    flagged infinite gets s = inf and r = 0 (its value is inf exactly).
+    Derivation, for a row of n terms t with exact sum S and A = sum|t|, and
+    u = 2^-53:
+    - any summation order of n terms (numpy's pairwise one included) is a
+      tree of n - 1 rounded additions: |s - S| <= gamma_{n-1} A, with
+      gamma_k = k u / (1 - k u);
+    - math.fsum rounds S once: |fsum - S| <= u |S| <= u A;
+    - so |fsum - s| <= r0 = (gamma_{n-1} + u) A, and where divergence_arrays
+      clamps a value in (-PROB_TOL, 0) to 0, |0 - s| = |s|, which is below r0
+      when s >= 0. A clamped row has s > -(PROB_TOL + r0), so max(r0, -s)
+      bounds the rows with s > -(PROB_TOL + 2 r0), and r0 the others.
+    r is twice that, for the roundings of r's own computation (A is summed
+    in floats too). A row whose computed A is not below 2^1020 (an
+    overflowed or NaN term, or terms so large that math.fsum could overflow)
+    gets r = inf: its plain sum proves nothing.
+    """
+    import numpy as np
+
+    if q.ndim == 1:
+        q = np.broadcast_to(q, p.shape)
+    terms, infinite = _divergence_terms(p, q, f)
+    n = terms.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = terms.sum(axis=1)
+        mag = np.abs(terms, out=terms).sum(axis=1)
+        u = 2.0**-53
+        r0 = ((n - 1) * u / (1.0 - (n - 1) * u) + u) * mag
+        r = 2.0 * np.where(s > -(PROB_TOL + 2.0 * r0), np.maximum(r0, -s), r0)
+    r[~(mag < 2.0**1020)] = INF
+    s[infinite] = INF
+    r[infinite] = 0.0
+    return s, r
+
+
 def _divergence_terms(p: np.ndarray, q: np.ndarray, f: ConvexGenerator):
     """The (rows, M) term matrix of 2-D p and q of one shape, and which rows are infinite.
 

@@ -12,7 +12,8 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .divergence import INF, KL, PROB_TOL, ConvexGenerator, divergence_arrays, row_fsums
+from .divergence import (INF, KL, PROB_TOL, ConvexGenerator, divergence_arrays, divergence_bounds,
+                         row_fsums)
 from .errors import (
     BadLetter,
     DepthMismatch,
@@ -649,14 +650,68 @@ class EntropyEngine:
         A block is gathered ENTROPY_CELLS depth-(n+1) cells at a time; each
         row's value equals the one-vector call on that row bit for bit.
         """
-        import numpy as np
-
         if x.ndim == 1:
             return float(self._entropy_rows(x[None, :])[0])
+        return self._in_blocks(self._entropy_rows, x, ())
+
+    def _in_blocks(self, rows_fn, x: np.ndarray, shape: tuple) -> np.ndarray:
+        """rows_fn of each ENTROPY_CELLS-cell slice of the block x, as one (*shape, rows) array."""
+        import numpy as np
+
         step = max(1, ENTROPY_CELLS // len(self.refine_src))
-        out = np.empty(len(x))
+        out = np.empty(shape + (len(x),))
         for s in range(0, len(x), step):
-            out[s:s + step] = self._entropy_rows(x[s:s + step])
+            out[..., s:s + step] = rows_fn(x[s:s + step])
+        return out
+
+    def _screen(self, x: np.ndarray) -> np.ndarray:
+        """Bounds (low, high) on the entropy of each row of the block x, without normalise.
+
+        Each letter's divergence comes from divergence_bounds as a plain sum
+        s_j and a radius r_j, and h = sum_j lambda_j s_j, added letter by
+        letter. entropy() rounds the 2d products lambda_j D_j and their
+        math.fsum; h rounds the 2d products lambda_j s_j and 2d - 1 additions.
+        With A = sum_j lambda_j (|s_j| + r_j), which bounds both
+        sum_j lambda_j |s_j| and sum_j lambda_j |D_j|, and u = 2^-53, those
+        cost at most 2uA + u^2 A and uA + gamma_{2d-1} (1 + u) A, less than
+        (2d + 4) u A together, and the divergences differ by at most
+        sum_j lambda_j r_j. The radius is twice that sum, which also covers
+        the roundings of the radius itself and of h -+ radius. A row that a
+        letter flags infinite before any letter leaves r_j = inf is inf
+        (low = high = inf), as entropy() stops at that letter too; a row
+        with r_j = inf first (a NaN or an overflowed term) is left to
+        entropy() (low = -inf, high = inf), which keeps its value, NaN or
+        exception.
+        """
+        return self._in_blocks(self._screen_rows, x, (2,))
+
+    def _screen_rows(self, x: np.ndarray) -> np.ndarray:
+        import numpy as np
+
+        q1 = self.refined(x)
+        letters = letter_order(self.lam.d)
+        c = (len(letters) + 4) * 2.0**-53
+        h, rad = np.zeros((2, len(x)))
+        inf_rows, open_rows = [], []  # rows decided infinite, rows left to entropy()
+        live = slice(None)  # the rows still in x; an index array once one has left
+        for j in letters:
+            s, r = divergence_bounds(self.translated(x, j), q1, self.f)
+            w = self.lam.p[j]
+            h[live] += w * s
+            rad[live] += w * ((1.0 + c) * r + c * np.abs(s))
+            bounded = r < INF
+            done = ~bounded | (s == INF)
+            if done.any():
+                rows = np.arange(len(h))[live]
+                inf_rows.append(rows[bounded & done])
+                open_rows.append(rows[~bounded])
+                keep = ~done
+                live, x, q1 = rows[keep], x[keep], q1[keep]
+        with np.errstate(invalid="ignore"):  # inf - inf on the rows overwritten below
+            out = np.array([h - 2.0 * rad, h + 2.0 * rad])
+        for rows, value in ((inf_rows, (INF, INF)), (open_rows, (-INF, INF))):
+            if rows:
+                out[:, np.concatenate(rows)] = np.array(value)[:, None]
         return out
 
     def _entropy_rows(self, x: np.ndarray) -> np.ndarray:
@@ -742,6 +797,18 @@ def minimality_scan(lam: GeneratorMeasure, f: ConvexGenerator, depth: int,
     rest renormalised; with probability uniform_tail_fraction it takes the
     uniform tail, else the harmonic one. The argmin is the first sample of
     minimal entropy.
+
+    Only the samples that can hold a block's minimum are summed exactly. The
+    engines' screen bounds every sample's entropy by [h - r, h + r], with h
+    the plain-sum entropy sum_j lambda_j s_j (s_j from divergence_bounds) and
+    r a radius covering the summation and rounding errors of both h and the
+    exact value, the clamp near 0, and a factor 2 for its own roundings
+    (derived in EntropyEngine._screen). The candidates are the samples with
+    h - r <= min(h + r) over the block, together with the samples the screen
+    cannot bound (a NaN or an overflowed term), which keep their exact
+    value, NaN or exception. Only they go through EntropyEngine.entropy, so
+    the minimum and the first sample attaining it are those of the exact
+    values of all samples; a sample the screen finds infinite is infinite.
     """
     import numpy as np
 
@@ -767,15 +834,25 @@ def minimality_scan(lam: GeneratorMeasure, f: ConvexGenerator, depth: int,
         rows = min(SAMPLE_BLOCK, samples - start)
         rng = np.random.default_rng([seed, start // SAMPLE_BLOCK])
         x, uniform_tail = _scan_block(rng, rows, m, zero_fraction, uniform_tail_fraction)
-        h = np.empty(rows)
-        h[uniform_tail] = uniform.entropy(x[uniform_tail])
-        h[~uniform_tail] = harmonic.entropy(x[~uniform_tail])
+        bounds = np.empty((2, rows))
+        bounds[:, uniform_tail] = uniform._screen(x[uniform_tail])
+        bounds[:, ~uniform_tail] = harmonic._screen(x[~uniform_tail])
+        low, high = bounds
+        n_infinite += int(np.count_nonzero(low == INF))
+        # the rows that can hold the block's minimum, and those left undecided
+        cand = np.flatnonzero((low <= high.min()) & (low < INF))
+        if not len(cand):
+            continue
+        tail = uniform_tail[cand]
+        h = np.empty(len(cand))
+        h[tail] = uniform.entropy(x[cand[tail]])
+        h[~tail] = harmonic.entropy(x[cand[~tail]])
         n_infinite += int(np.count_nonzero(h == INF))
         best = int(np.argmin(h))
         if h[best] < min_entropy:
             min_entropy = float(h[best])
-            argmin_x = x[best]
-            argmin_tail = "uniform" if uniform_tail[best] else "harmonic"
+            argmin_x = x[cand[best]]
+            argmin_tail = "uniform" if tail[best] else "harmonic"
     words = harmonic.words_n.tolist()
     argmin_masses = (
         {encode_word(w): float(argmin_x[i]) for i, w in enumerate(words)}

@@ -118,6 +118,12 @@ class StochasticSequence:
                 if not all(0.0 <= m < INF for cell in row for m in cell.values()):
                     raise NotProbability(f"matrix {n} has a negative or non-finite mass")
             rows_prev = self.ell[n]
+        # a stored matrix k repeated past the horizon follows the matrix the
+        # rule puts before it (k - 1 within a cycle, else the last stored one),
+        # so whether its rows fit the width before it is the same at every level
+        h = self.horizon
+        self._misfits = {k for k in range(h) if len(self.matrices[k]) != self.ell[
+            k - 1 if self.beyond == "cycle" and k >= 2 else h - 1]}
 
     @property
     def horizon(self) -> int:
@@ -136,12 +142,12 @@ class StochasticSequence:
             raise ParseError("matrix index must be >= 0")
         if n < self.horizon:
             return self.matrices[n]
-        mat = self.matrices[self._beyond_index(n)]
-        if len(mat) != self.ell_at(n - 1) or len(mat[0]) != self.ell_at(n):
+        k = self._beyond_index(n)
+        if k in self._misfits:
             raise ValidationError(
                 f"repetition rule {self.beyond!r} gives an incompatible shape at level {n}"
             )
-        return mat
+        return self.matrices[k]
 
     def ell_at(self, n: int) -> int:
         if n < 0:
@@ -616,13 +622,13 @@ def _free_push(stack, length, letters):
     length -= pop
 
 
-def _level_tables(group: GroupSpec, mat) -> list:
-    """Per-row sampling tables (cumulative masses, sheets, elements) of one matrix.
+def _level_tables(group: GroupSpec, rows: list) -> list:
+    """Per-row sampling tables (cumulative masses, sheets, elements) of one
+    matrix, from the _row_choices of its rows.
 
     On Z the elements are an int array. On F_d they are reduced int32 letter
     rows, right-padded with the no-op letter 0 to one width for the whole matrix.
     """
-    rows = [_row_choices(row) for row in mat]
     if group.kind == "int":
         return [(cum, np.array(sheets), np.array(elems, dtype=np.int64))
                 for sheets, elems, cum in rows]
@@ -653,7 +659,16 @@ def sample_endpoints(s: StochasticSequence, steps: int, trajectories: int,
     """
     if steps < 0 or trajectories < 0 or seed < 0:
         raise ParseError("steps, trajectories and seed must be >= 0")
-    tables = [_level_tables(s.group, s.matrix(n)) for n in range(steps + 1)]
+    levels = [[_row_choices(row) for row in s.matrix(n)] for n in range(steps + 1)]
+    if s.group.kind == "int":
+        # every partial sum of the steps lies between the sums of each level's
+        # least and largest element, so int64 keys cannot wrap where these fit
+        lo = hi = 0
+        for rows in levels:
+            elems = [g for _, row_elems, _ in rows for g in row_elems]
+            lo, hi = lo + min(elems), hi + max(elems)
+            _check_key_range(lo, hi)
+    tables = [_level_tables(s.group, rows) for rows in levels]
     space = _key_space(s.group)
     free = s.group.kind == "free"
     ell = s.ell_at(steps)

@@ -1,16 +1,23 @@
-"""Dict reference implementations of the cylinder-measure operations.
+"""Reference implementations the tests check the library against.
 
 The library computes refinements, translates and the stationarity residual
-through EntropyEngine's gather maps. These are the one-cylinder-at-a-time
-definitions the tests check those arrays against: each works on the dict
-masses of a CylinderMeasure and sums with math.fsum.
+through EntropyEngine's gather maps. Most of these are the
+one-cylinder-at-a-time definitions the tests check those arrays against:
+each works on the dict masses of a CylinderMeasure and sums with math.fsum.
+exhaustive_scan is minimality_scan without its screen: every sample's
+entropy comes from EntropyEngine.entropy.
 """
 
 import math
 
+import numpy as np
+
+from fentropy import free_boundary
+from fentropy.divergence import INF
 from fentropy.errors import DepthMismatch
-from fentropy.free_boundary import CylinderMeasure, pushforward
-from fentropy.words import ReducedWord, letter_order
+from fentropy.free_boundary import (CylinderMeasure, EntropyEngine, TailRule, cylinder_entropy,
+                                    harmonic_measure, pushforward, solve_q, t_inverse)
+from fentropy.words import ReducedWord, encode_word, letter_order
 
 
 def conditional(tail, last: int, nxt: int, d: int) -> float:
@@ -70,3 +77,45 @@ def stationarity_residual(mu, nu: CylinderMeasure, target_depth: int) -> float:
     marg = marginal(nu, target_depth)
     labels = set(conv.masses) | set(marg.masses)
     return max(abs(conv.mass(w) - marg.mass(w)) for w in labels)
+
+
+def exhaustive_scan(lam, f, depth: int, samples: int, seed: int, zero_fraction: float = 0.05,
+                    uniform_tail_fraction: float = 0.1) -> dict:
+    """minimality_scan's report, with the exact entropy of every sample.
+
+    Draws the same blocks through free_boundary._scan_block (looked up at
+    call time, so a test may replace it for both scans) and takes the first
+    sample of minimal entropy of each block, as np.argmin does.
+    """
+    mu = t_inverse(lam, f)
+    reference = cylinder_entropy(lam, harmonic_measure(mu, depth), f)
+    harmonic = EntropyEngine(lam, f, depth, TailRule("harmonic", solve_q(mu)))
+    uniform = EntropyEngine(lam, f, depth, TailRule("uniform"))
+    m = len(harmonic.words_n)
+    min_entropy, argmin_x, argmin_tail, n_infinite = INF, None, None, 0
+    block = free_boundary.SAMPLE_BLOCK
+    for start in range(0, samples, block):
+        rows = min(block, samples - start)
+        rng = np.random.default_rng([seed, start // block])
+        x, uniform_tail = free_boundary._scan_block(rng, rows, m, zero_fraction,
+                                                    uniform_tail_fraction)
+        h = np.empty(rows)
+        h[uniform_tail] = uniform.entropy(x[uniform_tail])
+        h[~uniform_tail] = harmonic.entropy(x[~uniform_tail])
+        n_infinite += int(np.count_nonzero(h == INF))
+        best = int(np.argmin(h))
+        if h[best] < min_entropy:
+            min_entropy = float(h[best])
+            argmin_x = x[best]
+            argmin_tail = "uniform" if uniform_tail[best] else "harmonic"
+    words = harmonic.words_n.tolist()
+    return {
+        "reference_entropy": reference,
+        "min_entropy": min_entropy,
+        "argmin_masses": ({encode_word(w): float(argmin_x[i]) for i, w in enumerate(words)}
+                          if argmin_x is not None else {}),
+        "argmin_tail": argmin_tail,
+        "samples": samples,
+        "infinite_entropy_samples": n_infinite,
+        "theorem_A_violated": bool(min_entropy < reference - 1e-9),
+    }

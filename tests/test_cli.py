@@ -678,3 +678,182 @@ def test_walk_reports_match_recorded(tmp_path, name, argv, code, stdout, stderr)
     r = subprocess.run([sys.executable, "-m", "fentropy.cli", argv[0], "--sigma", "sigma.json",
                         *argv[1:]], capture_output=True, text=True, cwd=tmp_path, env=env)
     assert (r.returncode, r.stdout, r.stderr) == (code, stdout, stderr)
+
+
+# --- scan reports against recorded outputs ---------------------------------
+
+SCAN_LAMBDAS = {
+    "uniform2": {"d": 2, "p": {"1": 0.25, "-1": 0.25, "2": 0.25, "-2": 0.25}},
+    "asym2": {"d": 2, "p": {"1": 0.4, "-1": 0.4, "2": 0.1, "-2": 0.1}},
+    "asym3": {"d": 3, "p": {"1": 0.25, "-1": 0.25, "2": 0.15, "-2": 0.15, "3": 0.1, "-3": 0.1}},
+}
+
+# (lambda, argv after --lambda, exit code, stdout, stderr), as printed when
+# every sample's entropy was summed exactly; the screened scan must print the
+# same bytes. They hold infinite samples (KL, chi2, power:-1), a scan whose
+# samples are all infinite (KL, zero_fraction 1) and a two-block scan.
+SCAN_REPORTS = [
+    ('asym2', ['--f', 'kl', '--depth', '3', '--samples', '300', '--seed', '5'], 0,
+     ('{"command":"scan","config":{"command":"scan","depth":3,"f":"kl","lambda"'
+      ':"lambda.json","samples":300,"seed":5,"uniform_tail_fraction":0.10000000'
+      '000000001,"zero_fraction":0.050000000000000003},"results":{"argmin_masse'
+      's":{"-1,-1,-1":0.027267370981633121,"-1,-1,-2":0.037224144671581361,"-1,'
+      '-1,2":0.021675723581380979,"-1,-2,-1":0.040139304026071077,"-1,-2,-2":0.'
+      '019761798718229688,"-1,-2,1":0.030365824081188458,"-1,2,-1":0.0294237836'
+      '37358016,"-1,2,1":0.021906685349131951,"-1,2,2":0.025826153488008586,"-2'
+      ',-1,-1":0.02209285808070122,"-2,-1,-2":0.035158896673506877,"-2,-1,2":0.'
+      '039166231546576107,"-2,-2,-1":0.028498188637883615,"-2,-2,-2":0.01932859'
+      '3201417246,"-2,-2,1":0.024832563361845479,"-2,1,-2":0.029485901419640817'
+      ',"-2,1,1":0.0083165372136594883,"-2,1,2":0.042546454899319325,"1,-2,-1":'
+      '0.037261512886182874,"1,-2,-2":0.051063957102847495,"1,-2,1":0.035579756'
+      '978224214,"1,1,-2":0.02403053751475941,"1,1,1":0.031470664720163771,"1,1'
+      ',2":0.025159841501949894,"1,2,-1":0.024710527714712688,"1,2,1":0.0347524'
+      '73794666762,"1,2,2":0.018526093417966787,"2,-1,-1":0.017732326884643167,'
+      '"2,-1,-2":0.034171415563409115,"2,-1,2":0.026779769201270065,"2,1,-2":0.'
+      '026876177937493258,"2,1,1":0.017407898610642833,"2,1,2":0.03802506205495'
+      '4734,"2,2,-1":0.022734381873867629,"2,2,1":0.01011209374102294,"2,2,2":0'
+      '.020588494932088957},"argmin_tail":"uniform","infinite_entropy_samples":'
+      '37,"min_entropy":0.59168606334858087,"reference_entropy":0.3902684068579'
+      '7703,"samples":300,"theorem_A_violated":false},"version":"0.1.0"}\n'),
+     ''),
+    ('asym3', ['--f', 'chi2', '--depth', '2', '--samples', '500', '--seed', '11',
+               '--zero-fraction', '0.5'], 0,
+     ('{"command":"scan","config":{"command":"scan","depth":2,"f":"chi2","lambd'
+      'a":"lambda.json","samples":500,"seed":11,"uniform_tail_fraction":0.10000'
+      '000000000001,"zero_fraction":0.5},"results":{"argmin_masses":{"-1,-1":0.'
+      '039382815741976405,"-1,-2":0.035643699480733267,"-1,-3":0.02229512561617'
+      '2449,"-1,2":0.046394434053171646,"-1,3":0.030960930930806107,"-2,-1":0.0'
+      '46080588429160331,"-2,-2":0.030599940309799078,"-2,-3":0.039230878013460'
+      '833,"-2,1":0.028348501109480749,"-2,3":0.030977281837163695,"-3,-1":0.04'
+      '09514083203327,"-3,-2":0.020123792031333961,"-3,-3":0.035196787439081154'
+      ',"-3,1":0.043014023669963999,"-3,2":0.04132853353615823,"1,-2":0.0316989'
+      '56835061923,"1,-3":0.037847549054639329,"1,1":0.028146576144667323,"1,2"'
+      ':0.028896474751526617,"1,3":0.028512923581505704,"2,-1":0.02968149157327'
+      '2129,"2,-3":0.031294823860553024,"2,1":0.028358608927647376,"2,2":0.0283'
+      '76716678655888,"2,3":0.027739906459124868,"3,-1":0.023962849099512341,"3'
+      ',-2":0.029044793116887724,"3,1":0.04087697080389311,"3,2":0.040540340538'
+      '685195,"3,3":0.03449227805557277},"argmin_tail":"harmonic","infinite_ent'
+      'ropy_samples":259,"min_entropy":3.7005946017577198,"reference_entropy":3'
+      '.0122211458221417,"samples":500,"theorem_A_violated":false},"version":"0'
+      '.1.0"}\n'),
+     ''),
+    ('uniform2', ['--f', 'power:0.5', '--depth', '3', '--samples', '2000', '--seed', '3',
+                  '--zero-fraction', '1'], 0,
+     ('{"command":"scan","config":{"command":"scan","depth":3,"f":"power:0.5","'
+      'lambda":"lambda.json","samples":2000,"seed":3,"uniform_tail_fraction":0.'
+      '10000000000000001,"zero_fraction":1},"results":{"argmin_masses":{"-1,-1,'
+      '-1":0,"-1,-1,-2":0.026519797147369552,"-1,-1,2":0.027943724914091084,"-1'
+      ',-2,-1":0.023344406368924969,"-1,-2,-2":0.021616182840625608,"-1,-2,1":0'
+      '.024398324932187226,"-1,2,-1":0.026184495526444727,"-1,2,1":0.0423050371'
+      '7885159,"-1,2,2":0.015289801123376684,"-2,-1,-1":0.030047835163625559,"-'
+      '2,-1,-2":0.007736317211409301,"-2,-1,2":0.0368944728156902,"-2,-2,-1":0.'
+      '030226861075885517,"-2,-2,-2":0.015627980472490824,"-2,-2,1":0.034370875'
+      '456365031,"-2,1,-2":0.020843884068612189,"-2,1,1":0.060127012075785462,"'
+      '-2,1,2":0.029750390078194605,"1,-2,-1":0.025490561084150664,"1,-2,-2":0.'
+      '022300557968397926,"1,-2,1":0.035332407336458441,"1,1,-2":0.034855401753'
+      '177279,"1,1,1":0.026900977703440035,"1,1,2":0.030891768838934009,"1,2,-1'
+      '":0.023724681842310125,"1,2,1":0.033061264081231091,"1,2,2":0.0195339069'
+      '24148688,"2,-1,-1":0.019448800343563912,"2,-1,-2":0.030473778107106362,"'
+      '2,-1,2":0.023408568864451324,"2,1,-2":0.027811738756271315,"2,1,1":0.047'
+      '189744907354406,"2,1,2":0.043425271825131818,"2,2,-1":0.0256280334929717'
+      '9,"2,2,1":0.031246269846149491,"2,2,2":0.02604886787482099},"argmin_tail'
+      '":"harmonic","infinite_entropy_samples":0,"min_entropy":0.67314374887338'
+      '779,"reference_entropy":0.53589838486224539,"samples":2000,"theorem_A_vi'
+      'olated":false},"version":"0.1.0"}\n'),
+     ''),
+    ('asym2', ['--f', 'power:-1', '--depth', '2', '--samples', '400', '--seed', '7',
+               '--zero-fraction', '0.3', '--uniform-tail-fraction', '1'], 0,
+     ('{"command":"scan","config":{"command":"scan","depth":2,"f":"power:-1","l'
+      'ambda":"lambda.json","samples":400,"seed":7,"uniform_tail_fraction":1,"z'
+      'ero_fraction":0.29999999999999999},"results":{"argmin_masses":{"-1,-1":0'
+      '.10972368471810552,"-1,-2":0.10453224857418993,"-1,2":0.0847810337792809'
+      '23,"-2,-1":0.045182050315894416,"-2,-2":0.076983603817075613,"-2,1":0.08'
+      '2384601182401915,"1,-2":0.072441833498779348,"1,1":0.11573485561220503,"'
+      '1,2":0.10157645205361408,"2,-1":0.053727431647735559,"2,1":0.07568874751'
+      '705186,"2,2":0.077243457283665939},"argmin_tail":"uniform","infinite_ent'
+      'ropy_samples":160,"min_entropy":0.62103264643780254,"reference_entropy":'
+      '0.51565542249488672,"samples":400,"theorem_A_violated":false},"version":'
+      '"0.1.0"}\n'),
+     ''),
+    ('uniform2', ['--f', 'kl', '--depth', '3', '--samples', '2000', '--seed', '4',
+                  '--zero-fraction', '1'], 0,
+     ('{"command":"scan","config":{"command":"scan","depth":3,"f":"kl","lambda"'
+      ':"lambda.json","samples":2000,"seed":4,"uniform_tail_fraction":0.1000000'
+      '0000000001,"zero_fraction":1},"results":{"argmin_masses":{},"argmin_tail'
+      '":null,"infinite_entropy_samples":2000,"min_entropy":"inf","reference_en'
+      'tropy":0.54930614433405456,"samples":2000,"theorem_A_violated":false},"v'
+      'ersion":"0.1.0"}\n'),
+     ''),
+    ('asym2', ['--f', 'chi2', '--depth', '4', '--samples', '4097', '--seed', '2',
+               '--uniform-tail-fraction', '0'], 0,
+     ('{"command":"scan","config":{"command":"scan","depth":4,"f":"chi2","lambd'
+      'a":"lambda.json","samples":4097,"seed":2,"uniform_tail_fraction":0,"zero'
+      '_fraction":0.050000000000000003},"results":{"argmin_masses":{"-1,-1,-1,-'
+      '1":0.010467335220269066,"-1,-1,-1,-2":0.0094683913752506635,"-1,-1,-1,2"'
+      ':0.010239054824588468,"-1,-1,-2,-1":0.015003638597801384,"-1,-1,-2,-2":0'
+      '.010952982870698954,"-1,-1,-2,1":0.0071880322526744044,"-1,-1,2,-1":0.01'
+      '4038273394325007,"-1,-1,2,1":0.0077162873250681786,"-1,-1,2,2":0.0055025'
+      '070880587506,"-1,-2,-1,-1":0.006763168136395918,"-1,-2,-1,-2":0.01273447'
+      '4892269084,"-1,-2,-1,2":0.013249684749676041,"-1,-2,-2,-1":0.01189992591'
+      '633946,"-1,-2,-2,-2":0.0061907164912165758,"-1,-2,-2,1":0.01120799586324'
+      '3364,"-1,-2,1,-2":0.012071030442697315,"-1,-2,1,1":0.0093892611840975145'
+      ',"-1,-2,1,2":0.0088895065148632841,"-1,2,-1,-1":0.0042874533827221076,"-'
+      '1,2,-1,-2":0.0097039711857230832,"-1,2,-1,2":0.015662008352866311,"-1,2,'
+      '1,-2":0.012249265804381262,"-1,2,1,1":0.011271586761681157,"-1,2,1,2":0.'
+      '0067880072734301834,"-1,2,2,-1":0.007891183336912376,"-1,2,2,1":0.013563'
+      '76535488258,"-1,2,2,2":0.0083055698229573694,"-2,-1,-1,-1":0.00972795738'
+      '92776472,"-2,-1,-1,-2":0.0062372855640076622,"-2,-1,-1,2":0.006466851696'
+      '0459006,"-2,-1,-2,-1":0.010645167149792426,"-2,-1,-2,-2":0.0081529835162'
+      '71476,"-2,-1,-2,1":0.0084460185118309002,"-2,-1,2,-1":0.0117812759971712'
+      '13,"-2,-1,2,1":0.009431479430785393,"-2,-1,2,2":0.0082005966119056729,"-'
+      '2,-2,-1,-1":0.0065603394138723948,"-2,-2,-1,-2":0.0085830697003119218,"-'
+      '2,-2,-1,2":0.012304695831473067,"-2,-2,-2,-1":0.0083545905430514027,"-2,'
+      '-2,-2,-2":0.010497581862971556,"-2,-2,-2,1":0.011119081021917651,"-2,-2,'
+      '1,-2":0.0071378316649698785,"-2,-2,1,1":0.011792358482118279,"-2,-2,1,2"'
+      ':0.0077197990282938979,"-2,1,-2,-1":0.009381247944953694,"-2,1,-2,-2":0.'
+      '0082892881513783739,"-2,1,-2,1":0.0077621370087609994,"-2,1,1,-2":0.0099'
+      '444346279997983,"-2,1,1,1":0.007719281394011142,"-2,1,1,2":0.00289696311'
+      '16303146,"-2,1,2,-1":0.010458733313110497,"-2,1,2,1":0.01086377058781203'
+      '2,"-2,1,2,2":0.010969934824502514,"1,-2,-1,-1":0.010032994133909501,"1,-'
+      '2,-1,-2":0.010894490641751142,"1,-2,-1,2":0.0097296922551675692,"1,-2,-2'
+      ',-1":0.008870640300995632,"1,-2,-2,-2":0.0074509533540181106,"1,-2,-2,1"'
+      ':0.0076351967521308085,"1,-2,1,-2":0.0096317080934952351,"1,-2,1,1":0.01'
+      '3952827471623025,"1,-2,1,2":0.0076581376035549566,"1,1,-2,-1":0.00918284'
+      '44954334138,"1,1,-2,-2":0.0098617838563122232,"1,1,-2,1":0.0112973594923'
+      '9718,"1,1,1,-2":0.014865780187157489,"1,1,1,1":0.007175578607899951,"1,1'
+      ',1,2":0.018504636970477269,"1,1,2,-1":0.0089720148088517082,"1,1,2,1":0.'
+      '010600402240813392,"1,1,2,2":0.0063636448959733726,"1,2,-1,-1":0.0108494'
+      '45351000301,"1,2,-1,-2":0.010020172927006169,"1,2,-1,2":0.00668892835531'
+      '1716,"1,2,1,-2":0.0091084903987464199,"1,2,1,1":0.0066019284350047162,"1'
+      ',2,1,2":0.0061866563434555101,"1,2,2,-1":0.014111721890465386,"1,2,2,1":'
+      '0.010038686654189537,"1,2,2,2":0.0090819294589140533,"2,-1,-1,-1":0.0029'
+      '369533239774594,"2,-1,-1,-2":0.0069041787499280515,"2,-1,-1,2":0.0113850'
+      '23339639914,"2,-1,-2,-1":0.0075691971583549738,"2,-1,-2,-2":0.0087501286'
+      '247165955,"2,-1,-2,1":0.0082845221476098071,"2,-1,2,-1":0.00947146749458'
+      '42528,"2,-1,2,1":0.010914803376886467,"2,-1,2,2":0.0078373287558535613,"'
+      '2,1,-2,-1":0.010090018495998039,"2,1,-2,-2":0.0082425076715460597,"2,1,-'
+      '2,1":0.0058427494691693227,"2,1,1,-2":0.006641455087466273,"2,1,1,1":0.0'
+      '068564842223932032,"2,1,1,2":0.0066244311736980872,"2,1,2,-1":0.00850998'
+      '44891838809,"2,1,2,1":0.01246681070408842,"2,1,2,2":0.007964625802613105'
+      '7,"2,2,-1,-1":0.010058162112342726,"2,2,-1,-2":0.010032948969632104,"2,2'
+      ',-1,2":0.0060493161018278655,"2,2,1,-2":0.0056123321166899158,"2,2,1,1":'
+      '0.0046929867701187506,"2,2,1,2":0.011815896208550817,"2,2,2,-1":0.010968'
+      '271689269992,"2,2,2,1":0.0059063307552343312,"2,2,2,2":0.008062606417252'
+      '6855},"argmin_tail":"harmonic","infinite_entropy_samples":633,"min_entro'
+      'py":1.78248683236813,"reference_entropy":1.0313108449897748,"samples":40'
+      '97,"theorem_A_violated":false},"version":"0.1.0"}\n'),
+     ''),
+]
+
+
+@pytest.mark.parametrize("name, argv, code, stdout, stderr", SCAN_REPORTS,
+                         ids=[f"{r[0]}-{r[1][1]}-{i}" for i, r in enumerate(SCAN_REPORTS)])
+def test_scan_reports_match_recorded(tmp_path, name, argv, code, stdout, stderr):
+    # the report echoes the --lambda path, so the file is named relative to the run's cwd
+    (tmp_path / "lambda.json").write_text(json.dumps(SCAN_LAMBDAS[name]))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    r = subprocess.run([sys.executable, "-m", "fentropy.cli", "scan", "--lambda", "lambda.json",
+                        *argv], capture_output=True, text=True, cwd=tmp_path, env=env)
+    assert (r.returncode, r.stdout, r.stderr) == (code, stdout, stderr)

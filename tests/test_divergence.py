@@ -15,6 +15,7 @@ from fentropy.divergence import (
     FiniteMeasure,
     MeasureFamily,
     divergence_arrays,
+    divergence_bounds,
     f_divergence,
     furstenberg_entropy,
     generator_from_string,
@@ -270,6 +271,70 @@ class TestDivergenceArrays:
         p, q = pq
         assert divergence_arrays(p, q, f) >= 0.0
         assert divergence_arrays(p, p, f) == 0.0
+
+
+def bounds_block(rng, rows, n):
+    """Seeded (p, q) rows for divergence_bounds: Dirichlet pairs with exact zeros
+    and masses below ZERO_MASS, rows near the diagonal (whose terms mostly
+    cancel, with both signs for KL), rows whose p is q scaled just below 1
+    (every KL term negative, the fsum in the clamp's range), and the last
+    three rows copies of the fourth from last."""
+    p = rng.dirichlet(np.full(n, 0.3), rows)
+    q = rng.dirichlet(np.full(n, 0.3), rows)
+    p[rng.random((rows, n)) < 0.1] = 0.0
+    q[rng.random((rows, n)) < 0.05] = 3e-16
+    near = np.arange(rows) % 4 == 1
+    p[near] = q[near] * (1.0 + rng.uniform(-1e-9, 1e-9, (int(near.sum()), n)))
+    scaled = np.arange(rows) % 4 == 2
+    p[scaled] = q[scaled] * (1.0 - 1e-13)
+    p[-3:], q[-3:] = p[-4], q[-4]
+    return p, q
+
+
+class TestDivergenceBounds:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("f", GENERATORS, ids=lambda f: f.spec_string)
+    def test_radius_bounds_the_exact_value(self, f, seed):
+        rng = np.random.default_rng(seed)
+        for n in (1, 2, 7, 40, 300):
+            p, q = bounds_block(rng, 64, n)
+            for q_arg in (q, q[0]):
+                exact = divergence_arrays(p, q_arg, f)
+                s, r = divergence_bounds(p, q_arg, f)
+                assert (s[-3:] == s[-4]).all() and (r[-3:] == r[-4]).all()
+                inf = exact == INF
+                assert (s[inf] == INF).all() and (r[inf] == 0.0).all()
+                exact, s, r = exact[~inf], s[~inf], r[~inf]
+                assert (np.abs(exact - s) <= r).all()
+                assert (r < 1e-11 * np.maximum(1.0, np.abs(s))).all()
+
+    def test_kl_rows_with_both_signs_and_the_clamp(self):
+        p, q = bounds_block(np.random.default_rng(5), 64, 40)
+        both = (p > ZERO_MASS) & (q > ZERO_MASS)
+        terms = np.zeros_like(p)
+        terms[both] = p[both] * np.log(p[both] / q[both])
+        assert ((terms < 0).any(axis=1) & (terms > 0).any(axis=1)).sum() > 10
+        exact = divergence_arrays(p, q, KL)
+        s, r = divergence_bounds(p, q, KL)
+        # the clamp moved these rows from below zero by more than the summation error
+        clamped = (exact == 0.0) & (s < 0.0)
+        assert clamped.sum() > 5
+        assert (np.abs(exact[clamped] - s[clamped]) <= r[clamped]).all()
+        assert (-s[clamped] > 1e3 * 2.0**-53 * np.abs(terms[clamped]).sum(axis=1)).all()
+
+    def test_overflowed_terms_get_an_infinite_radius(self):
+        # (p/q)^30 overflows in row 0, so the row is not flagged infinite, yet
+        # its plain sum proves nothing; row 1 is finite
+        f = ConvexGenerator("power", 30.0)
+        p = np.array([[0.5, 0.5, 0.0], [2e-14, 0.5 - 1e-14, 0.5 - 1e-14]])
+        q = np.array([1e-14, 0.5, 0.5 - 1e-14])
+        s, r = divergence_bounds(p, q, f)
+        assert r[0] == INF and divergence_arrays(p[0], q, f) == INF
+        assert r[1] < INF and abs(divergence_arrays(p[1], q, f) - s[1]) <= r[1]
+        # finite terms whose magnitudes reach 2^1020, where math.fsum could overflow
+        p, q = np.array([[1e154, 1.0], [1e153, 1.0]]), np.array([1.0, 1.0])
+        s, r = divergence_bounds(p, q, ConvexGenerator("power", 2.0))
+        assert r[0] == INF and r[1] < INF
 
 
 def fsum_or_error(row):

@@ -10,7 +10,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from fentropy import divergence
+from fentropy import divergence, free_boundary
 from fentropy.divergence import CHI2, INF, KL, ConvexGenerator, generator_from_string
 from fentropy.errors import (
     DepthMismatch,
@@ -47,9 +47,9 @@ from fentropy.free_boundary import (
     translate_mass,
     uniform_generator_measure,
 )
-from fentropy.words import (ReducedWord, enumerate_words, letter_order, letter_positions,
-                            word_array, word_index)
-from oracles import (convolve, marginal, refine, refine_to,
+from fentropy.words import (ReducedWord, encode_word, enumerate_words, letter_order,
+                            letter_positions, word_array, word_index)
+from oracles import (convolve, exhaustive_scan, marginal, refine, refine_to,
                      stationarity_residual as oracle_stationarity_residual)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -602,6 +602,105 @@ class TestMinimalityScan:
         r2 = minimality_scan(lam, KL, 2, 200, 17)
         assert r1 == r2
 
+    # (d, depth) x zero_fraction x uniform_tail_fraction x samples, cycled per f
+    SHAPES = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (3, 4)]
+    FRACTIONS = [(0.05, 0.1), (0.5, 0.0), (1.0, 1.0), (0.05, 1.0), (0.5, 0.1), (1.0, 0.0),
+                 (0.05, 0.0), (1.0, 0.1), (0.5, 1.0)]
+    SAMPLES = [1, 2000, 7, 300, 50]
+
+    @pytest.mark.parametrize("spec", ["kl", "chi2", "power:0.5", "power:2", "power:-1"])
+    def test_scan_matches_exhaustive_scan(self, spec):
+        # the screen must leave every report as the exact entropy of every
+        # sample gives it: the minimum, the first sample attaining it, its
+        # tail and the infinite count
+        f = generator_from_string(spec)
+        rng = np.random.default_rng(sum(map(ord, spec)))
+        for k, (d, depth) in enumerate(self.SHAPES):
+            zero_fraction, uniform_tail_fraction = self.FRACTIONS[k % len(self.FRACTIONS)]
+            samples = self.SAMPLES[k % len(self.SAMPLES)]
+            if d == 3 and depth == 4:
+                samples = min(samples, 300)
+            lam = uniform_generator_measure(d) if k % 3 == 0 else random_measure(rng, d)
+            args = (lam, f, depth, samples, 100 + k, zero_fraction, uniform_tail_fraction)
+            assert minimality_scan(*args) == exhaustive_scan(*args), args
+
+    def test_two_block_scan_matches_exhaustive_scan(self):
+        args = (ASYM, KL, 3, SAMPLE_BLOCK + 1, 8, 0.5, 0.1)
+        rep = minimality_scan(*args)
+        assert rep == exhaustive_scan(*args)
+        assert 0 < rep["infinite_entropy_samples"] < rep["samples"]
+
+    def test_rows_the_screen_cannot_bound_take_the_exact_path(self):
+        # power:22 overflows a term of one sample: the screen leaves it open
+        # (low = -inf) and entropy() sums it to inf, which the count must include
+        lam, f = uniform_generator_measure(2), ConvexGenerator("power", 22.0)
+        engine = EntropyEngine(lam, f, 3, TailRule("uniform"))
+        x = _scan_block(np.random.default_rng([3, 0]), 2000, len(engine.words_n), 0.0, 1.0)[0]
+        low, high = engine._screen(x)
+        open_rows = low == -INF
+        assert open_rows.sum() == 1 and (high[open_rows] == INF).all()
+        assert (engine.entropy(x[open_rows]) == INF).all()
+        args = (lam, f, 3, 2000, 3, 0.0, 1.0)
+        rep = minimality_scan(*args)
+        assert rep == exhaustive_scan(*args)
+        assert rep["infinite_entropy_samples"] == (low == INF).sum() + 1
+
+    def test_screen_sends_few_rows_to_entropy(self, monkeypatch):
+        # the exact path is the costly one; a screen that let most rows
+        # through would keep every report and lose only the speed
+        rows = []
+        entropy = EntropyEngine.entropy
+
+        def counted(engine, x):
+            rows.append(1 if x.ndim == 1 else len(x))
+            return entropy(engine, x)
+
+        monkeypatch.setattr(EntropyEngine, "entropy", counted)
+        rep = minimality_scan(uniform_generator_measure(2), KL, 3, 2000, 21)
+        assert 0 < rep["infinite_entropy_samples"] < 2000 and rep["min_entropy"] < INF
+        assert sum(rows) <= 8
+
+    def test_all_infinite_scan_matches_exhaustive_scan(self):
+        # zero_fraction 1 on the uniform measure: every KL sample ties at inf
+        args = (uniform_generator_measure(2), KL, 3, 2000, 4, 1.0)
+        rep = minimality_scan(*args)
+        assert rep == exhaustive_scan(*args)
+        assert rep["infinite_entropy_samples"] == 2000 and rep["argmin_tail"] is None
+
+    def test_first_of_tied_samples_wins(self, monkeypatch):
+        # under the uniform lambda and the uniform tail, the images of one
+        # mass vector under the signed letter permutations of F_2 have equal
+        # entropy bit for bit; planted in a zero_fraction 1 block, the first
+        # of them must be the argmin
+        lam, f, depth = uniform_generator_measure(2), generator_from_string("power:0.5"), 2
+        engine = EntropyEngine(lam, f, depth, TailRule("uniform"))
+        words = engine.words_n
+        block = _scan_block(np.random.default_rng([6, 0]), 200, len(words), 1.0, 1.0)[0]
+        own = int(np.argmin(engine.entropy(block)))  # the base row stays in the block too
+        base = block[own]
+        images = []
+        for perm in ({1: 1, 2: 2}, {1: 2, 2: 1}, {1: -1, 2: 2}, {1: -2, 2: -1}):
+            image = np.empty_like(base)
+            image[word_index(np.sign(words) * np.vectorize(perm.get)(np.abs(words)), 2)] = base
+            images.append(image)
+        assert len({im.tobytes() for im in images}) == 4
+        assert len({engine.entropy(im) for im in images}) == 1
+        at = [30, 31, 90, 150]
+        assert at[0] < own and own not in at
+
+        def planted(rng, rows, m, zero_fraction, uniform_tail_fraction):
+            x, uniform_tail = _scan_block(rng, rows, m, zero_fraction, uniform_tail_fraction)
+            x[at] = images[::-1]
+            return x, uniform_tail
+
+        monkeypatch.setattr(free_boundary, "_scan_block", planted)
+        args = (lam, f, depth, 200, 6, 1.0, 1.0)
+        rep = minimality_scan(*args)
+        assert rep == exhaustive_scan(*args)
+        first = images[-1]
+        assert rep["argmin_masses"] == {encode_word(w): float(v)
+                                        for w, v in zip(words.tolist(), first)}
+
 
 class TestGradient:
     def test_vanishes_at_harmonic(self):
@@ -705,6 +804,26 @@ class TestEntropyBlocks:
             h[uniform_tail == tail] = engine.entropy(x[uniform_tail == tail])
         assert fsums == []
         assert np.isfinite(h).sum() >= 200
+
+    @pytest.mark.parametrize("spec", ["kl", "chi2", "power:0.5", "power:2", "power:-1"])
+    def test_screen_holds_the_entropy(self, spec):
+        # low <= entropy <= high on every row, over more than one gathered
+        # slice; rows are inf in the screen exactly where they are inf
+        f = generator_from_string(spec)
+        rng = np.random.default_rng(43)
+        lam, mu = random_measure(rng, 3), random_measure(rng, 3)
+        for tail in (TailRule("harmonic", solve_q(mu)), TailRule("uniform")):
+            engine = EntropyEngine(lam, f, 2, tail)
+            m = len(engine.words_n)
+            x = _scan_block(rng, ENTROPY_CELLS // len(engine.refine_src) + 50, m, 0.3, 0.0)[0]
+            x[:5] = x[5]  # identical rows
+            h = engine.entropy(x)
+            low, high = engine._screen(x)
+            assert ((low <= h) & (h <= high)).all()
+            finite = h < INF
+            assert (low[~finite] == INF).all() and (high[~finite] == INF).all()
+            assert 0 < finite.sum() < len(h) or spec == "power:0.5"
+            assert (high[finite] - low[finite] < 1e-11 * np.maximum(1.0, h[finite])).all()
 
     def test_block_refuses_a_row_far_from_one(self):
         lam = uniform_generator_measure(2)

@@ -18,6 +18,7 @@ from fentropy.errors import (
     NotProbability,
     ParseError,
     TooManyDiscards,
+    ValidationError,
 )
 from fentropy.free_boundary import harmonic_measure, minimality_scan, uniform_generator_measure
 from fentropy.sigma_walk import (
@@ -238,6 +239,28 @@ class TestValidation:
 
     def test_two_sheet_passes(self):
         assert validate_sigma(two_sheet_sequence())["passes"] is True
+
+    def test_incompatible_repeated_matrix_raises_at_each_level_it_misfits(self):
+        # ell = (1, 2, 3) cycling matrices 1, 2: matrix 1 has 1 row but follows
+        # matrix 2's 3 columns (levels 3, 5, ...); matrix 2 follows matrix 1 and fits
+        m0, m1 = [[{0: 1.0}]], [[{1: 0.5}, {-1: 0.5}]]
+        m2 = [[{0: 0.5}, {1: 0.25}, {2: 0.25}], [{0: 1.0}, {}, {}]]
+        s = StochasticSequence(Z, [1, 2, 3], [m0, m1, m2], beyond="cycle")
+        for n in (3, 5, 7):
+            with pytest.raises(ValidationError) as exc:
+                s.matrix(n)
+            assert str(exc.value) == (
+                f"repetition rule 'cycle' gives an incompatible shape at level {n}")
+        assert s.matrix(4) is m2 and s.matrix(6) is m2
+        with pytest.raises(ValidationError, match="at level 3$"):
+            exact_distribution(s, 4)
+        with pytest.raises(ValidationError, match="at level 3$"):
+            sample_endpoints(s, 4, 5, 0)
+        # a non-square last matrix held past the horizon misfits at every level
+        held = StochasticSequence(Z, [1, 2], [m0, m1])
+        for n in (2, 3):
+            with pytest.raises(ValidationError, match=f"'hold-last' .* at level {n}$"):
+                held.matrix(n)
 
     def test_json_round_trip(self):
         s = two_sheet_sequence()
@@ -643,6 +666,26 @@ class TestSampling:
         t1 = sample_trajectory(s, 10, 99)
         t2 = sample_trajectory(s, 10, 99)
         assert [(st.n, st.i, st.g) for st in t1] == [(st.n, st.i, st.g) for st in t2]
+
+    @pytest.mark.parametrize("elems, steps", [
+        ({2**61: 1.0}, 3),  # the endpoint 2^63 would wrap round to -2^63
+        ({2**64: 1.0}, 0),  # the element itself is no int64
+        ({-(2**62): 1.0}, 2),
+        ({2**62: 0.5, -(2**62): 0.5}, 1),  # only some trajectories leave the range
+    ])
+    def test_endpoints_outside_int64_raise_as_the_exact_walk(self, elems, steps):
+        s = StochasticSequence(Z, [1], [[[elems]]])
+        with pytest.raises(BudgetExceeded) as exact:
+            exact_distribution(s, steps)
+        with pytest.raises(BudgetExceeded) as sampled:
+            sample_endpoints(s, steps, 10, 0)
+        assert str(sampled.value) == str(exact.value) == "a Z element leaves the int64 key range"
+
+    @pytest.mark.parametrize("elems, steps", [({2**61: 1.0}, 2), ({-(2**62): 1.0}, 1)])
+    def test_endpoints_at_the_edge_of_int64(self, elems, steps):
+        s = StochasticSequence(Z, [1], [[[elems]]])
+        (key,) = [g for _, g in exact_distribution(s, steps).entries]
+        assert sample_endpoints(s, steps, 10, 0) == Counter({(0, key): 10})
 
     def test_monte_carlo_matches_exact_level2(self):
         s = coin_sequence()
