@@ -11,11 +11,8 @@ For the builtin generators f'(inf) is 0 or inf, so escaped mass adds exactly
 0 or makes the value infinite. It also takes a 2-D p (one measure per row,
 against one q or a q per row) and returns one value per row. Each call builds
 one dense (rows, M) term matrix, zero outside an atom's branch, and sums each
-row with `row_fsums`, which returns math.fsum of every row bit for bit: a
-vectorised TwoSum tree whose result is kept where a rounding certificate
-proves it correctly rounded, and one math.fsum for any other row. A one-row
-block is one math.fsum, so the 1-D call and each row of a block agree bit for
-bit.
+finite row with one math.fsum, as the 1-D call does, so the 1-D call and each
+row of a block agree bit for bit.
 """
 
 from __future__ import annotations
@@ -74,6 +71,17 @@ class ConvexGenerator:
             return (t - 1.0) ** 2
         a = self.alpha
         return (t**a - 1.0) / (a * (a - 1.0))
+
+    def deriv_array(self, t: np.ndarray) -> np.ndarray:
+        """deriv applied elementwise to an array of t > 0."""
+        if self.kind == "kl":
+            import numpy as np
+
+            return np.log(t) + 1.0
+        if self.kind == "chi2":
+            return 2.0 * (t - 1.0)
+        a = self.alpha
+        return t ** (a - 1.0) / (a - 1.0)
 
     def deriv(self, t: float) -> float:
         if t <= 0:
@@ -189,9 +197,9 @@ def divergence_arrays(p: np.ndarray, q: np.ndarray, f: ConvexGenerator):
     p of shape (M,) gives a float, its terms summed by one math.fsum. p of
     shape (rows, M), with q of shape (M,) or (rows, M), gives an array with
     one value per row, each equal bit for bit to the 1-D call on that row:
-    row_fsums returns math.fsum of each row, which rounds the exact sum once,
-    so neither the order of the terms nor the zero terms of atoms outside a
-    row's branch can change it. Rows that are infinite are never summed.
+    each row is one math.fsum, which rounds the exact sum once, so the zero
+    terms of atoms outside a row's branch cannot change it. Rows that are
+    infinite are never summed; the first row whose math.fsum raises raises.
     """
     import numpy as np
 
@@ -204,11 +212,8 @@ def divergence_arrays(p: np.ndarray, q: np.ndarray, f: ConvexGenerator):
     if q.ndim == 1:
         q = np.broadcast_to(q, p.shape)
     terms, infinite = _divergence_terms(p, q, f)
-    if infinite.any():
-        values = np.full(len(p), INF)
-        values[~infinite] = row_fsums(terms[~infinite])
-    else:
-        values = row_fsums(terms)
+    values = np.full(len(p), INF)
+    values[~infinite] = [math.fsum(row) for row in terms[~infinite].tolist()]
     values[(-PROB_TOL < values) & (values < 0.0)] = 0.0
     return values
 
@@ -278,106 +283,6 @@ def _divergence_terms(p: np.ndarray, q: np.ndarray, f: ConvexGenerator):
         if f.at_infinity_slope == INF:
             infinite |= (p_pos & ~q_pos).any(axis=1)
     return terms, infinite
-
-
-def row_fsums(terms: np.ndarray) -> np.ndarray:
-    """math.fsum of each row of a 2-D float block, as an array equal to it bit for bit.
-
-    math.fsum returns the float nearest to the exact sum, ties to even
-    (Shewchuk's summation), so any sum proven to be that float equals it. A
-    block of one row is one math.fsum. Otherwise a pairwise TwoSum tree over
-    the whole block gives each row's exact sum as hi plus the sum of the
-    tree's n - 1 exact errors (Ogita, Rump and Oishi's error-free
-    transformations), and _certified_sum rounds hi + lo, with lo the rounded
-    sum of the errors; its error eta obeys |eta| <= 4 n 2^-53 sum|errors|.
-    The errors of the rows left (mostly exact ties, which are common when a
-    few terms of one size are summed) go through a second tree: hi2 and its
-    errors give |eta| <= 2 sum|errors2|, and eta = 0 where they all vanish,
-    when hi + hi2 is exact and its IEEE rounding is math.fsum's value. Every
-    other row -- an inf or NaN anywhere, a near tie, or n max|x| >= 2^1020,
-    where math.fsum's own partial sums could overflow -- is summed by
-    math.fsum, which keeps its value or its exception.
-    """
-    import numpy as np
-
-    rows, n = terms.shape
-    if rows <= 1 or n == 0:
-        return np.array([math.fsum(row) for row in terms.tolist()], dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        hi, errors = _two_sum_tree(terms)
-        r, certified = _certified_sum(hi, errors.sum(axis=0), np.abs(errors).sum(axis=0),
-                                      4.0 * n * 2.0**-53)
-        left = np.flatnonzero(~certified)
-        if len(left):
-            hi2, errors2 = _two_sum_tree(errors[:, left].T)
-            r[left], certified[left] = _certified_sum(hi[left], hi2,
-                                                      np.abs(errors2).sum(axis=0), 2.0)
-        # math.fsum raises when a partial sum overflows in its left-to-right
-        # order, and none can where n max|x| < 2^1020
-        if not n * max(terms.max(), -terms.min()) < 2.0**1020:
-            certified &= n * np.abs(terms).max(axis=1) < 2.0**1020
-    if not certified.all():
-        for i in np.flatnonzero(~certified).tolist():
-            r[i] = math.fsum(terms[i].tolist())
-    return r
-
-
-def _certified_sum(hi: np.ndarray, lo: np.ndarray, mag: np.ndarray, scale: float):
-    """r = fl(hi + lo), and where r is the float nearest to hi + lo + eta for |eta| <= scale mag.
-
-    With t the exact residual hi + lo - r, that holds where |t| + scale mag
-    is below half the distance from |r| to either neighbour, and, ties
-    included, where mag = 0: then eta = 0 and r is the IEEE rounding of
-    hi + lo itself.
-    """
-    import numpy as np
-
-    r = hi + lo
-    t = np.empty_like(r)
-    _two_sum_error(hi, lo, r, t, np.empty_like(r))
-    a = np.abs(r)
-    half_gap = 0.5 * np.minimum(np.spacing(a), a - np.nextafter(a, 0.0))
-    return r, (np.abs(t) + scale * mag < half_gap) | (mag == 0.0)
-
-
-def _two_sum_error(a: np.ndarray, b: np.ndarray, s: np.ndarray, out: np.ndarray,
-                   tmp: np.ndarray) -> None:
-    """Write (a + b) - s into out, for s = fl(a + b): Knuth's TwoSum, exact unless a step overflows."""
-    import numpy as np
-
-    np.subtract(s, a, out=tmp)  # the part of s that came from b
-    np.subtract(s, tmp, out=out)  # ... and from a
-    np.subtract(a, out, out=out)
-    np.subtract(b, tmp, out=tmp)
-    np.add(out, tmp, out=out)
-
-
-def _two_sum_tree(terms: np.ndarray):
-    """Per row: hi, and the n - 1 exact errors of the additions that made it.
-
-    The block is worked on transposed, one contiguous row per column. Each
-    level adds the first half of the columns to the last half (the middle
-    column of an odd count is carried), so every row's exact sum is hi plus
-    the exact sum of its errors. An inf or NaN anywhere leaves hi or some
-    error non-finite.
-    """
-    import numpy as np
-
-    cols = np.ascontiguousarray(terms.T)
-    n, rows = cols.shape
-    errors = np.empty((n - 1, rows))
-    tmp = np.empty((n // 2, rows))
-    done = 0
-    while n > 1:
-        h = n // 2
-        a, b = cols[:h], cols[n - h:n]
-        nxt = np.empty((n - h, rows))
-        s = np.add(a, b, out=nxt[:h])
-        if n % 2:
-            nxt[h] = cols[h]
-        _two_sum_error(a, b, s, errors[done:done + h], tmp[:h])
-        cols, n, done = nxt, n - h, done + h
-    return cols[0], errors
 
 
 def f_divergence(P: FiniteMeasure, Q: FiniteMeasure, f: ConvexGenerator) -> float:

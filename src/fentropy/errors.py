@@ -59,6 +59,14 @@ class StepTooLarge(ValidationError):
     pass
 
 
+class MassBelowFloor(ValidationError):
+    pass
+
+
+class GeneratorOverflow(ValidationError):
+    pass
+
+
 class BudgetExceeded(FentropyError):
     def __init__(self, msg, level=None):
         super().__init__(msg)

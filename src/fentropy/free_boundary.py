@@ -12,11 +12,13 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .divergence import (INF, KL, PROB_TOL, ConvexGenerator, divergence_arrays, divergence_bounds,
-                         row_fsums)
+from .divergence import (INF, KL, PROB_TOL, ZERO_MASS, ConvexGenerator, divergence_arrays,
+                         divergence_bounds)
 from .errors import (
     BadLetter,
     DepthMismatch,
+    GeneratorOverflow,
+    MassBelowFloor,
     NoConvergence,
     NonPositiveDenominator,
     NotProbability,
@@ -459,13 +461,18 @@ def t_map(mu: GeneratorMeasure, f: ConvexGenerator) -> GeneratorMeasure:
 
 def _phi_inverse(f: ConvexGenerator, y: float) -> float:
     lo, hi = 1e-14, 1.0 - 1e-14
-    f_hi = _phi(f, hi) - y
-    if f_hi >= 0.0:
-        return hi
-    f_lo = _phi(f, lo) - y
-    if f_lo <= 0.0:
-        return lo
-    return _brent(lambda q: _phi(f, q) - y, lo, hi, f_lo, f_hi, xtol=1e-16)
+    try:
+        f_hi = _phi(f, hi) - y
+        if f_hi >= 0.0:
+            return hi
+        f_lo = _phi(f, lo) - y
+        if f_lo <= 0.0:
+            return lo
+        return _brent(lambda q: _phi(f, q) - y, lo, hi, f_lo, f_hi, xtol=1e-16)
+    except OverflowError as exc:  # Python float ** raises where numpy would give inf
+        raise GeneratorOverflow(
+            f"Psi_f of {f.spec_string} overflows a float on [{lo!r}, {hi!r}]: "
+            f"alpha = {f.alpha!r} is too far from 1 for t_inverse") from exc
 
 
 def t_inverse(lam: GeneratorMeasure, f: ConvexGenerator,
@@ -654,6 +661,41 @@ class EntropyEngine:
             return float(self._entropy_rows(x[None, :])[0])
         return self._in_blocks(self._entropy_rows, x, ())
 
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        """The gradient dh/dx of entropy() at one mass vector x, for an engine without normalise.
+
+        With Q = refined(x), P_j = translated(x, j) and t = P_j / Q, entropy()
+        is h = sum_j lambda_j sum_cells Q f(t) where every cell is positive,
+        and dh/dP_j = lambda_j f'(t), dh/dQ = lambda_j (f(t) - t f'(t)). The
+        gradient is their image under the adjoint of the gathers:
+        sum_j lambda_j [bincount(push_src[j], push_matrices[j] f'(t))
+        + bincount(refine_src, refine_matrix (f(t) - t f'(t)))]. A cell of Q
+        or of some P_j at or below ZERO_MASS puts entropy() on its p = 0 or
+        q = 0 branch, where this is not its derivative: MassBelowFloor.
+        """
+        import numpy as np
+
+        if self.normalise:
+            raise ParseError("the gradient is of the entropy without normalise")
+        m = len(x)
+        letters = letter_order(self.lam.d)
+        q1 = self.refined(x)
+        p = [self.translated(x, j) for j in letters]
+        for cells in (q1, *p):
+            if not (cells > ZERO_MASS).all():
+                raise MassBelowFloor(
+                    f"a depth-{self.depth + 1} cell has mass {float(cells.min())!r} <= "
+                    f"{ZERO_MASS}, where the entropy has no gradient")
+        grad = np.zeros(m)
+        refine_weight = np.zeros(len(q1))
+        for j, pj in zip(letters, p):
+            t = pj / q1
+            df = self.f.deriv_array(t)
+            w = self.lam.p[j]
+            grad += np.bincount(self.push_src[j], w * self.push_matrices[j] * df, minlength=m)
+            refine_weight += w * (self.f.eval_array(t) - t * df)
+        return grad + np.bincount(self.refine_src, self.refine_matrix * refine_weight, minlength=m)
+
     def _in_blocks(self, rows_fn, x: np.ndarray, shape: tuple) -> np.ndarray:
         """rows_fn of each ENTROPY_CELLS-cell slice of the block x, as one (*shape, rows) array."""
         import numpy as np
@@ -738,13 +780,15 @@ class EntropyEngine:
                 live, x, q1 = live[keep], x[keep], q1[keep]
         # a row with an inf term is inf, as math.fsum of its terms (each >= 0 or inf) would be
         out = np.full(len(terms), INF)
-        out[live] = row_fsums(terms[live])
+        out[live] = [math.fsum(row) for row in terms[live].tolist()]
         return out
 
     @staticmethod
     def _checked_totals(rows: np.ndarray, what: str) -> np.ndarray:
         """fsum total of each row, as a column; each must lie within 1e-3 of 1."""
-        totals = row_fsums(rows)
+        import numpy as np
+
+        totals = np.array([math.fsum(row) for row in rows.tolist()])
         bad = ~((0.999 < totals) & (totals < 1.001))
         if bad.any():
             raise NotProbability(f"{what} total {float(totals[bad][0])!r} is not near 1")
@@ -895,11 +939,21 @@ def gradient_of_masses(engine: EntropyEngine, x: np.ndarray, h_step: float) -> n
 
 def entropy_gradient_at_harmonic(lam: GeneratorMeasure, f: ConvexGenerator,
                                  depth: int, h_step: float = 1e-5) -> np.ndarray:
-    """Finite-difference entropy gradient at nu_mu; vanishes at the minimizer."""
+    """Entropy gradient at nu_mu along the simplex-tangent pairs (i, i+1); vanishes at the minimizer.
+
+    Component i is the derivative along e_i - e_{i+1}, g[i] - g[i+1] with g
+    from EntropyEngine.gradient. h_step is checked as the step of
+    gradient_of_masses would be (StepTooLarge unless it is below a tenth of
+    the least mass, then ParseError unless it is positive), but its value
+    no longer enters the result.
+    """
     mu = t_inverse(lam, f)
     qv = solve_q(mu)
     engine = EntropyEngine(lam, f, depth, TailRule("harmonic", qv))
     x = engine.mass_vector(harmonic_measure(mu, depth))
     if not h_step < x.min() / 10.0:
         raise StepTooLarge(f"h_step {h_step} too large for min mass {x.min()}")
-    return gradient_of_masses(engine, x, h_step)
+    if not h_step > 0:
+        raise ParseError("h_step must be positive")
+    g = engine.gradient(x)
+    return g[:-1] - g[1:]

@@ -327,14 +327,11 @@ class _WordTable:
 
     def right(self, keys: np.ndarray, elems) -> np.ndarray:
         """keys * x for each x in elems, as a (len(elems), len(keys)) array."""
-        words = [reduce_letters(x, self.d) for x in elems]
-        letters = np.zeros((len(words), max(map(len, words))), dtype=np.int64)
-        for k, w in enumerate(words):
-            letters[k, :len(w)] = w
-        out = np.tile(keys, len(words))
+        letters = _letter_rows(elems, self.d)
+        out = np.tile(keys, len(letters))
         for col in letters.T:
             out = self._push(out, np.repeat(col, len(keys)))
-        return out.reshape(len(words), len(keys))
+        return out.reshape(len(letters), len(keys))
 
     def left(self, keys: np.ndarray, elems) -> np.ndarray:
         """x * keys for each x in elems, as a (len(elems), len(keys)) array."""
@@ -351,6 +348,16 @@ class _WordTable:
         for par, x in zip(self.parent[1:self.size].tolist(), self.last[1:self.size].tolist()):
             append(words[par] + (x,))
         return list(map(words.__getitem__, keys.tolist()))
+
+
+def _letter_rows(elems, d: int) -> np.ndarray:
+    """The reduced words of the F_d elements elems as rows of letters, right-padded with the
+    no-op letter 0 to the longest one."""
+    words = [reduce_letters(g, d) for g in elems]
+    out = np.zeros((len(words), max(map(len, words), default=0)), dtype=np.int64)
+    for k, w in enumerate(words):
+        out[k, :len(w)] = w
+    return out
 
 
 def _key_space(group: GroupSpec):
@@ -626,22 +633,15 @@ def _level_tables(group: GroupSpec, rows: list) -> list:
     """Per-row sampling tables (cumulative masses, sheets, elements) of one
     matrix, from the _row_choices of its rows.
 
-    On Z the elements are an int array. On F_d they are reduced int32 letter
-    rows, right-padded with the no-op letter 0 to one width for the whole matrix.
+    On Z the elements are an int array. On F_d they are _letter_rows of one
+    width for the whole matrix.
     """
     if group.kind == "int":
         return [(cum, np.array(sheets), np.array(elems, dtype=np.int64))
                 for sheets, elems, cum in rows]
-    rows = [(sheets, [reduce_letters(g, group.d) for g in elems], cum)
-            for sheets, elems, cum in rows]
-    width = max(len(g) for _, elems, _ in rows for g in elems)
-    tables = []
-    for sheets, elems, cum in rows:
-        letters = np.zeros((len(elems), width), dtype=np.int32)
-        for k, g in enumerate(elems):
-            letters[k, :len(g)] = g
-        tables.append((cum, np.array(sheets), letters))
-    return tables
+    letters = _letter_rows([g for _, elems, _ in rows for g in elems], group.d)
+    parts = np.split(letters, np.cumsum([len(elems) for _, elems, _ in rows])[:-1])
+    return [(cum, np.array(sheets), part) for (sheets, _, cum), part in zip(rows, parts)]
 
 
 def sample_endpoints(s: StochasticSequence, steps: int, trajectories: int,

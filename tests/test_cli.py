@@ -271,7 +271,10 @@ class TestEndToEnd:
                                       "vp-pow-text", "vp-pow-nan",
                                       "vp-pow-inf", "scan-zero-fraction-nan",
                                       "scan-zero-fraction-2",
-                                      "scan-uniform-tail-fraction-nan"])
+                                      "scan-uniform-tail-fraction-nan", "tinv-power-24",
+                                      "entropy-power-24", "gradient-power-24",
+                                      "scan-power-30", "abel-a-nan", "abel-identity-a-nan",
+                                      "folner-a-values-nan", "vp-M-nan", "split-C-nan"])
     def test_bad_parameter_exit_code(self, files, case):
         h = os.path.join(files["dir"], "nan_h.json")
         with open(h, "w") as fh:
@@ -346,6 +349,22 @@ class TestEndToEnd:
             "scan-zero-fraction-nan": scan + ("--zero-fraction", "nan"),
             "scan-zero-fraction-2": scan + ("--zero-fraction", "2"),
             "scan-uniform-tail-fraction-nan": scan + ("--uniform-tail-fraction", "nan"),
+            "tinv-power-24": ("tinv", "--lambda", files["uniform2.json"], "--f", "power:24"),
+            "entropy-power-24": ("entropy", "--lambda", files["uniform2.json"],
+                                 "--f", "power:24"),
+            "gradient-power-24": ("gradient", "--lambda", files["uniform2.json"],
+                                  "--f", "power:24", "--depth", "2"),
+            "scan-power-30": ("scan", "--lambda", files["uniform2.json"], "--f", "power:30",
+                              "--depth", "2", "--samples", "10", "--seed", "1"),
+            "abel-a-nan": ("abel", "--sigma", files["sigmaz.json"], "--t", "-1", "--r", "0",
+                           "--a", "nan"),
+            "abel-identity-a-nan": ("abel-identity", "--sigma", files["sigmaz.json"],
+                                    "--t", "0", "--a", "nan"),
+            "folner-a-values-nan": ("folner", "--lambda-z", files["lamz.json"], "--f", "kl",
+                                    "--a-values", "nan"),
+            "vp-M-nan": ("vp", "--g", "tlogt", "--M", "nan"),
+            "split-C-nan": ("split", "--function", files["fn.json"], "--rho",
+                            files["rho.json"], "--C", "nan"),
         }[case]
         r = run_cli(*args)
         assert r.returncode == 2, (r.returncode, r.stdout)

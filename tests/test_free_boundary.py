@@ -4,16 +4,17 @@ import re
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
-from fentropy import divergence, free_boundary
+from fentropy import free_boundary
 from fentropy.divergence import CHI2, INF, KL, ConvexGenerator, generator_from_string
 from fentropy.errors import (
     DepthMismatch,
+    GeneratorOverflow,
+    MassBelowFloor,
     NoConvergence,
     NotProbability,
     ParseError,
@@ -465,6 +466,15 @@ class TestTMap:
                                        for j in letter_order(2)))
             assert worst < 1e-8
 
+    @pytest.mark.parametrize("alpha", [24.0, 30.0, -30.0])
+    def test_t_inverse_overflow_is_typed(self, alpha):
+        # Psi_f(1e-14) needs (1e14)^(alpha - 1) or 1e-14^alpha, past the float range
+        f = ConvexGenerator("power", alpha)
+        with pytest.raises(GeneratorOverflow, match=f"alpha = {alpha!r}"):
+            t_inverse(uniform_generator_measure(2), f)
+        # the T map itself stays finite at this q
+        assert t_map(uniform_generator_measure(2), ConvexGenerator("power", 400.0)).p[1] == 0.25
+
     def test_t_inverse_uniform(self):
         mu = t_inverse(uniform_generator_measure(2), KL)
         for j in letter_order(2):
@@ -723,6 +733,72 @@ class TestGradient:
         with pytest.raises(StepTooLarge):
             entropy_gradient_at_harmonic(lam, KL, 2, h_step=0.5)
 
+    @pytest.mark.parametrize("d, depth", [(2, n) for n in range(1, 6)]
+                             + [(3, n) for n in range(1, 5)])
+    def test_constant_at_harmonic(self, d, depth):
+        # nu_mu minimises the entropy on the simplex, so there the gradient is
+        # the constant Lagrange multiplier of sum x = 1 (KKT)
+        for lam in (uniform_generator_measure(d), {2: ASYM, 3: ASYM3}[d]):
+            for spec in ("kl", "chi2", "power:0.5", "power:2", "power:-1"):
+                f = generator_from_string(spec)
+                mu = t_inverse(lam, f)
+                engine = EntropyEngine(lam, f, depth, TailRule("harmonic", solve_q(mu)))
+                g = engine.gradient(engine.mass_vector(harmonic_measure(mu, depth)))
+                assert g.max() - g.min() <= 1e-12, (spec, lam)
+                assert (entropy_gradient_at_harmonic(lam, f, depth, h_step=1e-9).tolist()
+                        == (g[:-1] - g[1:]).tolist())
+
+    @pytest.mark.parametrize("spec", ["kl", "chi2", "power:0.5", "power:2", "power:-1"])
+    def test_central_differences_converge_to_it(self, spec):
+        # the central differences err by O(h^2): halving h cuts the gap ~4x
+        f = generator_from_string(spec)
+        rng = np.random.default_rng(12)
+        lam, mu = random_measure(rng, 3), random_measure(rng, 3)
+        for tail in (TailRule("harmonic", solve_q(mu)), TailRule("uniform")):
+            engine = EntropyEngine(lam, f, 2, tail)
+            x = rng.dirichlet(np.ones(len(engine.words_n)))
+            g = engine.gradient(x)
+            gaps = [np.abs(gradient_of_masses(engine, x, h) - (g[:-1] - g[1:])).max()
+                    for h in (x.min() / 8, x.min() / 16)]
+            assert 3.5 < gaps[0] / gaps[1] < 4.5, gaps
+
+    def test_at_harmonic_makes_no_entropy_call(self, monkeypatch):
+        calls = []
+        entropy = EntropyEngine.entropy
+
+        def counted(engine, x):
+            calls.append(x.shape)
+            return entropy(engine, x)
+
+        monkeypatch.setattr(EntropyEngine, "entropy", counted)
+        for d, depth in ((2, 3), (3, 2)):
+            g = entropy_gradient_at_harmonic(uniform_generator_measure(d), KL, depth)
+            assert np.abs(g).max() < 1e-12
+        assert calls == []
+        # the counter does see the central differences' one block
+        engine = EntropyEngine(ASYM, KL, 2, TailRule("uniform"))
+        x = np.full(len(engine.words_n), 1.0 / len(engine.words_n))
+        gradient_of_masses(engine, x, 1e-5)
+        assert calls == [(2 * (len(x) - 1), len(x))]
+
+    @pytest.mark.parametrize("mass", [0.0, 1e-16, 2e-15])
+    def test_cells_at_the_mass_floor_raise(self, mass):
+        # a depth-(n+1) cell <= ZERO_MASS is on the entropy's p = 0 or q = 0
+        # branch, where the formula is not its derivative; the check comes
+        # before any division (the suite turns a RuntimeWarning into an error)
+        engine = EntropyEngine(ASYM, KL, 2, TailRule("harmonic", solve_q(ASYM)))
+        x = np.full(len(engine.words_n), 1.0 / len(engine.words_n))
+        x[3] = mass
+        with pytest.raises(MassBelowFloor, match="depth-3 cell"):
+            engine.gradient(x)
+        x[3] = 1e-13
+        assert np.isfinite(engine.gradient(x)).all()
+
+    def test_normalised_engine_has_no_gradient(self):
+        engine = EntropyEngine(ASYM, KL, 2, TailRule("uniform"), normalise=True)
+        with pytest.raises(ParseError):
+            engine.gradient(np.full(len(engine.words_n), 1.0 / len(engine.words_n)))
+
     @staticmethod
     def reference_gradient(engine, x, h_step):
         """Per-coordinate central differences, one engine call per shifted vector."""
@@ -778,32 +854,6 @@ class TestEntropyBlocks:
             assert all(type(v) is float for v in expected)
             assert [v.hex() for v in got.tolist()] == [v.hex() for v in expected]
             assert INF in expected and min(expected) < INF
-
-    @pytest.mark.parametrize("d", [2, 3])
-    @pytest.mark.parametrize("spec", ["kl", "chi2", "power:0.5", "power:2"])
-    def test_scan_blocks_take_the_certified_sum(self, monkeypatch, d, spec):
-        # a certificate that never held would keep every value through the
-        # math.fsum fallback and lose only the speed, so count the fsums
-        fsums = []
-
-        def counted_fsum(row):
-            fsums.append(len(row))
-            return math.fsum(row)
-
-        f = generator_from_string(spec)
-        lam = uniform_generator_measure(d)
-        qv = solve_q(t_inverse(lam, f))
-        engines = {True: EntropyEngine(lam, f, 3, TailRule("uniform")),
-                   False: EntropyEngine(lam, f, 3, TailRule("harmonic", qv))}
-        x, uniform_tail = _scan_block(np.random.default_rng([11, 0]), 300,
-                                      len(engines[True].words_n), 0.05, 0.1)
-        monkeypatch.setattr(divergence, "math", SimpleNamespace(**{**vars(math),
-                                                                   "fsum": counted_fsum}))
-        h = np.empty(len(x))
-        for tail, engine in engines.items():
-            h[uniform_tail == tail] = engine.entropy(x[uniform_tail == tail])
-        assert fsums == []
-        assert np.isfinite(h).sum() >= 200
 
     @pytest.mark.parametrize("spec", ["kl", "chi2", "power:0.5", "power:2", "power:-1"])
     def test_screen_holds_the_entropy(self, spec):
