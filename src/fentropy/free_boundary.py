@@ -8,6 +8,7 @@ q_j = p_j + q_j * sum_{i != j} p_i q_{-i}, and v_i = q_i/(1+q_i).
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -438,12 +439,28 @@ def _phi(f: ConvexGenerator, q: float) -> float:
     return psi(f, q) - psi(f, 1.0 / q)
 
 
+@contextlib.contextmanager
+def _psi_overflow(f: ConvexGenerator, where: str, caller: str):
+    """Raise GeneratorOverflow for an OverflowError of Psi_f inside the block.
+
+    Python float ** raises where numpy would give inf; a power generator whose
+    alpha is far from 1 overflows Psi_f near q = 0 or 1.
+    """
+    try:
+        yield
+    except OverflowError as exc:
+        raise GeneratorOverflow(
+            f"Psi_f of {f.spec_string} overflows a float {where}: "
+            f"alpha = {f.alpha!r} is too far from 1 for {caller}") from exc
+
+
 def t_map(mu: GeneratorMeasure, f: ConvexGenerator) -> GeneratorMeasure:
     """lambda_j = c / (Psi_f(q_j) - Psi_f(1/q_j)), normalized over the 2d generators."""
     qv = solve_q(mu)
     inv = {}
     for j in range(1, mu.d + 1):
-        denom = _phi(f, qv.q[j])
+        with _psi_overflow(f, f"at q_{j} = {qv.q[j]!r}", "t_map"):
+            denom = _phi(f, qv.q[j])
         if denom <= 0:
             raise NonPositiveDenominator(
                 f"Psi_f(q_{j}) - Psi_f(1/q_{j}) = {denom!r} <= 0"
@@ -459,20 +476,19 @@ def t_map(mu: GeneratorMeasure, f: ConvexGenerator) -> GeneratorMeasure:
     return GeneratorMeasure(mu.d, lam)
 
 
+_PHI_BRACKET = (1e-14, 1.0 - 1e-14)  # the q range _phi_inverse searches
+
+
 def _phi_inverse(f: ConvexGenerator, y: float) -> float:
-    lo, hi = 1e-14, 1.0 - 1e-14
-    try:
-        f_hi = _phi(f, hi) - y
-        if f_hi >= 0.0:
-            return hi
-        f_lo = _phi(f, lo) - y
-        if f_lo <= 0.0:
-            return lo
-        return _brent(lambda q: _phi(f, q) - y, lo, hi, f_lo, f_hi, xtol=1e-16)
-    except OverflowError as exc:  # Python float ** raises where numpy would give inf
-        raise GeneratorOverflow(
-            f"Psi_f of {f.spec_string} overflows a float on [{lo!r}, {hi!r}]: "
-            f"alpha = {f.alpha!r} is too far from 1 for t_inverse") from exc
+    """The q in _PHI_BRACKET with _phi(f, q) = y, clamped to the bracket."""
+    lo, hi = _PHI_BRACKET
+    f_hi = _phi(f, hi) - y
+    if f_hi >= 0.0:
+        return hi
+    f_lo = _phi(f, lo) - y
+    if f_lo <= 0.0:
+        return lo
+    return _brent(lambda q: _phi(f, q) - y, lo, hi, f_lo, f_hi, xtol=1e-16)
 
 
 def t_inverse(lam: GeneratorMeasure, f: ConvexGenerator,
@@ -503,19 +519,19 @@ def _t_inverse_memo(d: int, key: tuple, f: ConvexGenerator, tol: float) -> Gener
         )
 
     lo, hi = 1e-8, 1.0
-    while (v_hi := vsum(hi)) > 1.0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise NoConvergence("could not bracket the normalization constant")
-    while (v_lo := vsum(lo)) < 1.0:
-        lo /= 2.0
-        if lo < 1e-300:
-            raise NoConvergence("could not bracket the normalization constant")
-    c = _brent(lambda x: vsum(x) - 1.0, lo, hi, v_lo - 1.0, v_hi - 1.0, xtol=1e-300)
-
-    q = {}
-    for j in range(1, d + 1):
-        q[j] = q[-j] = _phi_inverse(f, c / lam.p[j])
+    with _psi_overflow(f, "on [{!r}, {!r}]".format(*_PHI_BRACKET), "t_inverse"):
+        while (v_hi := vsum(hi)) > 1.0:
+            hi *= 2.0
+            if hi > 1e12:
+                raise NoConvergence("could not bracket the normalization constant")
+        while (v_lo := vsum(lo)) < 1.0:
+            lo /= 2.0
+            if lo < 1e-300:
+                raise NoConvergence("could not bracket the normalization constant")
+        c = _brent(lambda x: vsum(x) - 1.0, lo, hi, v_lo - 1.0, v_hi - 1.0, xtol=1e-300)
+        q = {}
+        for j in range(1, d + 1):
+            q[j] = q[-j] = _phi_inverse(f, c / lam.p[j])
     a = 2.0 * math.fsum(q[j] ** 2 / (1.0 - q[j] ** 2) for j in range(1, d + 1))
     s = a / (1.0 + a)
     p = {}

@@ -26,10 +26,9 @@ from .errors import (
 )
 from .free_boundary import (SAMPLE_BLOCK, GeneratorMeasure, harmonic_measure, solve_q,
                             translate_mass)
-from .words import (ReducedWord, decode_word, encode_word, enumerate_words, letter_order,
-                    letter_positions, reduce_letters, word_array, word_index)
-
-ELEMENT_BUDGET = 10_000_000
+from .words import (ELEMENT_BUDGET, ReducedWord, decode_word, encode_word, enumerate_words,
+                    letter_order, letter_positions, reduce_letters, word_array, word_count,
+                    word_index)
 
 
 @dataclass(frozen=True)
@@ -370,21 +369,36 @@ def _bounds(sheet: np.ndarray, ell: int) -> list:
     return np.searchsorted(sheet, np.arange(ell + 1)).tolist()
 
 
-def _sum_by_key(keys: list, masses: list) -> tuple:
-    """The distinct keys of the key arrays, and the masses summed per key in bincount order."""
-    uniq, rank = np.unique(np.concatenate(keys), return_inverse=True)
-    return uniq, np.bincount(rank, weights=np.concatenate(masses), minlength=len(uniq))
+def _count_pairs(sheet: np.ndarray, key: np.ndarray, num) -> tuple:
+    """The (sheet, key) pairs that occur, in (sheet, key) order, with the sums of
+    num per pair (with num None, the number of times each pair occurs).
+
+    Each sum is np.bincount of its terms in input order from 0.0, and a pair
+    whose sum is 0 stays. The pairs are ranked by one sort of the keys and,
+    where the terms lie on more than one sheet, a stable sort of their sheets,
+    in O(terms) memory.
+    """
+    order = np.argsort(key)
+    if (sheet != sheet[:1]).any():
+        order = order[np.argsort(sheet[order], kind="stable")]
+    sheet, key = sheet[order], key[order]
+    new = np.ones(len(key), dtype=bool)
+    new[1:] = (sheet[1:] != sheet[:-1]) | (key[1:] != key[:-1])
+    pair = np.empty(len(key), dtype=np.intp)
+    pair[order] = np.cumsum(new) - 1
+    new = np.flatnonzero(new)
+    return sheet[new], key[new], np.bincount(pair, num, len(new))
 
 
 def _row_cells(row) -> tuple:
-    """A matrix row's cells as (elements, masses column, {sheet j: slice of its cells})."""
-    xs, ws, parts = [], [], {}
+    """A matrix row's cells as (elements, masses column, sheet of each element),
+    in cell order."""
+    xs, ws, js = [], [], []
     for j, cell in enumerate(row):
-        if cell:
-            parts[j] = slice(len(xs), len(xs) + len(cell))
-            xs.extend(cell)
-            ws.extend(cell.values())
-    return tuple(xs), np.array(ws)[:, None], parts
+        xs.extend(cell)
+        ws.extend(cell.values())
+        js.extend([j] * len(cell))
+    return tuple(xs), np.array(ws)[:, None], np.array(js, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -455,35 +469,30 @@ class _Dense:
         return self.mass[i, at], self.reach[i, at]
 
 
-def _step(space, level: _Sparse, cells: list, ell: int, n: int, budget: int) -> _Sparse:
+def _step(space, level: _Sparse, cells: list, ell: int) -> _Sparse:
     """One exact step: level n-1 -> level n, with ell sheets, by sorting keys.
 
-    cells holds _row_cells of each row of sigma^(n). Every (sheet, element) a
-    cell reaches stays in the support, also with zero mass.
+    cells holds _row_cells of each row of sigma^(n). The terms are listed by
+    source row, then by cell element, then by source key, and reduced once by
+    _count_pairs; every (sheet, element) a cell reaches stays in the support,
+    also with zero mass.
     """
     sheet, key, mass = level.sheet, level.key, level.mass
-    terms = [([], []) for _ in range(ell)]
+    sheets, keys, masses = [], [], []
     bounds = _bounds(sheet, len(cells))
-    for lo, hi, (xs, ws, parts) in zip(bounds, bounds[1:], cells):
+    for lo, hi, (xs, ws, js) in zip(bounds, bounds[1:], cells):
         if lo == hi or not xs:
             continue
-        moved = space.right(key[lo:hi], xs)
-        moved_mass = ws * mass[lo:hi]
-        for j, rows in parts.items():
-            terms[j][0].append(moved[rows].ravel())
-            terms[j][1].append(moved_mass[rows].ravel())
-    sheets = [(j, *_sum_by_key(*term)) for j, term in enumerate(terms) if term[0]]
-    sizes = [len(uniq) for _, uniq, _ in sheets]
-    if sum(sizes) > budget:
-        raise BudgetExceeded(f"element budget {budget} exceeded at level {n}", level=n)
-    if not sheets:
+        sheets.append(np.repeat(js, hi - lo))
+        keys.append(space.right(key[lo:hi], xs).ravel())
+        masses.append((ws * mass[lo:hi]).ravel())
+    if not keys:
         return _Sparse(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64), np.empty(0))
-    return _Sparse(np.repeat([j for j, _, _ in sheets], sizes),
-                   np.concatenate([uniq for _, uniq, _ in sheets]),
-                   np.concatenate([total for _, _, total in sheets]))
+    return _Sparse(*_count_pairs(np.concatenate(sheets), np.concatenate(keys),
+                                 np.concatenate(masses)))
 
 
-def _int_step(space, level, cells: list, ell: int, n: int, budget: int):
+def _int_step(space, level, cells: list, ell: int):
     """One exact step on Z: dense over the new level's hull where that is small.
 
     _step would build one (sheet, key) term per reached source entry and
@@ -507,49 +516,43 @@ def _int_step(space, level, cells: list, ell: int, n: int, budget: int):
             hi = kmax + xmax if hi is None else max(hi, kmax + xmax)
             live.append(i)
     if live and max(products, ell * (hi - lo + 1)) <= 2 * terms:
-        out = _dense_step(level, spans, live, cells, ell, lo, hi)
-        if out.size > budget:
-            raise BudgetExceeded(f"element budget {budget} exceeded at level {n}", level=n)
-        return out
-    return _step(space, level.triples(), cells, ell, n, budget)
+        return _dense_step(level, spans, live, cells, ell, lo, hi)
+    return _step(space, level.triples(), cells, ell)
 
 
 def _dense_step(level, spans: list, live: list, cells: list, ell: int, lo: int,
                 hi: int) -> _Dense:
     """The level after level over the keys lo..hi, from the source rows in live.
 
-    For each source row i in order and each element x of each cell (i, j) in
-    cell order, row j gains w * mass[i] shifted by x: the order in which _step
-    feeds np.bincount. So every sum has the same terms in the same order from
-    0.0, and an unreached source cell adds only +0.0.
+    For each source row i in order and each element x of its cells in cell
+    order, the row j of x's cell gains w * mass[i] shifted by x: for every
+    (sheet, key), the order of _step's terms, which _count_pairs sums with
+    np.bincount. So every sum has the same terms in the same order from 0.0,
+    and an unreached source cell adds only +0.0.
     """
     mass = np.zeros((ell, hi - lo + 1))
     reach = np.zeros(mass.shape, dtype=bool)
-    first, last = [None] * ell, [None] * ell
+    first, last = [hi - lo + 1] * ell, [-1] * ell
     for i in live:
-        xs, ws, parts = cells[i]
+        xs, ws, js = cells[i]
         _, kmin, kmax = spans[i]
         size = kmax - kmin + 1
         row_mass, row_reach = level.row(i, spans[i])
-        moved = ws * row_mass
-        for j, part in parts.items():
-            out, out_reach = mass[j], reach[j]
-            shifts = [int(x) + kmin - lo for x in xs[part]]
-            for at, term in zip(shifts, moved[part]):
-                # in place on views: out[a:b] += term would also copy the sum back
-                seg, seg_reach = out[at:at + size], out_reach[at:at + size]
-                seg += term
-                seg_reach |= row_reach
-            start, stop = lo + min(shifts), lo + max(shifts) + size - 1
-            first[j] = start if first[j] is None else min(first[j], start)
-            last[j] = stop if last[j] is None else max(last[j], stop)
+        for x, j, term in zip(xs, js.tolist(), ws * row_mass):
+            # in place on views: mass[j, a:b] += term would also copy the sum back
+            at = int(x) + kmin - lo
+            seg, seg_reach = mass[j, at:at + size], reach[j, at:at + size]
+            seg += term
+            seg_reach |= row_reach
+            first[j], last[j] = min(first[j], at), max(last[j], at + size - 1)
     count = reach.sum(axis=1).tolist()
-    return _Dense(lo, mass, reach, [(c, f, k) if c else None
+    return _Dense(lo, mass, reach, [(c, lo + f, lo + k) if c else None
                                     for c, f, k in zip(count, first, last)], sum(count))
 
 
 def _walk(s: StochasticSequence, space, row: int, first: int, last: int, budget: int):
-    """The levels first..last of the walk started at (row, e) before level first."""
+    """The levels first..last of the walk started at (row, e) before level first;
+    a level of more than budget entries raises BudgetExceeded."""
     cells: dict = {}  # _row_cells per stored matrix, which repeats past the horizon
     step = _int_step if isinstance(space, _IntKeys) else _step
     level = _Sparse(np.array([row]), np.array([space.identity], dtype=np.int64), np.array([1.0]))
@@ -557,7 +560,9 @@ def _walk(s: StochasticSequence, space, row: int, first: int, last: int, budget:
         mat = s.matrix(n)
         if id(mat) not in cells:
             cells[id(mat)] = [_row_cells(r) for r in mat]
-        level = step(space, level, cells[id(mat)], len(mat[0]), n, budget)
+        level = step(space, level, cells[id(mat)], len(mat[0]))
+        if level.size > budget:
+            raise BudgetExceeded(f"element budget {budget} exceeded at level {n}", level=n)
         yield level
 
 
@@ -671,7 +676,6 @@ def sample_endpoints(s: StochasticSequence, steps: int, trajectories: int,
     tables = [_level_tables(s.group, rows) for rows in levels]
     space = _key_space(s.group)
     free = s.group.kind == "free"
-    ell = s.ell_at(steps)
     blocks = []  # per block: (sheets, keys, counts) of its distinct endpoints
     for start in range(0, trajectories, SAMPLE_BLOCK):
         rows = min(SAMPLE_BLOCK, trajectories - start)
@@ -692,22 +696,12 @@ def sample_endpoints(s: StochasticSequence, steps: int, trajectories: int,
                     g = space._push(g, letters)
             else:
                 g += step
-        blocks.append(_count_pairs(sheet, g, None, ell))
+        blocks.append(_count_pairs(sheet, g, None))
     if not blocks:
         return Counter()
-    sheet, key, num = _count_pairs(*(np.concatenate(part) for part in zip(*blocks)), ell)
+    sheet, key, num = _count_pairs(*(np.concatenate(part) for part in zip(*blocks)))
     return Counter(dict(zip(zip(sheet.tolist(), space.decode(key)),
                             num.astype(np.int64).tolist())))
-
-
-def _count_pairs(sheet: np.ndarray, key: np.ndarray, num, ell: int) -> tuple:
-    """The distinct (sheet, key) pairs in (sheet, key) order, with the sums of
-    num per pair (with num None, the number of times each pair occurs)."""
-    # one bin per (sheet, rank of the key among the keys)
-    elems, rank = np.unique(key, return_inverse=True)
-    total = np.bincount(sheet * len(elems) + rank, weights=num, minlength=ell * len(elems))
-    hit = np.flatnonzero(total)
-    return hit // len(elems), elems[hit % len(elems)], total[hit]
 
 
 # --- harmonic functions -------------------------------------------------------
@@ -849,7 +843,7 @@ def boundary_empirical(mu: GeneratorMeasure, steps: int, trajectories: int,
     cum = np.cumsum(probs)
     cum /= cum[-1]
     # exit prefixes counted by their enumerate_words index
-    hits = np.zeros(2 * mu.d * (2 * mu.d - 1) ** (depth - 1), dtype=np.int64)
+    hits = np.zeros(word_count(mu.d, depth), dtype=np.int64)
     discards = 0
     for start in range(0, trajectories, SAMPLE_BLOCK):
         block = start // SAMPLE_BLOCK
@@ -985,22 +979,14 @@ def abel_measure(s: StochasticSequence, t: int, r: int, a: float, K: int,
     return AbelMeasure(t, r, a, K, N, entries, tail, s.group)
 
 
-def _split_sheets(terms: list, sheet: np.ndarray, keys: np.ndarray, masses: np.ndarray):
-    """Append the columns of the (cells, level) blocks keys and masses to
-    terms[j] = (key arrays, mass arrays), per sheet j of the level."""
-    bounds = _bounds(sheet, len(terms))
-    for (lo, hi), (key_parts, mass_parts) in zip(zip(bounds, bounds[1:]), terms):
-        key_parts.append(keys[:, lo:hi].ravel())
-        mass_parts.append(masses[:, lo:hi].ravel())
-
-
 def _dense_difference(lhs: list, rhs) -> np.ndarray | None:
     """The sum of w * nu shifted by x over the (x, w, nu) of lhs, minus rhs, on
     one hull of a level on Z.
 
-    Each cell takes the lhs terms in order and -rhs last, the order in which the
-    sparse comparison feeds np.bincount. None where a level is sparse, or where
-    the hull holds more than twice as many cells as that comparison has terms.
+    Each cell takes the lhs terms in order and -rhs last, the order of the
+    sparse comparison's terms, which _count_pairs sums with np.bincount. None
+    where a level is sparse, or where the hull holds more than twice as many
+    cells as that comparison has terms.
     """
     levels = [nu for _, _, nu in lhs] + [rhs]
     if not all(isinstance(level, _Dense) for level in levels):
@@ -1052,16 +1038,20 @@ def abel_identity_residual(s: StochasticSequence, t: int, a: float, K: int,
             if diff is not None:
                 worst = max(worst, float(np.abs(diff).max(initial=0.0)))
                 continue
-            # per sheet: the lhs terms first and -rhs last, so each sum ends in lhs - rhs
-            terms = [([], []) for _ in range(s.ell_at(t + 1 + K + lvl))]
+            # the lhs terms in cell order and -rhs last, so each sum ends in lhs - rhs
+            sheets, keys, masses = [], [], []
             for r, xs, ws in cells:
                 nu = nus[r][lvl].triples()
-                _split_sheets(terms, nu.sheet, space.left(nu.key, xs), ws * nu.mass)
+                sheets.append(np.tile(nu.sheet, len(xs)))
+                keys.append(space.left(nu.key, xs).ravel())
+                masses.append((ws * nu.mass).ravel())
             level = level.triples()
-            _split_sheets(terms, level.sheet, level.key[None, :], -level.mass[None, :])
-            for keys, masses in terms:
-                _, diff = _sum_by_key(keys, masses)
-                worst = max(worst, float(np.abs(diff).max(initial=0.0)))
+            sheets.append(level.sheet)
+            keys.append(level.key)
+            masses.append(-level.mass)
+            *_, diff = _count_pairs(np.concatenate(sheets), np.concatenate(keys),
+                                    np.concatenate(masses))
+            worst = max(worst, float(np.abs(diff).max(initial=0.0)))
     return worst
 
 

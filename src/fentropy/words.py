@@ -8,13 +8,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadLetter, RankMismatch
+from .errors import BadLetter, BudgetExceeded, RankMismatch
 
 # numpy is imported inside each function that uses it, so reduction and word arithmetic
 # never load it; TYPE_CHECKING is spelled out so that typing stays unloaded too
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
+
+ELEMENT_BUDGET = 10_000_000  # most elements one call holds: a walk level, or words of one length
+
+
+def word_count(d: int, depth: int) -> int:
+    """The number 2d(2d-1)^(depth-1) of reduced words of length depth >= 1.
+
+    Raises BudgetExceeded where it passes ELEMENT_BUDGET, so that a caller
+    checks before it builds a word or an array of that length.
+    """
+    # (2d-1)^k > 2^k >= ELEMENT_BUDGET from k = its bit length on, so the power stays small
+    count = 2 * d * (2 * d - 1) ** min(depth - 1, ELEMENT_BUDGET.bit_length())
+    if count > ELEMENT_BUDGET:
+        raise BudgetExceeded(f"the reduced words of length {depth} in F_{d} outnumber "
+                             f"the element budget {ELEMENT_BUDGET}")
+    return count
 
 
 def _check_letters(letters, d: int):
@@ -82,6 +98,7 @@ def enumerate_words(d: int, depth: int) -> list:
     """All reduced words of exact length `depth`, in lexicographic order."""
     if depth == 0:
         return [()]
+    word_count(d, depth)
     order = letter_order(d)
     out = [(x,) for x in order]
     for _ in range(depth - 1):
@@ -107,6 +124,7 @@ def word_array(d: int, depth: int) -> np.ndarray:
     enumerate_words order."""
     import numpy as np
 
+    word_count(d, depth)
     order = np.array(letter_order(d))
     # allowed[p] lists, in order, the letters that may follow the letter at position p
     allowed = np.array([[x for x in order if x != -y] for y in order])

@@ -273,7 +273,8 @@ class TestEndToEnd:
                                       "scan-zero-fraction-2",
                                       "scan-uniform-tail-fraction-nan", "tinv-power-24",
                                       "entropy-power-24", "gradient-power-24",
-                                      "scan-power-30", "abel-a-nan", "abel-identity-a-nan",
+                                      "scan-power-30", "tmap-power-1000",
+                                      "tmap-power-minus-1000", "abel-a-nan", "abel-identity-a-nan",
                                       "folner-a-values-nan", "vp-M-nan", "split-C-nan"])
     def test_bad_parameter_exit_code(self, files, case):
         h = os.path.join(files["dir"], "nan_h.json")
@@ -356,6 +357,9 @@ class TestEndToEnd:
                                   "--f", "power:24", "--depth", "2"),
             "scan-power-30": ("scan", "--lambda", files["uniform2.json"], "--f", "power:30",
                               "--depth", "2", "--samples", "10", "--seed", "1"),
+            "tmap-power-1000": ("tmap", "--mu", files["uniform2.json"], "--f", "power:1000"),
+            "tmap-power-minus-1000": ("tmap", "--mu", files["uniform2.json"],
+                                      "--f", "power:-1000"),
             "abel-a-nan": ("abel", "--sigma", files["sigmaz.json"], "--t", "-1", "--r", "0",
                            "--a", "nan"),
             "abel-identity-a-nan": ("abel-identity", "--sigma", files["sigmaz.json"],
@@ -430,6 +434,23 @@ class TestEndToEnd:
         r = run_cli("abel", "--sigma", files["sigmaz.json"], "--t", "-1",
                     "--r", "0", "--a", "0.999999", "--eps", "1e-12")
         assert r.returncode == 3
+
+    @pytest.mark.parametrize("sub", ["harmonic", "entropy", "scan", "gradient",
+                                     "walk-boundary"])
+    def test_depth_past_the_element_budget_exit_code(self, files, sub):
+        """4 * 3^39 depth-40 cylinders of F_2 raise before any word is built."""
+        mu, lam = ("--mu", files["uniform2.json"]), ("--lambda", files["uniform2.json"])
+        args = {
+            "harmonic": ("harmonic", *mu),
+            "entropy": ("entropy", *lam, "--f", "kl"),
+            "scan": ("scan", *lam, "--f", "kl", "--samples", "10", "--seed", "1"),
+            "gradient": ("gradient", *lam, "--f", "kl"),
+            "walk-boundary": ("walk-boundary", *mu, "--steps", "160", "--trajectories", "10",
+                              "--seed", "1"),
+        }[sub]
+        r = run_cli(*args, "--depth", "40")
+        assert r.returncode == 3, (r.returncode, r.stderr)
+        assert json.loads(r.stderr)["error"] == "BudgetExceeded"
 
     def test_int64_overflow_exit_code(self, files):
         sigma = os.path.join(files["dir"], "far.json")
@@ -554,6 +575,12 @@ def _z_sigma(ell, matrices, beyond="hold-last"):
         for mat in matrices]}
 
 
+def _f_sigma(d, masses):
+    """The constant walk on F_d with one-letter steps of the given masses."""
+    return {"group": {"kind": "free", "d": d}, "ell": [1], "beyond": "hold-last", "matrices": [
+        [[[{"elem": str(j), "mass": m} for j, m in masses]]]]}
+
+
 WALK_SIGMAS = {
     "coin": _z_sigma([1], [[[[(-1, 0.5), (1, 0.5)]]]]),
     # two sheets; the cell (1, 1) of the repeated matrix holds a zero mass
@@ -564,11 +591,14 @@ WALK_SIGMAS = {
     # its levels span 10^12 keys: the walk stays on sorted keys
     "wide": _z_sigma([1], [[[[(0, 0.5), (10**12, 0.5)]]]]),
     "up": _z_sigma([1], [[[[(2**61, 1.0)]]]]),
+    "f2": _f_sigma(2, [(-2, 0.1), (-1, 0.3), (1, 0.4), (2, 0.2)]),
+    "f3": _f_sigma(3, [(-3, 0.05), (-2, 0.15), (-1, 0.2), (1, 0.25), (2, 0.15), (3, 0.2)]),
 }
 
 # (sigma, argv without --sigma, exit code, stdout, stderr), as printed by the
-# sorting-step implementation of the Z walks; the dense levels must print the
-# same bytes
+# sorting-step implementation of the Z walks, and on F_d as printed before every
+# sparse level went through one (sheet, key) reducer; the reports must keep
+# these bytes
 WALK_REPORTS = [
     ('coin', ['walk-exact', '--level', '6'], 0,
      ('{"command":"walk-exact","config":{"command":"walk-exact","level":6,"si'
@@ -682,6 +712,69 @@ WALK_REPORTS = [
      ('{"command":"abel-identity","config":{"K":0,"a":0.5,"command":"abel-ide'
       'ntity","eps":1e-10,"sigma":"sigma.json","t":0},"results":{"max_residua'
       'l":0},"version":"0.1.0"}\n'),
+     ''),
+    ('f2', ['walk-exact', '--level', '2'], 0,
+     ('{"command":"walk-exact","config":{"command":"walk-exact","level":2,"sig'
+      'ma":"sigma.json"},"results":{"entries":{"0|-1":0.13200000000000001,"0|-'
+      '1,-1,-1":0.027,"0|-1,-1,-2":0.0089999999999999993,"0|-1,-1,2":0.0179999'
+      '99999999999,"0|-1,-2,-1":0.0089999999999999993,"0|-1,-2,-2":0.003000000'
+      '0000000001,"0|-1,-2,1":0.012,"0|-1,2,-1":0.017999999999999999,"0|-1,2,1'
+      '":0.024,"0|-1,2,2":0.012,"0|-2":0.054000000000000006,"0|-2,-1,-1":0.008'
+      '9999999999999993,"0|-2,-1,-2":0.0030000000000000001,"0|-2,-1,2":0.00600'
+      '00000000000001,"0|-2,-2,-1":0.0030000000000000005,"0|-2,-2,-2":0.001000'
+      '0000000000002,"0|-2,-2,1":0.004000000000000001,"0|-2,1,-2":0.0040000000'
+      '00000001,"0|-2,1,1":0.016000000000000004,"0|-2,1,2":0.00800000000000000'
+      '19,"0|1":0.17600000000000005,"0|1,-2,-1":0.012000000000000002,"0|1,-2,-'
+      '2":0.004000000000000001,"0|1,-2,1":0.016000000000000004,"0|1,1,-2":0.01'
+      '6000000000000004,"0|1,1,1":0.064000000000000015,"0|1,1,2":0.03200000000'
+      '0000008,"0|1,2,-1":0.024000000000000004,"0|1,2,1":0.032000000000000008,'
+      '"0|1,2,2":0.016000000000000004,"0|2":0.10800000000000001,"0|2,-1,-1":0.'
+      '017999999999999999,"0|2,-1,-2":0.0060000000000000001,"0|2,-1,2":0.012,"'
+      '0|2,1,-2":0.0080000000000000019,"0|2,1,1":0.032000000000000008,"0|2,1,2'
+      '":0.016000000000000004,"0|2,2,-1":0.012000000000000002,"0|2,2,1":0.0160'
+      '00000000000004,"0|2,2,2":0.0080000000000000019},"level":2,"total":1.000'
+      '0000000000002},"version":"0.1.0"}\n'),
+     ''),
+    ('f3', ['walk-exact', '--level', '1'], 0,
+     ('{"command":"walk-exact","config":{"command":"walk-exact","level":1,"sig'
+      'ma":"sigma.json"},"results":{"entries":{"0|":0.16500000000000001,"0|-1,'
+      '-1":0.040000000000000008,"0|-1,-2":0.029999999999999999,"0|-1,-3":0.010'
+      '000000000000002,"0|-1,2":0.029999999999999999,"0|-1,3":0.04000000000000'
+      '0008,"0|-2,-1":0.029999999999999999,"0|-2,-2":0.022499999999999999,"0|-'
+      '2,-3":0.0074999999999999997,"0|-2,1":0.037499999999999999,"0|-2,3":0.02'
+      '9999999999999999,"0|-3,-1":0.010000000000000002,"0|-3,-2":0.00749999999'
+      '99999997,"0|-3,-3":0.0025000000000000005,"0|-3,1":0.012500000000000001,'
+      '"0|-3,2":0.0074999999999999997,"0|1,-2":0.037499999999999999,"0|1,-3":0'
+      '.012500000000000001,"0|1,1":0.0625,"0|1,2":0.037499999999999999,"0|1,3"'
+      ':0.050000000000000003,"0|2,-1":0.029999999999999999,"0|2,-3":0.00749999'
+      '99999999997,"0|2,1":0.037499999999999999,"0|2,2":0.022499999999999999,"'
+      '0|2,3":0.029999999999999999,"0|3,-1":0.040000000000000008,"0|3,-2":0.02'
+      '9999999999999999,"0|3,1":0.050000000000000003,"0|3,2":0.029999999999999'
+      '999,"0|3,3":0.040000000000000008},"level":1,"total":1},"version":"0.1.0'
+      '"}\n'),
+     ''),
+    ('f2', ['abel', '--t', '0', '--r', '0', '--a', '0.5', '--eps', '0.3'], 0,
+     ('{"command":"abel","config":{"K":0,"a":0.5,"command":"abel","eps":0.2999'
+      '9999999999999,"r":0,"sigma":"sigma.json","t":0},"results":{"K":0,"N":2,'
+      '"a":0.5,"entries":{"1|0|-1":0.14999999999999999,"1|0|-2":0.050000000000'
+      '000003,"1|0|1":0.20000000000000001,"1|0|2":0.10000000000000001,"2|0|":0'
+      '.070000000000000007,"2|0|-1,-1":0.022499999999999999,"2|0|-1,-2":0.0074'
+      '999999999999997,"2|0|-1,2":0.014999999999999999,"2|0|-2,-1":0.007499999'
+      '9999999997,"2|0|-2,-2":0.0025000000000000005,"2|0|-2,1":0.0100000000000'
+      '00002,"2|0|1,-2":0.010000000000000002,"2|0|1,1":0.040000000000000008,"2'
+      '|0|1,2":0.020000000000000004,"2|0|2,-1":0.014999999999999999,"2|0|2,1":'
+      '0.020000000000000004,"2|0|2,2":0.010000000000000002},"r":0,"stored_tota'
+      'l":0.75,"t":0,"tail_mass":0.25},"version":"0.1.0"}\n'),
+     ''),
+    ('f2', ['abel-identity', '--t', '1', '--a', '0.3', '--eps', '1e-2'], 0,
+     ('{"command":"abel-identity","config":{"K":0,"a":0.29999999999999999,"com'
+      'mand":"abel-identity","eps":0.01,"sigma":"sigma.json","t":1},"results":'
+      '{"max_residual":2.7755575615628914e-17},"version":"0.1.0"}\n'),
+     ''),
+    ('f2', ['abel-identity', '--t', '0', '--a', '0.5', '--K', '1', '--eps', '1e-3'], 0,
+     ('{"command":"abel-identity","config":{"K":1,"a":0.5,"command":"abel-iden'
+      'tity","eps":0.001,"sigma":"sigma.json","t":0},"results":{"max_residual"'
+      ':1.7347234759768071e-18},"version":"0.1.0"}\n'),
      ''),
 ]
 

@@ -536,8 +536,8 @@ class TestDenseLevels:
         seen = []
         step, diff = sigma_walk._int_step, sigma_walk._dense_difference
 
-        def watched_step(space, level, cells, ell, n, budget):
-            out = step(space, level, cells, ell, n, budget)
+        def watched_step(space, level, cells, ell):
+            out = step(space, level, cells, ell)
             src = level.triples()
             terms = products = 0
             for i, (xs, _, _) in enumerate(cells):
@@ -696,6 +696,30 @@ class TestSampling:
             freq = counts.get((j, g), 0) / n_traj
             se = math.sqrt(m * (1 - m) / n_traj)
             assert abs(freq - m) < 4 * se + 1e-9
+
+    def test_many_sheet_endpoints_take_memory_of_the_pairs(self):
+        """300 sheets of 200 elements each: the counts are those of the same
+        uniforms read one by one, in (sheet, key) order, and counting them takes
+        memory of the order of the trajectories, not of sheets x distinct keys."""
+        ell, per, n, seed = 300, 200, 100_000, 7
+        row = [{j + ell * k: 1.0 / (ell * per) for k in range(per)} for j in range(ell)]
+        s = StochasticSequence(Z, [ell], [[row]])
+        tracemalloc.start()
+        try:
+            got = sample_endpoints(s, 0, n, seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        sheets, elems, cum = _row_choices(row)
+        u = np.concatenate([np.random.default_rng([seed, b]).random((min(SAMPLE_BLOCK, n - start),
+                                                                     1))[:, 0]
+                            for b, start in enumerate(range(0, n, SAMPLE_BLOCK))])
+        k = np.searchsorted(cum, u, side="right")
+        assert got == Counter(zip(np.array(sheets)[k].tolist(), np.array(elems)[k].tolist()))
+        assert list(got) == sorted(got)
+        # one bin per (sheet, distinct key) would take ell * keys * 8 bytes (~117 MB here)
+        keys = len({g for _, g in got})
+        assert keys > 40_000 and peak < ell * keys * 8 / 4
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_free_push_matches_reduce_letters(self, d):

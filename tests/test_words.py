@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fentropy.errors import BadLetter, RankMismatch
+from fentropy.errors import BadLetter, BudgetExceeded, RankMismatch
 from fentropy.words import (
+    ELEMENT_BUDGET,
     ReducedWord,
     decode_word,
     encode_word,
@@ -16,6 +17,7 @@ from fentropy.words import (
     reduce_letters,
     word,
     word_array,
+    word_count,
     word_index,
 )
 
@@ -94,6 +96,17 @@ class TestEnumeration:
                 assert len(ws) == 2 * d * (2 * d - 1) ** (n - 1)
                 assert len(set(ws)) == len(ws)
                 assert ws == sorted(ws)
+
+    def test_word_count_within_the_element_budget(self):
+        for d, n in ((2, 1), (2, 5), (3, 4), (2, 14), (3, 9)):
+            assert word_count(d, n) == 2 * d * (2 * d - 1) ** (n - 1) <= ELEMENT_BUDGET
+        assert word_count(2, 3) == len(enumerate_words(2, 3)) == len(word_array(2, 3))
+
+    @pytest.mark.parametrize("d, n", [(2, 15), (3, 10), (2, 40), (5, 10**9)])
+    def test_word_count_past_the_element_budget_raises(self, d, n):
+        for fn in (word_count, enumerate_words, word_array):
+            with pytest.raises(BudgetExceeded):
+                fn(d, n)
 
     def test_encode_decode(self):
         for w in enumerate_words(2, 3):
