@@ -194,28 +194,23 @@ def divergence_arrays(p: np.ndarray, q: np.ndarray, f: ConvexGenerator):
     contribute nothing (0*inf = 0); p = 0 < q atoms add f(0+) q; the mass p
     escaping to q = 0 atoms adds f'(inf) p; every other atom adds f(p/q) q.
 
-    p of shape (M,) gives a float, its terms summed by one math.fsum. p of
-    shape (rows, M), with q of shape (M,) or (rows, M), gives an array with
-    one value per row, each equal bit for bit to the 1-D call on that row:
-    each row is one math.fsum, which rounds the exact sum once, so the zero
-    terms of atoms outside a row's branch cannot change it. Rows that are
+    p of shape (rows, M), with q of shape (M,) or (rows, M), gives an array
+    with one value per row, and p of shape (M,) gives the one row's value as a
+    float. Each row is one math.fsum, which rounds the exact sum once, so the
+    zero terms of atoms outside a row's branch cannot change it. Rows that are
     infinite are never summed; the first row whose math.fsum raises raises.
     """
     import numpy as np
 
     if p.ndim == 1:
-        terms, infinite = _divergence_terms(p[None, :], q[None, :], f)
-        value = INF if infinite[0] else math.fsum(terms[0].tolist())
-        # the supporting line at 1 makes each term nonnegative in exact
-        # arithmetic, so a tiny negative total is pure roundoff
-        return 0.0 if -PROB_TOL < value < 0.0 else value
+        return float(divergence_arrays(p[None, :], q[None, :], f)[0])
     if q.ndim == 1:
         q = np.broadcast_to(q, p.shape)
     terms, infinite = _divergence_terms(p, q, f)
-    values = np.full(len(p), INF)
-    values[~infinite] = [math.fsum(row) for row in terms[~infinite].tolist()]
-    values[(-PROB_TOL < values) & (values < 0.0)] = 0.0
-    return values
+    values = [INF if inf else math.fsum(row) for row, inf in zip(terms.tolist(), infinite.tolist())]
+    # the supporting line at 1 makes each term nonnegative in exact
+    # arithmetic, so a tiny negative total is pure roundoff
+    return np.array([0.0 if -PROB_TOL < v < 0.0 else v for v in values])
 
 
 def divergence_bounds(p: np.ndarray, q: np.ndarray, f: ConvexGenerator):

@@ -929,39 +929,15 @@ def minimality_scan(lam: GeneratorMeasure, f: ConvexGenerator, depth: int,
     }
 
 
-def gradient_of_masses(engine: EntropyEngine, x: np.ndarray, h_step: float) -> np.ndarray:
-    """Central differences of the entropy along simplex-tangent pairs (i, i+1).
-
-    All 2(m-1) shifted mass vectors go to the engine as one block.
-    """
-    import numpy as np
-
-    if not h_step > 0:
-        raise ParseError("h_step must be positive")
-    m = len(x)
-    low = (x[:-1] - h_step < 0) | (x[1:] - h_step < 0)
-    if low.any():
-        raise StepTooLarge(f"h_step {h_step} would push mass {int(np.argmax(low))} negative")
-    i = np.arange(m - 1)
-    plus = np.tile(x, (m - 1, 1))
-    plus[i, i] += h_step
-    plus[i, i + 1] -= h_step
-    minus = np.tile(x, (m - 1, 1))
-    minus[i, i] -= h_step
-    minus[i, i + 1] += h_step
-    h = engine.entropy(np.vstack([plus, minus]))
-    return (h[:m - 1] - h[m - 1:]) / (2.0 * h_step)
-
-
 def entropy_gradient_at_harmonic(lam: GeneratorMeasure, f: ConvexGenerator,
                                  depth: int, h_step: float = 1e-5) -> np.ndarray:
     """Entropy gradient at nu_mu along the simplex-tangent pairs (i, i+1); vanishes at the minimizer.
 
     Component i is the derivative along e_i - e_{i+1}, g[i] - g[i+1] with g
-    from EntropyEngine.gradient. h_step is checked as the step of
-    gradient_of_masses would be (StepTooLarge unless it is below a tenth of
-    the least mass, then ParseError unless it is positive), but its value
-    no longer enters the result.
+    from EntropyEngine.gradient. h_step is checked as the step of a
+    central-difference gradient would be (StepTooLarge unless it is below a
+    tenth of the least mass, then ParseError unless it is positive), but its
+    value does not enter the result.
     """
     mu = t_inverse(lam, f)
     qv = solve_q(mu)

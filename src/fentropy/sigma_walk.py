@@ -581,72 +581,84 @@ def exact_distribution(s: StochasticSequence, n: int,
 
 def _row_choices(row):
     """Flatten a matrix row into parallel (sheet, element, cumulative mass) arrays."""
-    sheets, elems, masses = [], [], []
-    for j, cell in enumerate(row):
-        for g, m in sorted(cell.items(), key=lambda kv: str(kv[0])):
-            if m > 0:
-                sheets.append(j)
-                elems.append(g)
-                masses.append(m)
-    if not masses:
+    choices = [(j, g, m) for j, cell in enumerate(row)
+               for g, m in sorted(cell.items(), key=lambda kv: str(kv[0])) if m > 0]
+    if not choices:
         raise NotProbability("a matrix row has no positive mass to sample from")
+    sheets, elems, masses = map(list, zip(*choices))
     cum = np.cumsum(masses)
     cum /= cum[-1]
     return sheets, elems, cum
 
 
+def _sample_tables(s: StochasticSequence, steps: int, block: int) -> list:
+    """Per level 0..steps, its matrix's per-row sampling tables (cumulative
+    masses, sheets, elements), built once per stored matrix from _row_choices;
+    the elements are int64 on Z and _letter_rows on F_d.
+
+    block x (steps + 1) uniforms past ELEMENT_BUDGET raise BudgetExceeded, and
+    so does a Z element or partial sum past int64: each partial sum lies
+    between the sums of each level's least and largest element.
+    """
+    if block * (steps + 1) > ELEMENT_BUDGET:
+        raise BudgetExceeded(f"{block} x {steps + 1} uniforms exceed the element budget")
+    built: dict = {}  # (tables, least, largest element) per stored matrix
+    levels, lo, hi = [], 0, 0
+    for n in range(steps + 1):
+        mat = s.matrix(n)
+        if id(mat) not in built:
+            rows = [_row_choices(row) for row in mat]
+            elems = [g for _, row_elems, _ in rows for g in row_elems]
+            least, largest = (min(elems), max(elems)) if s.group.kind == "int" else (0, 0)
+            _check_key_range(least, largest)
+            elems = (np.array(elems, dtype=np.int64) if s.group.kind == "int"
+                     else _letter_rows(elems, s.group.d))
+            parts = np.split(elems, np.cumsum([len(row[1]) for row in rows])[:-1])
+            built[id(mat)] = ([(cum, np.array(sheets), part) for (sheets, _, cum), part
+                               in zip(rows, parts)], least, largest)
+        table, least, largest = built[id(mat)]
+        lo, hi = lo + least, hi + largest
+        _check_key_range(lo, hi)
+        levels.append(table)
+    return levels
+
+
+def _sampled_levels(tables: list, space, u: np.ndarray):
+    """The (sheet, key) arrays of levels 0..len(tables)-1 of the len(u)
+    trajectories from (0, e): at level n, row r takes the step that
+    searchsorted(side="right") finds for u[r, n] in its sheet's table."""
+    sheet = np.zeros(len(u), dtype=np.intp)
+    key = np.full(len(u), space.identity, dtype=np.int64)
+    for n, table in enumerate(tables):
+        nxt = np.empty_like(sheet)
+        step = np.empty((len(u),) + table[0][2].shape[1:], dtype=np.int64)
+        for i, (cum, sheets, elems) in enumerate(table):
+            on = sheet == i
+            k = np.searchsorted(cum, u[on, n], side="right")
+            nxt[on] = sheets[k]
+            step[on] = elems[k]
+        sheet = nxt
+        if isinstance(space, _IntKeys):
+            key = key + step
+        else:
+            for letters in step.T:
+                key = space._push(key, letters)
+        yield sheet, key
+
+
 def sample_trajectory(s: StochasticSequence, steps: int, seed: int) -> list:
-    """States X_0..X_steps; deterministic given the seed."""
+    """States X_0..X_steps: the one row of _sampled_levels that draws with
+    default_rng(seed).random((1, steps + 1)), as steps + 1 calls of random() would."""
     if steps < 1:
         raise ParseError("steps must be >= 1")
     if seed < 0:
         raise ParseError("seed must be >= 0")
-    rng = np.random.default_rng(seed)
-    sheets, elems, cum = _row_choices(s.matrix(0)[0])
-    k = int(np.searchsorted(cum, rng.random(), side="right"))
-    i, g = sheets[k], elems[k]
-    out = [WalkState(0, i, g)]
-    for n in range(1, steps + 1):
-        sheets, elems, cum = _row_choices(s.matrix(n)[i])
-        k = int(np.searchsorted(cum, rng.random(), side="right"))
-        i = sheets[k]
-        g = s.group.mul(g, elems[k])
-        out.append(WalkState(n, i, g))
-    return out
-
-
-def _free_push(stack, length, letters):
-    """Right-multiply each row's reduced word stack[r, :length[r]] by letters[r], in place.
-
-    The top letter is popped where it is the inverse of the new letter, and the
-    new letter is pushed otherwise; letter 0 leaves its row as it is. The stack
-    is C-contiguous with one column more than the longest word it will hold:
-    that spare last column stays 0, and an empty row reads the spare column
-    before it (flat index -1 for row 0) as its top.
-    """
-    flat = stack.reshape(-1, copy=False)
-    at = np.arange(0, stack.size, stack.shape[1]) + length
-    live = letters != 0
-    pop = (flat[at - 1] == -letters) & live
-    push = live & ~pop
-    flat[at] = np.where(push, letters, flat[at])
-    length += push
-    length -= pop
-
-
-def _level_tables(group: GroupSpec, rows: list) -> list:
-    """Per-row sampling tables (cumulative masses, sheets, elements) of one
-    matrix, from the _row_choices of its rows.
-
-    On Z the elements are an int array. On F_d they are _letter_rows of one
-    width for the whole matrix.
-    """
-    if group.kind == "int":
-        return [(cum, np.array(sheets), np.array(elems, dtype=np.int64))
-                for sheets, elems, cum in rows]
-    letters = _letter_rows([g for _, elems, _ in rows for g in elems], group.d)
-    parts = np.split(letters, np.cumsum([len(elems) for _, elems, _ in rows])[:-1])
-    return [(cum, np.array(sheets), part) for (sheets, _, cum), part in zip(rows, parts)]
+    tables = _sample_tables(s, steps, 1)
+    space = _key_space(s.group)
+    u = np.random.default_rng(seed).random((1, steps + 1))
+    sheets, keys = zip(*_sampled_levels(tables, space, u))
+    return [WalkState(n, i, g) for n, (i, g) in enumerate(zip(
+        np.concatenate(sheets).tolist(), space.decode(np.concatenate(keys))))]
 
 
 def sample_endpoints(s: StochasticSequence, steps: int, trajectories: int,
@@ -654,49 +666,24 @@ def sample_endpoints(s: StochasticSequence, steps: int, trajectories: int,
     """Empirical distribution of X_steps.
 
     Trajectories are drawn in blocks of SAMPLE_BLOCK: block b holds trajectories
-    [b*B, (b+1)*B), and trajectory b*B + r takes row r of
-    default_rng([seed, b]).random((rows, steps + 1)), one uniform per level. A
-    trajectory's randomness depends only on (seed, its index). Each
-    trajectory carries its element as an int64 key (on F_d, an id in one
-    _WordTable per call). Each block's (sheet, key) pairs are counted apart;
-    the blocks are merged, and the keys decoded, once at the end. The Counter
-    is in (sheet, key) order.
+    [b*B, (b+1)*B), and trajectory b*B + r is row r of _sampled_levels with
+    default_rng([seed, b]).random((rows, steps + 1)), so its randomness depends
+    only on (seed, its index). Keys are int64 (on F_d, ids in one _WordTable
+    per call). Each block's (sheet, key) pairs are counted apart; the blocks
+    are merged, and the keys decoded, once at the end. The Counter is in
+    (sheet, key) order.
     """
     if steps < 0 or trajectories < 0 or seed < 0:
         raise ParseError("steps, trajectories and seed must be >= 0")
-    levels = [[_row_choices(row) for row in s.matrix(n)] for n in range(steps + 1)]
-    if s.group.kind == "int":
-        # every partial sum of the steps lies between the sums of each level's
-        # least and largest element, so int64 keys cannot wrap where these fit
-        lo = hi = 0
-        for rows in levels:
-            elems = [g for _, row_elems, _ in rows for g in row_elems]
-            lo, hi = lo + min(elems), hi + max(elems)
-            _check_key_range(lo, hi)
-    tables = [_level_tables(s.group, rows) for rows in levels]
+    tables = _sample_tables(s, steps, min(trajectories, SAMPLE_BLOCK))
     space = _key_space(s.group)
-    free = s.group.kind == "free"
     blocks = []  # per block: (sheets, keys, counts) of its distinct endpoints
     for start in range(0, trajectories, SAMPLE_BLOCK):
         rows = min(SAMPLE_BLOCK, trajectories - start)
         u = np.random.default_rng([seed, start // SAMPLE_BLOCK]).random((rows, steps + 1))
-        sheet = np.zeros(rows, dtype=np.intp)
-        g = np.full(rows, space.identity, dtype=np.int64)
-        for n, table in enumerate(tables):
-            nxt = np.empty_like(sheet)
-            step = np.empty((rows,) + table[0][2].shape[1:], dtype=table[0][2].dtype)
-            for i, (cum, sheets, elems) in enumerate(table):
-                on = sheet == i
-                k = np.searchsorted(cum, u[on, n], side="right")
-                nxt[on] = sheets[k]
-                step[on] = elems[k]
-            sheet = nxt
-            if free:
-                for letters in step.T:
-                    g = space._push(g, letters)
-            else:
-                g += step
-        blocks.append(_count_pairs(sheet, g, None))
+        for sheet, key in _sampled_levels(tables, space, u):
+            pass
+        blocks.append(_count_pairs(sheet, key, None))
     if not blocks:
         return Counter()
     sheet, key, num = _count_pairs(*(np.concatenate(part) for part in zip(*blocks)))
@@ -823,14 +810,34 @@ def poisson_transform_cylinder(mu: GeneratorMeasure, w: tuple, levels: int) -> L
 
 # --- boundary Monte Carlo -----------------------------------------------------
 
+def _free_push(stack, length, letters):
+    """Right-multiply each row's reduced word stack[r, :length[r]] by letters[r], in place.
+
+    The top letter is popped where it is the inverse of the new letter, and the
+    new letter is pushed otherwise; letter 0 leaves its row as it is. The stack
+    is C-contiguous with one column more than the longest word it will hold:
+    that spare last column stays 0, and an empty row reads the spare column
+    before it (flat index -1 for row 0) as its top.
+    """
+    flat = stack.reshape(-1, copy=False)
+    at = np.arange(0, stack.size, stack.shape[1]) + length
+    live = letters != 0
+    pop = (flat[at - 1] == -letters) & live
+    push = live & ~pop
+    flat[at] = np.where(push, letters, flat[at])
+    length += push
+    length -= pop
+
+
 def boundary_empirical(mu: GeneratorMeasure, steps: int, trajectories: int,
                        seed: int, depth: int, max_attempts: int = 8) -> dict:
     """Empirical depth-n cylinder frequencies of the walk's exit direction.
 
-    Trajectories are drawn in blocks of SAMPLE_BLOCK as in sample_endpoints. A
-    trajectory whose endpoint is shorter than `depth` is discarded and redrawn:
-    attempt k of trajectory b*B + r takes row r of
-    default_rng([seed, b, k]).random((rows, steps)), one uniform per step.
+    Trajectories are drawn in blocks of SAMPLE_BLOCK as in sample_endpoints,
+    under the same element budget. A trajectory whose endpoint is shorter
+    than `depth` is discarded and redrawn: attempt k of trajectory b*B + r
+    takes row r of default_rng([seed, b, k]).random((rows, steps)), one
+    uniform per step.
     """
     if depth < 1:
         raise DepthMismatch("depth must be >= 1")
@@ -838,9 +845,11 @@ def boundary_empirical(mu: GeneratorMeasure, steps: int, trajectories: int,
         raise ParseError("need steps >= 4 * depth for a reliable exit prefix")
     if trajectories < 0 or seed < 0:
         raise ParseError("trajectories and seed must be >= 0")
+    if min(trajectories, SAMPLE_BLOCK) * (steps + 1) > ELEMENT_BUDGET:
+        raise BudgetExceeded(f"{min(trajectories, SAMPLE_BLOCK)} x {steps + 1} uniforms exceed "
+                             "the element budget")
     letters = np.array(letter_order(mu.d), dtype=np.int32)
-    probs = np.array([mu.p[int(j)] for j in letters])
-    cum = np.cumsum(probs)
+    cum = np.cumsum([mu.p[int(j)] for j in letters])
     cum /= cum[-1]
     # exit prefixes counted by their enumerate_words index
     hits = np.zeros(word_count(mu.d, depth), dtype=np.int64)
@@ -928,7 +937,7 @@ def _tail_exponent(a: float, eps: float) -> int:
         m -= 1
     while a**m >= eps:
         m += 1
-    if m > 10_000_000:
+    if m > ELEMENT_BUDGET:
         raise BudgetExceeded("geometric tail will not reach eps")
     return m
 
@@ -1132,7 +1141,8 @@ def folner_entropy_curve(lam: FiniteMeasure, f: ConvexGenerator, a_values,
     lambda_a is strictly positive and all shift divergences are finite);
     sigma^(n) is uniform on [-2^n, 2^n]. When max_level caps the truncation
     below what eps asks for, the dropped geometric weight is renormalized into
-    the stored levels and reported.
+    the stored levels and reported. A truncation level past 22 raises
+    BudgetExceeded before any array is built.
 
     The far tails of lambda_a are prefix-sum noise: positions where either
     shifted mass is at or below ZERO_MASS are dropped before D_f is taken,
@@ -1140,7 +1150,7 @@ def folner_entropy_curve(lam: FiniteMeasure, f: ConvexGenerator, a_values,
     """
     if max_level is not None and max_level < 0:
         raise ParseError(f"max_level must be >= 0, got {max_level}")
-    shifts = sorted(int(k) for k in lam.atoms)
+    smax = max((abs(int(k)) for k in lam.atoms), default=0)
     if not lam.is_probability:
         raise ParseError("lambda on Z must be a probability measure")
     results = []
@@ -1148,15 +1158,11 @@ def folner_entropy_curve(lam: FiniteMeasure, f: ConvexGenerator, a_values,
     for a in a_values:
         if not (0.0 < a < 1.0):
             raise ParseError("a values must lie in (0,1)")
-        n_eps = _tail_exponent(a, eps) - 1  # minimal N with a^{N+1} < eps
-        if max_level is None:
-            if n_eps > hard_cap:
-                raise BudgetExceeded(
-                    f"a={a} with eps={eps} needs truncation level {n_eps}", level=n_eps
-                )
-            N = n_eps
-        else:
-            N = min(n_eps, max_level)
+        N = _tail_exponent(a, eps) - 1  # minimal N with a^{N+1} < eps
+        if max_level is not None:
+            N = min(N, max_level)
+        if N > hard_cap:
+            raise BudgetExceeded(f"a={a} with eps={eps} needs truncation level {N}", level=N)
         rhos = folner_sequence_z(N)
         weights = np.array([(1.0 - a) * a**n for n in range(N + 1)])
         tail_mass = a ** (N + 1)
@@ -1166,7 +1172,6 @@ def folner_entropy_curve(lam: FiniteMeasure, f: ConvexGenerator, a_values,
         m_a = np.zeros(hi_all - lo_all + 1)
         for wgt, (arr, lo) in zip(weights, rhos):
             m_a[lo - lo_all: lo - lo_all + len(arr)] += wgt * arr
-        smax = max(abs(s) for s in shifts) if shifts else 0
         window_lo = lo_all - WINDOW_MARGIN - smax
         window_hi = hi_all + WINDOW_MARGIN + smax
         lam_a = _geometric_tails(m_a, lo_all, window_lo, window_hi, GEOM_B)
@@ -1175,22 +1180,16 @@ def folner_entropy_curve(lam: FiniteMeasure, f: ConvexGenerator, a_values,
         np.clip(lam_a, 0.0, None, out=lam_a)
         lam_a = lam_a / lam_a.sum()
         h_terms = []
+        q = lam_a[smax:len(lam_a) - smax]
         for skey, wgt in sorted(lam.atoms.items(), key=lambda kv: int(kv[0])):
             sft = int(skey)
             if wgt == 0.0:
                 continue
-            lo_k = window_lo + smax
-            hi_k = window_hi - smax
-            q = lam_a[lo_k - window_lo: hi_k - window_lo + 1]
-            p = lam_a[lo_k - sft - window_lo: hi_k - sft - window_lo + 1]
+            p = lam_a[smax - sft:len(lam_a) - smax - sft]
             # a tail position just above the floor in p but not in q would
             # count as escaped mass, which is infinite for KL
             keep = (p > ZERO_MASS) & (q > ZERO_MASS)
             h_terms.append(wgt * divergence_arrays(p[keep], q[keep], f))
-        results.append({
-            "a": a,
-            "h": math.fsum(h_terms),
-            "truncation_level": N,
-            "tail_mass": tail_mass,
-        })
+        results.append({"a": a, "h": math.fsum(h_terms), "truncation_level": N,
+                        "tail_mass": tail_mass})
     return {"curve": results}

@@ -5,7 +5,8 @@ through EntropyEngine's gather maps. Most of these are the
 one-cylinder-at-a-time definitions the tests check those arrays against:
 each works on the dict masses of a CylinderMeasure and sums with math.fsum.
 exhaustive_scan is minimality_scan without its screen: every sample's
-entropy comes from EntropyEngine.entropy.
+entropy comes from EntropyEngine.entropy. gradient_of_masses is the central
+differences EntropyEngine.gradient is checked against.
 """
 
 import math
@@ -14,7 +15,7 @@ import numpy as np
 
 from fentropy import free_boundary
 from fentropy.divergence import INF
-from fentropy.errors import DepthMismatch
+from fentropy.errors import DepthMismatch, ParseError, StepTooLarge
 from fentropy.free_boundary import (CylinderMeasure, EntropyEngine, TailRule, cylinder_entropy,
                                     harmonic_measure, pushforward, solve_q, t_inverse)
 from fentropy.words import ReducedWord, encode_word, letter_order
@@ -119,3 +120,26 @@ def exhaustive_scan(lam, f, depth: int, samples: int, seed: int, zero_fraction: 
         "infinite_entropy_samples": n_infinite,
         "theorem_A_violated": bool(min_entropy < reference - 1e-9),
     }
+
+
+def gradient_of_masses(engine: EntropyEngine, x: np.ndarray, h_step: float) -> np.ndarray:
+    """Central differences of the entropy along simplex-tangent pairs (i, i+1).
+
+    All 2(m-1) shifted mass vectors go to the engine as one block. This is
+    the oracle of EntropyEngine.gradient.
+    """
+    if not h_step > 0:
+        raise ParseError("h_step must be positive")
+    m = len(x)
+    low = (x[:-1] - h_step < 0) | (x[1:] - h_step < 0)
+    if low.any():
+        raise StepTooLarge(f"h_step {h_step} would push mass {int(np.argmax(low))} negative")
+    i = np.arange(m - 1)
+    plus = np.tile(x, (m - 1, 1))
+    plus[i, i] += h_step
+    plus[i, i + 1] -= h_step
+    minus = np.tile(x, (m - 1, 1))
+    minus[i, i] -= h_step
+    minus[i, i + 1] += h_step
+    h = engine.entropy(np.vstack([plus, minus]))
+    return (h[:m - 1] - h[m - 1:]) / (2.0 * h_step)

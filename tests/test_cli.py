@@ -1,7 +1,9 @@
+import hashlib
 import inspect
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 
@@ -452,6 +454,31 @@ class TestEndToEnd:
         assert r.returncode == 3, (r.returncode, r.stderr)
         assert json.loads(r.stderr)["error"] == "BudgetExceeded"
 
+    @pytest.mark.parametrize("sub", ["walk-boundary", "walk-sample", "folner"])
+    def test_arrays_past_the_budget_exit_code(self, files, sub):
+        """A sampling block past the element budget, or Folner levels past their
+        cap, raise before anything is allocated. The child runs under a 3 GiB
+        address-space limit, so an allocation that slipped through fails there
+        instead of taking the machine's memory."""
+        args = {
+            "walk-boundary": ("walk-boundary", "--mu", files["uniform2.json"],
+                              "--steps", "1000000000", "--trajectories", "10", "--seed", "1",
+                              "--depth", "1"),
+            "walk-sample": ("walk-sample", "--sigma", files["sigmaz.json"],
+                            "--steps", "100000000", "--seed", "1"),
+            "folner": ("folner", "--lambda-z", files["lamz.json"], "--f", "kl",
+                       "--a-values", "0.99", "--max-level", "30"),
+        }[sub]
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+        r = subprocess.run([sys.executable, "-m", "fentropy.cli", *args], capture_output=True,
+                           text=True, preexec_fn=limit, timeout=120,
+                           env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
+        assert r.returncode == 3, (r.returncode, r.stderr)
+        assert json.loads(r.stderr)["error"] == "BudgetExceeded"
+
     def test_int64_overflow_exit_code(self, files):
         sigma = os.path.join(files["dir"], "far.json")
         with open(sigma, "w") as fh:
@@ -593,6 +620,13 @@ WALK_SIGMAS = {
     "up": _z_sigma([1], [[[[(2**61, 1.0)]]]]),
     "f2": _f_sigma(2, [(-2, 0.1), (-1, 0.3), (1, 0.4), (2, 0.2)]),
     "f3": _f_sigma(3, [(-3, 0.05), (-2, 0.15), (-1, 0.2), (1, 0.25), (2, 0.15), (3, 0.2)]),
+    # matrices 1 and 2 repeat past the horizon in turn
+    "cycle1": _z_sigma([1, 1, 1], [[[[(-1, 0.5), (1, 0.5)]]], [[[(0, 0.3), (2, 0.7)]]],
+                                   [[[(-3, 0.6), (1, 0.4)]]]], beyond="cycle"),
+    "cycle2": _z_sigma([2, 2, 2], [
+        [[[(0, 0.5)], [(1, 0.5)]]],
+        [[[(-1, 0.3), (1, 0.2)], [(2, 0.5)]], [[(0, 0.6)], [(-2, 0.2), (5, 0.2)]]],
+        [[[(1, 0.7)], [(-1, 0.3)]], [[(3, 0.1), (-3, 0.4)], [(0, 0.5)]]]], beyond="cycle"),
 }
 
 # (sigma, argv without --sigma, exit code, stdout, stderr), as printed by the
@@ -790,6 +824,42 @@ def test_walk_reports_match_recorded(tmp_path, name, argv, code, stdout, stderr)
     r = subprocess.run([sys.executable, "-m", "fentropy.cli", argv[0], "--sigma", "sigma.json",
                         *argv[1:]], capture_output=True, text=True, cwd=tmp_path, env=env)
     assert (r.returncode, r.stdout, r.stderr) == (code, stdout, stderr)
+
+
+# (sigma, --steps, sha256 of the walk-sample report with --seed 7), as printed
+# when sample_trajectory had a scalar loop of its own; the one-row draw of the
+# shared level loop must print the same bytes
+WALK_SAMPLE_REPORTS = [
+    ('coin', 1, 'dd64aa1e36d06949462295feb10f88401d170db41091603e705247cc010d5e39'),
+    ('coin', 12, '59f8bd590606ba324ecc1586788858123e84c097484391194577fd8fb68b1448'),
+    ('coin', 200, 'e5c9e32e4ceb24fccc7c76d7956a2165aa43b782758fcebe21373912b1435f2f'),
+    ('sheets', 1, 'af330af7cff6dab402277d7919ef15cbaa6448edcffcb164b3c76079d843fe20'),
+    ('sheets', 12, 'd59b368ac7ecea9378e8227fd117e993a2e03d70ea520530b2c736e96c99eefc'),
+    ('sheets', 200, '44265fd17a7927135a4db20c7cec0500c9a3a2e286efd3617bbb7b2d0e9fef86'),
+    ('cycle1', 1, '07c751d926bbc1b0a97665c63078d96eaef9b7010e825313de0d7e9e899863c8'),
+    ('cycle1', 12, 'e8caca27919ff084e2ae3a39613d65cd1290a7f6de7dc16dc53f8631a52c8f87'),
+    ('cycle1', 200, 'ed4014ccea775bfd4193c762bcd21f595ae393a8c93ea149a9ab7f301302e546'),
+    ('cycle2', 1, '451885839f6d4deea0e9892f3b56abe824f99e055d8e365e406d2ce2eea8ba48'),
+    ('cycle2', 12, 'b1bd8b9665a68375cef3b48c91153739aea77379776060cae5d011dccc51fd6a'),
+    ('cycle2', 200, '6967e58906240c64057ff2257940c421f5c3ef2e6ab60288727107fac20810c2'),
+    ('f2', 1, 'ce31c77897117ffe1dfee2d46dad8a9645acbd7acdc09e76266d39bbec0e0f52'),
+    ('f2', 12, '212ab89347f66e22b8aae008f0eb14e1ca8ea43d21eba9c68ea86422e1807d6d'),
+    ('f2', 200, '7afe6743f2f24f0010c25de69719aa041e6f00996bc4c329d3e60e625924d978'),
+    ('f3', 1, 'a6b3729d3017ddbb2690c99b81efd0b75449376d4b648ddc128bb081f5238988'),
+    ('f3', 12, 'cbd0c8acc66a8b3b4ea3dccfa6c7c1de4e7b6ec072fbfee27cd27de7829d72e9'),
+    ('f3', 200, '875d54ce7b5792d3748f97c56a9be513d4c12061817e9894b816e8fd1e31338e'),
+]
+
+
+@pytest.mark.parametrize("name, steps, digest", WALK_SAMPLE_REPORTS,
+                         ids=[f"{r[0]}-{r[1]}" for r in WALK_SAMPLE_REPORTS])
+def test_walk_sample_reports_match_recorded(tmp_path, monkeypatch, name, steps, digest):
+    # the report echoes the --sigma path, so the file is named relative to the cwd
+    (tmp_path / "sigma.json").write_text(json.dumps(WALK_SIGMAS[name]))
+    monkeypatch.chdir(tmp_path)
+    code, payload = cli.run(["walk-sample", "--sigma", "sigma.json", "--steps", str(steps),
+                             "--seed", "7"])
+    assert code == 0 and hashlib.sha256(payload.encode()).hexdigest() == digest
 
 
 # --- scan reports against recorded outputs ---------------------------------

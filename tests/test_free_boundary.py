@@ -36,7 +36,6 @@ from fentropy.free_boundary import (
     closed_form_harmonic_entropy,
     cylinder_entropy,
     entropy_gradient_at_harmonic,
-    gradient_of_masses,
     harmonic_measure,
     minimality_scan,
     pushforward,
@@ -50,7 +49,7 @@ from fentropy.free_boundary import (
 )
 from fentropy.words import (ReducedWord, encode_word, enumerate_words, letter_order,
                             letter_positions, word_array, word_index)
-from oracles import (convolve, exhaustive_scan, marginal, refine, refine_to,
+from oracles import (convolve, exhaustive_scan, gradient_of_masses, marginal, refine, refine_to,
                      stationarity_residual as oracle_stationarity_residual)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from collections import Counter
@@ -785,6 +786,122 @@ class TestSampling:
             boundary_empirical(MU2, 8, -5, 1, 1)
         assert sample_endpoints(coin_sequence(), 3, 0, 1) == Counter()
 
+    def test_trajectory_reports_reduced_words(self):
+        # (1, -1, 2) is not reduced: every level holds the word the exact walk holds
+        s = StochasticSequence(GroupSpec("free", 2), [1], [[[{(1, -1, 2): 1.0}]]])
+        traj = sample_trajectory(s, 3, 0)
+        assert [st.g for st in traj] == [g for n in range(4)
+                                         for _, g in exact_distribution(s, n).entries]
+        assert traj[0].g == (2,)
+
+    def test_trajectory_outside_int64_raises_as_the_exact_walk(self):
+        s = StochasticSequence(Z, [1], [[[{2**61: 1.0}]]])
+        with pytest.raises(BudgetExceeded) as exact:
+            exact_distribution(s, 3)
+        with pytest.raises(BudgetExceeded) as sampled:
+            sample_trajectory(s, 3, 0)
+        assert str(sampled.value) == str(exact.value)
+        assert sample_trajectory(s, 2, 0)[-1].g == 3 * 2**61
+
+    def test_element_outside_int64_raises_where_the_partial_sums_fit(self):
+        # 2^62 + (-2^63 - 1) fits int64, but the second level's element does not
+        s = StochasticSequence(Z, [1, 1], [[[{2**62: 1.0}]], [[{-(2**63) - 1: 1.0}]]])
+        for walk in (lambda: exact_distribution(s, 1), lambda: sample_endpoints(s, 1, 10, 0),
+                     lambda: sample_trajectory(s, 1, 0)):
+            with pytest.raises(BudgetExceeded, match="int64 key range"):
+                walk()
+
+    def test_zero_mass_row_on_an_unreached_sheet_rejected(self):
+        # sheet 1 is never reached, but its row belongs to a matrix the walk uses
+        s = StochasticSequence(Z, [2, 2], [[[{1: 1.0}, {}]], [[{1: 1.0}, {}], [{}, {2: 0.0}]]])
+        assert exact_distribution(s, 3).entries == {(0, 4): 1.0}
+        with pytest.raises(NotProbability):
+            sample_endpoints(s, 3, 10, 1)
+        with pytest.raises(NotProbability):
+            sample_trajectory(s, 3, 1)
+
+    def test_each_stored_matrix_is_tabulated_once(self, monkeypatch):
+        rows = []
+        row_choices = sigma_walk._row_choices
+
+        def counted(row):
+            rows.append(row)
+            return row_choices(row)
+
+        monkeypatch.setattr(sigma_walk, "_row_choices", counted)
+        m0 = [[{0: 0.5}, {1: 0.5}]]
+        m1 = [[{-1: 0.3, 1: 0.2}, {2: 0.5}], [{0: 0.6}, {-2: 0.2, 5: 0.2}]]
+        m2 = [[{1: 0.7}, {-1: 0.3}], [{3: 0.1, -3: 0.4}, {0: 0.5}]]
+        s = StochasticSequence(Z, [2, 2, 2], [m0, m1, m2], beyond="cycle")
+        sample_endpoints(s, 20, 2 * SAMPLE_BLOCK + 1, 3)
+        assert rows == m0 + m1 + m2
+        rows.clear()
+        sample_trajectory(s, 20, 3)
+        assert rows == m0 + m1 + m2
+
+    def test_blocks_past_the_element_budget_raise_before_drawing(self):
+        # a full block allows ELEMENT_BUDGET // SAMPLE_BLOCK levels, steps 0..2440
+        steps = ELEMENT_BUDGET // SAMPLE_BLOCK
+        with pytest.raises(BudgetExceeded, match="4096 x 2442 uniforms"):
+            sample_endpoints(coin_sequence(), steps, SAMPLE_BLOCK, 0)
+        with pytest.raises(BudgetExceeded, match="4096 x 2442 uniforms"):
+            boundary_empirical(MU2, steps, SAMPLE_BLOCK + 1, 0, 1)
+        with pytest.raises(BudgetExceeded, match=f"1 x {ELEMENT_BUDGET + 1} uniforms"):
+            sample_trajectory(coin_sequence(), ELEMENT_BUDGET, 0)
+        counts = sample_endpoints(coin_sequence(), steps - 1, SAMPLE_BLOCK, 0)
+        assert sum(counts.values()) == SAMPLE_BLOCK
+        assert sum(sample_endpoints(coin_sequence(), steps, 10, 0).values()) == 10
+
+    # (sequence, steps, trajectories, seed, sha256 of the Counter's items in
+    # order), as counted before trajectories and endpoints shared one level loop
+    ENDPOINT_DIGESTS = [
+        ('coin', 0, 10, 1, 'a4874908e4024697f32344d35b41547725f236931da2362efe21eeb092d076c9'),
+        ('coin', 3, 4097, 5, '35c86f1ee25f7ba81005f520484aed0037415281adb1ae11c57b2016d0db980a'),
+        ('coin', 6, 333, 2, 'f9d552a17fc0647361e3b3585abccd8739c6ff7e5408037b1ba87fcc50b4b64d'),
+        ('coin', 12, 5000, 9, 'e19c8c2d06b0daa00dfb44b94f0b5a8e04fba32db8ab2fed674198a881ad7341'),
+        ('two-sheet-z', 0, 10, 1,
+         '950e15405f4ab822603ba50091ddb9db20e34214ac7f7ac5a18c4a68b9c24fcc'),
+        ('two-sheet-z', 3, 4097, 5,
+         '119ed38922485943083154578dd21a13aac612b8e5784d6ce3bfc017584485f9'),
+        ('two-sheet-z', 6, 333, 2,
+         'e850827fc9d93d8427cea1688eeb559de0e1e4aba060a8caf9e174d654bc9477'),
+        ('two-sheet-z', 12, 5000, 9,
+         '81b1b0337d8bc6243f94cc2c4824725025450b41bf34f963b736542acddbdcce'),
+        ('free-two-sheet', 0, 10, 1,
+         '5aa7f62a38b38899c4b4d45135b5a455647cd079f7b826abea815e4deb43ebe0'),
+        ('free-two-sheet', 3, 4097, 5,
+         '391b09a6a234c41ec9e33fb16d6a588a6a9046dfc08568eedb0597eca2ad0e4d'),
+        ('free-two-sheet', 6, 333, 2,
+         'e48f2c682840924f4d199fcdc034bf1dc3d4e2bbae0b7f5e86e231e945be54bf'),
+        ('free-two-sheet', 12, 5000, 9,
+         'd9b526a76e588914d2035e229ef195214b6c5335d62612b7a2e69c68f3a2ee9b'),
+        ('cancelling', 0, 10, 1,
+         '770bdf3e25a914d8156f9964c0ae649d0d62e24d3056941c05f42f9884dea126'),
+        ('cancelling', 3, 4097, 5,
+         'dd4d4cf492fdbf6dbc37d94c88fede38705e77c52aff172362c3757428f362cd'),
+        ('cancelling', 6, 333, 2,
+         'dbb761a808dc274ea8f96286ce4c4f011ab8f2ec6f71c994b04e61a6ded2a7ca'),
+        ('cancelling', 12, 5000, 9,
+         '83625d704636df72e959587f4061af1ae657303150489a2489e56ea3545ef52d'),
+        ('constant-f3', 0, 10, 1,
+         '3ecfa8359fcaa466e264d492f7542dcc255c052440abf746c1fa3a1ac167cb77'),
+        ('constant-f3', 3, 4097, 5,
+         '7686fd74d9a7ffaa0c55e911d9d2b36ef73b6918ca8640dde2803c50f541d0c5'),
+        ('constant-f3', 6, 333, 2,
+         'e4b57100b0a22c15867c41d3a89e5bab1eaf60cdad46380c5089e00ceda1369a'),
+        ('constant-f3', 12, 5000, 9,
+         '66bd6ad368bac8dd1380c2720af2a58d4fb51d8c692e222063f2e5eeb596d9b1'),
+    ]
+
+    @pytest.mark.parametrize("name, steps, n, seed, digest", ENDPOINT_DIGESTS,
+                             ids=[f"{r[0]}-{r[1]}-{r[2]}" for r in ENDPOINT_DIGESTS])
+    def test_endpoint_counters_match_recorded(self, name, steps, n, seed, digest):
+        s = {"coin": coin_sequence, "two-sheet-z": lambda: two_sheet_sequence(3),
+             "free-two-sheet": free_two_sheet_sequence, "cancelling": cancelling_sequence,
+             "constant-f3": lambda: constant_sequence(MU3)}[name]()
+        counts = sample_endpoints(s, steps, n, seed)
+        assert hashlib.sha256(repr(list(counts.items())).encode()).hexdigest() == digest
+
     def test_zero_mass_row_rejected(self):
         s = StochasticSequence(Z, [1], [[[{1: 0.0}]]])
         with pytest.raises(NotProbability):
@@ -1006,6 +1123,14 @@ class TestFolner:
         row = folner_entropy_curve(FiniteMeasure({-1: 0.5, 1: 0.5}), KL, [0.5], 1e-6,
                                    max_level=0)["curve"][0]
         assert row["truncation_level"] == 0 and row["tail_mass"] == 0.5
+
+    def test_truncation_past_the_cap_raises(self):
+        # max_level caps the truncation, and the cap of 22 levels caps max_level
+        lam = FiniteMeasure({-1: 0.5, 1: 0.5})
+        with pytest.raises(BudgetExceeded, match="level 23$"):
+            folner_entropy_curve(lam, KL, [0.99], 1e-6, max_level=23)
+        assert (folner_entropy_curve(lam, KL, [0.3, 0.5], 1e-6, max_level=30)
+                == folner_entropy_curve(lam, KL, [0.3, 0.5], 1e-6))
 
 
 class TestGeometricTails:
