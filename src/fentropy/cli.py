@@ -478,18 +478,12 @@ def main(argv=None) -> int:
         if payload:
             sys.stdout.write(payload)
         return code
-    except BudgetExceeded as exc:
-        sys.stderr.write(canonical_json(
-            {"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return 3
-    except (ValidationError, ParseError) as exc:
-        sys.stderr.write(canonical_json(
-            {"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return 2
     except FentropyError as exc:
         sys.stderr.write(canonical_json(
             {"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return 4
+        if isinstance(exc, BudgetExceeded):
+            return 3
+        return 2 if isinstance(exc, ValidationError) else 4
 
 
 if __name__ == "__main__":

@@ -388,12 +388,31 @@ def cylinder_entropy(lam: GeneratorMeasure, nu: CylinderMeasure,
     For tail-extended measures d(a_j nu)/d nu is constant on depth-(n+1)
     cylinders, so the finite partition at depth n+1 already realizes the full
     divergence. Both depth-(n+1) measures are divided by their totals, which
-    must lie within 1e-3 of 1.
+    must lie within 1e-3 of 1; the terms stop at the first infinite one.
     """
     if lam.d != nu.d:
         raise DepthMismatch("lambda and nu have different ranks")
-    engine = EntropyEngine(lam, f, nu.depth, nu.tail, normalise=True)
-    return engine.entropy(engine.mass_vector(nu))
+    engine = EntropyEngine(lam, f, nu.depth, nu.tail)
+    x = engine.mass_vector(nu)
+    q1 = _near_one(engine.refined(x), "cylinder")
+    terms = []
+    for j in letter_order(lam.d):
+        # float(): the product stays float64 for a float32 weight, as in the engine's rows
+        term = float(lam.p[j]) * divergence_arrays(
+            _near_one(engine.translated(x, j), "translated cylinder"), q1, f)
+        if term == INF:
+            return INF
+        terms.append(term)
+    return math.fsum(terms)
+
+
+def _near_one(masses: np.ndarray, what: str) -> np.ndarray:
+    """masses over their fsum total: 1 up to the q solver's roundoff for a probability
+    measure, and NotProbability where it is not within 1e-3 of 1 (user input)."""
+    total = math.fsum(masses.tolist())
+    if not 0.999 < total < 1.001:
+        raise NotProbability(f"{what} total {total!r} is not near 1")
+    return masses / total
 
 
 def closed_form_harmonic_entropy(lam: GeneratorMeasure, mu: GeneratorMeasure,
@@ -610,13 +629,11 @@ class EntropyEngine:
     refine_src and push_src[j] the source indices into x. The index data
     depends only on (d, n), so _gather_maps builds it once per process and
     engines of one shape share it read-only; an engine gathers only its
-    tail's coefficients. With normalise, both depth-(n+1) measures are
-    divided by their fsum totals, which must lie in (0.999, 1.001);
-    cylinder_entropy uses this for arbitrary input.
+    tail's coefficients.
     """
 
     def __init__(self, lam: GeneratorMeasure, f: ConvexGenerator, depth: int,
-                 tail: TailRule, normalise: bool = False):
+                 tail: TailRule):
         import numpy as np
 
         if depth < 1:
@@ -625,7 +642,6 @@ class EntropyEngine:
         self.f = f
         self.depth = depth
         self.tail = tail
-        self.normalise = normalise
         d = lam.d
         maps = _gather_maps(d, depth)
         self.words_n = maps.words_n
@@ -678,7 +694,7 @@ class EntropyEngine:
         return self._in_blocks(self._entropy_rows, x, ())
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        """The gradient dh/dx of entropy() at one mass vector x, for an engine without normalise.
+        """The gradient dh/dx of entropy() at one mass vector x.
 
         With Q = refined(x), P_j = translated(x, j) and t = P_j / Q, entropy()
         is h = sum_j lambda_j sum_cells Q f(t) where every cell is positive,
@@ -691,8 +707,6 @@ class EntropyEngine:
         """
         import numpy as np
 
-        if self.normalise:
-            raise ParseError("the gradient is of the entropy without normalise")
         m = len(x)
         letters = letter_order(self.lam.d)
         q1 = self.refined(x)
@@ -723,7 +737,7 @@ class EntropyEngine:
         return out
 
     def _screen(self, x: np.ndarray) -> np.ndarray:
-        """Bounds (low, high) on the entropy of each row of the block x, without normalise.
+        """Bounds (low, high) on the entropy of each row of the block x.
 
         Each letter's divergence comes from divergence_bounds as a plain sum
         s_j and a radius r_j, and h = sum_j lambda_j s_j, added letter by
@@ -777,18 +791,11 @@ class EntropyEngine:
         import numpy as np
 
         q1 = self.refined(x)
-        if self.normalise:
-            # both totals equal 1 in exact arithmetic; divide out the q solver's
-            # roundoff, and refuse measures (such as user input) far from 1
-            q1 = q1 / self._checked_totals(q1, "cylinder")
         letters = letter_order(self.lam.d)
         terms = np.empty((len(x), len(letters)))
         live = np.arange(len(x))  # rows whose terms are all finite so far
         for k, j in enumerate(letters):
-            pj = self.translated(x, j)
-            if self.normalise:
-                pj = pj / self._checked_totals(pj, "translated cylinder")
-            term = self.lam.p[j] * divergence_arrays(pj, q1, self.f)
+            term = self.lam.p[j] * divergence_arrays(self.translated(x, j), q1, self.f)
             terms[live, k] = term
             dead = term == INF
             if dead.any():
@@ -798,17 +805,6 @@ class EntropyEngine:
         out = np.full(len(terms), INF)
         out[live] = [math.fsum(row) for row in terms[live].tolist()]
         return out
-
-    @staticmethod
-    def _checked_totals(rows: np.ndarray, what: str) -> np.ndarray:
-        """fsum total of each row, as a column; each must lie within 1e-3 of 1."""
-        import numpy as np
-
-        totals = np.array([math.fsum(row) for row in rows.tolist()])
-        bad = ~((0.999 < totals) & (totals < 1.001))
-        if bad.any():
-            raise NotProbability(f"{what} total {float(totals[bad][0])!r} is not near 1")
-        return totals[:, None]
 
 
 def _scan_block(rng: np.random.Generator, rows: int, m: int, zero_fraction: float,

@@ -27,8 +27,7 @@ from .errors import (
 from .free_boundary import (SAMPLE_BLOCK, GeneratorMeasure, harmonic_measure, solve_q,
                             translate_mass)
 from .words import (ELEMENT_BUDGET, ReducedWord, decode_word, encode_word, enumerate_words,
-                    letter_order, letter_positions, reduce_letters, word_array, word_count,
-                    word_index)
+                    letter_order, letter_positions, reduce_letters, word_count, word_index)
 
 
 @dataclass(frozen=True)
@@ -648,7 +647,9 @@ def _sampled_levels(tables: list, space, u: np.ndarray):
 
 def sample_trajectory(s: StochasticSequence, steps: int, seed: int) -> list:
     """States X_0..X_steps: the one row of _sampled_levels that draws with
-    default_rng(seed).random((1, steps + 1)), as steps + 1 calls of random() would."""
+    default_rng(seed).random((1, steps + 1)), as steps + 1 calls of random() would.
+    On F_d, the first level whose words take sum_n |g_n| (up to quadratic in steps)
+    past ELEMENT_BUDGET raises BudgetExceeded before any word is decoded."""
     if steps < 1:
         raise ParseError("steps must be >= 1")
     if seed < 0:
@@ -656,7 +657,15 @@ def sample_trajectory(s: StochasticSequence, steps: int, seed: int) -> list:
     tables = _sample_tables(s, steps, 1)
     space = _key_space(s.group)
     u = np.random.default_rng(seed).random((1, steps + 1))
-    sheets, keys = zip(*_sampled_levels(tables, space, u))
+    levels, letters = [], 0
+    for n, (sheet, key) in enumerate(_sampled_levels(tables, space, u)):
+        if isinstance(space, _WordTable):
+            letters += int(space.depth[key[0]])
+            if letters > ELEMENT_BUDGET:
+                raise BudgetExceeded(f"the words of levels 0..{n} hold {letters} letters, past "
+                                     f"the element budget {ELEMENT_BUDGET}", level=n)
+        levels.append((sheet, key))
+    sheets, keys = zip(*levels)
     return [WalkState(n, i, g) for n, (i, g) in enumerate(zip(
         np.concatenate(sheets).tolist(), space.decode(np.concatenate(keys))))]
 
@@ -887,11 +896,10 @@ def boundary_empirical(mu: GeneratorMeasure, steps: int, trajectories: int,
     table = {}
     if trajectories > 0:
         n = trajectories
-        expected = harmonic_measure(mu, depth)
-        counts = dict(zip(map(tuple, word_array(mu.d, depth).tolist()), hits.tolist()))
-        for wkey in sorted(expected.masses):
-            exp = expected.mass(wkey)
-            table[encode_word(wkey)] = {"freq": counts[wkey] / n, "expected": exp,
+        # hits and the masses are both in enumerate_words order, which is sorted order
+        expected = harmonic_measure(mu, depth).masses
+        for (wkey, exp), hit in zip(expected.items(), hits.tolist()):
+            table[encode_word(wkey)] = {"freq": hit / n, "expected": exp,
                                         "stderr": math.sqrt(exp * (1.0 - exp) / n)}
     return {
         "trajectories": trajectories,
@@ -1141,7 +1149,7 @@ def folner_entropy_curve(lam: FiniteMeasure, f: ConvexGenerator, a_values,
     lambda_a is strictly positive and all shift divergences are finite);
     sigma^(n) is uniform on [-2^n, 2^n]. When max_level caps the truncation
     below what eps asks for, the dropped geometric weight is renormalized into
-    the stored levels and reported. A truncation level past 22 raises
+    the stored levels and reported. A truncation level past 21 raises
     BudgetExceeded before any array is built.
 
     The far tails of lambda_a are prefix-sum noise: positions where either
@@ -1154,7 +1162,7 @@ def folner_entropy_curve(lam: FiniteMeasure, f: ConvexGenerator, a_values,
     if not lam.is_probability:
         raise ParseError("lambda on Z must be a probability measure")
     results = []
-    hard_cap = 22  # support 2^{n+1} entries; beyond this the arrays blow the budget
+    hard_cap = (ELEMENT_BUDGET + 3).bit_length() - 3  # largest N with 2^(N+2) - 3 entries in rho_N
     for a in a_values:
         if not (0.0 < a < 1.0):
             raise ParseError("a values must lie in (0,1)")

@@ -454,10 +454,12 @@ class TestEndToEnd:
         assert r.returncode == 3, (r.returncode, r.stderr)
         assert json.loads(r.stderr)["error"] == "BudgetExceeded"
 
-    @pytest.mark.parametrize("sub", ["walk-boundary", "walk-sample", "folner"])
+    @pytest.mark.parametrize("sub", ["walk-boundary", "walk-sample", "walk-sample-f2", "folner",
+                                     "folner-22"])
     def test_arrays_past_the_budget_exit_code(self, files, sub):
-        """A sampling block past the element budget, or Folner levels past their
-        cap, raise before anything is allocated. The child runs under a 3 GiB
+        """A sampling block past the element budget, an F_2 trajectory whose words
+        outgrow it, or Folner levels past their cap, raise before anything is
+        allocated. The child runs under a 3 GiB
         address-space limit, so an allocation that slipped through fails there
         instead of taking the machine's memory."""
         args = {
@@ -466,8 +468,12 @@ class TestEndToEnd:
                               "--depth", "1"),
             "walk-sample": ("walk-sample", "--sigma", files["sigmaz.json"],
                             "--steps", "100000000", "--seed", "1"),
+            "walk-sample-f2": ("walk-sample", "--sigma", files["sigma.json"],
+                               "--steps", "1000000", "--seed", "1"),
             "folner": ("folner", "--lambda-z", files["lamz.json"], "--f", "kl",
                        "--a-values", "0.99", "--max-level", "30"),
+            "folner-22": ("folner", "--lambda-z", files["lamz.json"], "--f", "kl",
+                          "--a-values", "0.99", "--max-level", "22"),
         }[sub]
 
         def limit():
@@ -1038,4 +1044,50 @@ def test_scan_reports_match_recorded(tmp_path, name, argv, code, stdout, stderr)
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     r = subprocess.run([sys.executable, "-m", "fentropy.cli", "scan", "--lambda", "lambda.json",
                         *argv], capture_output=True, text=True, cwd=tmp_path, env=env)
+    assert (r.returncode, r.stdout, r.stderr) == (code, stdout, stderr)
+
+
+# --- entropy --nu reports against recorded outputs ---------------------------
+
+# JSON measures whose totals are not 1: the first (1 + 4e-4, under a harmonic
+# tail whose rounded q does not solve the first-passage system) is within
+# cylinder_entropy's tolerance, the second (0.5) is refused
+ENTROPY_NUS = {
+    "near-one": {"d": 2, "depth": 2, "tail": "harmonic",
+                 "q": {"1": 0.53265, "-1": 0.53265, "2": 0.17989, "-2": 0.17989},
+                 "masses": {"-2,-2": 0.0275, "-2,-1": 0.0625, "-2,1": 0.0625, "-1,-2": 0.0812,
+                            "-1,-1": 0.1853, "-1,2": 0.0812, "1,-2": 0.0812, "1,1": 0.1853,
+                            "1,2": 0.0812, "2,-1": 0.0625, "2,1": 0.0625, "2,2": 0.0275}},
+    "half": {"d": 2, "depth": 1, "tail": "uniform",
+             "masses": {"-2": 0.125, "-1": 0.125, "1": 0.125, "2": 0.125}},
+}
+
+ENTROPY_REPORTS = [
+    ('near-one', 'kl', 0,
+     ('{"command":"entropy","config":{"command":"entropy","depth":2,"f":"kl","l'
+      'ambda":"lambda.json","nu":"nu.json"},"results":{"depth":2,"h":0.3921171'
+      '9878895562},"version":"0.1.0"}\n'),
+     ''),
+    ('near-one', 'chi2', 0,
+     ('{"command":"entropy","config":{"command":"entropy","depth":2,"f":"chi2",'
+      '"lambda":"lambda.json","nu":"nu.json"},"results":{"depth":2,"h":1.07590'
+      '25962257396},"version":"0.1.0"}\n'),
+     ''),
+    ('half', 'kl', 2, '',
+     '{"error":"NotProbability","message":"cylinder total 0.5 is not near 1"}\n'),
+]
+
+
+@pytest.mark.parametrize("name, spec, code, stdout, stderr", ENTROPY_REPORTS,
+                         ids=[f"{r[0]}-{r[1]}" for r in ENTROPY_REPORTS])
+def test_entropy_nu_reports_match_recorded(tmp_path, name, spec, code, stdout, stderr):
+    # the report echoes the --lambda and --nu paths, so the files are named relative to the cwd
+    (tmp_path / "lambda.json").write_text(json.dumps(SCAN_LAMBDAS["asym2"]))
+    (tmp_path / "nu.json").write_text(json.dumps(ENTROPY_NUS[name]))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    r = subprocess.run([sys.executable, "-m", "fentropy.cli", "entropy", "--lambda", "lambda.json",
+                        "--f", spec, "--nu", "nu.json"], capture_output=True, text=True,
+                       cwd=tmp_path, env=env)
     assert (r.returncode, r.stdout, r.stderr) == (code, stdout, stderr)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import re
@@ -13,6 +14,7 @@ from fentropy import free_boundary
 from fentropy.divergence import CHI2, INF, KL, ConvexGenerator, generator_from_string
 from fentropy.errors import (
     DepthMismatch,
+    FentropyError,
     GeneratorOverflow,
     MassBelowFloor,
     NoConvergence,
@@ -27,6 +29,7 @@ from fentropy.free_boundary import (
     CylinderMeasure,
     EntropyEngine,
     GeneratorMeasure,
+    QVector,
     TailRule,
     _brent,
     _gather_maps,
@@ -375,7 +378,64 @@ class TestTranslateMass:
             translate_mass(solve_q(ASYM), (1,), ())
 
 
+def cylinder_entropy_outcomes(count: int, seed: int) -> list:
+    """Outcomes of `count` seeded cylinder_entropy calls: a value's float hex, or an
+    exception's type and message.
+
+    The inputs cover F_2 and F_3 at depth 1-4, six generators, and three tails:
+    a solved harmonic one, the uniform one, and a harmonic one whose q (each
+    q_j off by up to 0.3%, as a rounded JSON q would be) does not solve the
+    first-passage system. The masses are nu_mu's or a Dirichlet row, some
+    zeroed, scaled to a total of 1, 1 + 4e-4, 1 - 9e-4, 1.002 or 0.5.
+    """
+    specs = ["kl", "chi2", "power:0.5", "power:2", "power:-1", "power:3"]
+    totals = [1.0, 1.0 + 4e-4, 1.0 - 9e-4, 1.002, 0.5]
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        d, depth = int(rng.integers(2, 4)), int(rng.integers(1, 5))
+        f = generator_from_string(specs[int(rng.integers(len(specs)))])
+        lam, mu = random_measure(rng, d), random_measure(rng, d)
+        kind = int(rng.integers(3))
+        if kind == 0:
+            tail = TailRule("harmonic", solve_q(mu))
+        elif kind == 1:
+            tail = TailRule("uniform")
+        else:
+            off = rng.uniform(-3e-3, 3e-3, d)
+            q = {j: qj * (1.0 + off[abs(j) - 1]) for j, qj in solve_q(mu).q.items()}
+            tail = TailRule("harmonic", QVector(d, q))
+        words = enumerate_words(d, depth)
+        if rng.random() < 0.5:
+            x = np.array(list(harmonic_measure(mu, depth).masses.values()))
+        else:
+            x = rng.dirichlet(np.ones(len(words)))
+        zeroed = rng.random(len(x)) < rng.choice([0.0, 0.1, 0.4])
+        zeroed[int(rng.integers(len(x)))] = False
+        x[zeroed] = 0.0
+        x = x / x.sum() * totals[int(rng.integers(len(totals)))]
+        nu = CylinderMeasure(d, depth, dict(zip(words, x.tolist())), tail)
+        try:
+            out.append(cylinder_entropy(lam, nu, f).hex())
+        except FentropyError as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
+# sha256 of the newline-joined cylinder_entropy_outcomes(1500, 24), as printed
+# when the totals were checked inside EntropyEngine's rows
+CYLINDER_ENTROPY_DIGEST = "06ec5d35f240d2560b7bb4031ee52a302c003ff5d1e7356ee02cc78aa24929b0"
+
+
 class TestCylinderEntropy:
+    def test_outcomes_match_recorded(self):
+        outcomes = cylinder_entropy_outcomes(1500, 24)
+        assert INF.hex() in outcomes
+        for what in ("cylinder", "translated cylinder"):
+            assert any(o.startswith(f"NotProbability: {what} total") for o in outcomes)
+        digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+        assert digest == CYLINDER_ENTROPY_DIGEST
+
     def test_uniform_f2_kl(self):
         lam = uniform_generator_measure(2)
         nu = harmonic_measure(lam, 2)
@@ -402,6 +462,21 @@ class TestCylinderEntropy:
         assert cylinder_entropy(lam, nu, f) == pytest.approx(
             closed_form_harmonic_entropy(lam, ASYM, f), abs=1e-10
         )
+
+    def test_float32_weights_weigh_float64_terms(self):
+        p = {1: 0.375, -1: 0.375, 2: 0.125, -2: 0.125}
+        lam = GeneratorMeasure(2, p)
+        lam32 = GeneratorMeasure(2, {j: np.float32(w) for j, w in p.items()})
+        nu = harmonic_measure(ASYM, 3)
+        for f in (KL, CHI2):
+            assert cylinder_entropy(lam32, nu, f) == cylinder_entropy(lam, nu, f)
+
+    def test_refuses_a_measure_far_from_one(self):
+        lam = uniform_generator_measure(2)
+        words = enumerate_words(2, 2)
+        nu = CylinderMeasure(2, 2, {w: 0.5 / len(words) for w in words}, TailRule("uniform"))
+        with pytest.raises(NotProbability, match=r"^cylinder total 0\.5 is not near 1$"):
+            cylinder_entropy(lam, nu, KL)
 
     def test_zero_mass_cylinder_infinite_kl(self):
         qv = solve_q(uniform_generator_measure(2))
@@ -793,11 +868,6 @@ class TestGradient:
         x[3] = 1e-13
         assert np.isfinite(engine.gradient(x)).all()
 
-    def test_normalised_engine_has_no_gradient(self):
-        engine = EntropyEngine(ASYM, KL, 2, TailRule("uniform"), normalise=True)
-        with pytest.raises(ParseError):
-            engine.gradient(np.full(len(engine.words_n), 1.0 / len(engine.words_n)))
-
     @staticmethod
     def reference_gradient(engine, x, h_step):
         """Per-coordinate central differences, one engine call per shifted vector."""
@@ -835,13 +905,12 @@ class TestGradient:
 
 class TestEntropyBlocks:
     @pytest.mark.parametrize("spec", ["kl", "power:-1"])
-    @pytest.mark.parametrize("normalise", [False, True])
-    def test_rows_match_single_vector_calls(self, spec, normalise):
+    def test_rows_match_single_vector_calls(self, spec):
         f = generator_from_string(spec)
         rng = np.random.default_rng(41)
         lam, mu = random_measure(rng), random_measure(rng)
         for tail in (TailRule("harmonic", solve_q(mu)), TailRule("uniform")):
-            engine = EntropyEngine(lam, f, 2, tail, normalise=normalise)
+            engine = EntropyEngine(lam, f, 2, tail)
             m = len(engine.words_n)
             step = ENTROPY_CELLS // len(engine.refine_src)
             x = rng.dirichlet(np.ones(m), size=step + 3)
@@ -874,16 +943,6 @@ class TestEntropyBlocks:
             assert 0 < finite.sum() < len(h) or spec == "power:0.5"
             assert (high[finite] - low[finite] < 1e-11 * np.maximum(1.0, h[finite])).all()
 
-    def test_block_refuses_a_row_far_from_one(self):
-        lam = uniform_generator_measure(2)
-        engine = EntropyEngine(lam, KL, 2, TailRule("uniform"), normalise=True)
-        x = np.full((3, len(engine.words_n)), 1.0 / len(engine.words_n))
-        x[1] *= 0.5
-        with pytest.raises(NotProbability) as one:
-            engine.entropy(x[1])
-        with pytest.raises(NotProbability) as block:
-            engine.entropy(x)
-        assert str(block.value) == str(one.value)
 
 
 class TestSerialization:
@@ -966,7 +1025,7 @@ class TestGatherMaps:
         rng = np.random.default_rng(5)
         a = EntropyEngine(random_measure(rng), KL, 3, TailRule("uniform"))
         b = EntropyEngine(random_measure(rng), CHI2, 3,
-                          TailRule("harmonic", solve_q(random_measure(rng))), normalise=True)
+                          TailRule("harmonic", solve_q(random_measure(rng))))
         assert a.words_n is b.words_n and a.refine_src is b.refine_src
         assert a.push_src is not b.push_src
         for j in letter_order(2):

@@ -852,6 +852,24 @@ class TestSampling:
         assert sum(counts.values()) == SAMPLE_BLOCK
         assert sum(sample_endpoints(coin_sequence(), steps, 10, 0).values()) == 10
 
+    def test_trajectory_letters_past_the_element_budget_raise(self, monkeypatch):
+        # the level whose word takes sum_n |g_n| past the budget raises; on Z
+        # the states are integers, and no letter count applies
+        s = constant_sequence(MU2)
+        traj = sample_trajectory(s, 200, 4)
+        letters = np.cumsum([len(st.g) for st in traj])
+        budget = int(letters[120])
+        monkeypatch.setattr(sigma_walk, "ELEMENT_BUDGET", budget)
+        assert sample_trajectory(s, 120, 4) == traj[:121]
+        first = int(np.argmax(letters > budget))
+        with pytest.raises(BudgetExceeded, match=f"levels 0..{first} hold {letters[first]} "
+                                                 f"letters, past the element budget {budget}$"):
+            sample_trajectory(s, 200, 4)
+        monkeypatch.setattr(sigma_walk, "ELEMENT_BUDGET", 201)  # the 201 uniforms, no more
+        assert len(sample_trajectory(coin_sequence(), 200, 4)) == 201
+        with pytest.raises(BudgetExceeded, match="letters"):
+            sample_trajectory(s, 200, 4)
+
     # (sequence, steps, trajectories, seed, sha256 of the Counter's items in
     # order), as counted before trajectories and endpoints shared one level loop
     ENDPOINT_DIGESTS = [
@@ -1125,7 +1143,7 @@ class TestFolner:
         assert row["truncation_level"] == 0 and row["tail_mass"] == 0.5
 
     def test_truncation_past_the_cap_raises(self):
-        # max_level caps the truncation, and the cap of 22 levels caps max_level
+        # max_level caps the truncation, and the cap of 21 levels caps max_level
         lam = FiniteMeasure({-1: 0.5, 1: 0.5})
         with pytest.raises(BudgetExceeded, match="level 23$"):
             folner_entropy_curve(lam, KL, [0.99], 1e-6, max_level=23)
