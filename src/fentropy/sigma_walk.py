@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,10 +79,57 @@ class WalkState:
     g: object
 
 
+class _Entries(Mapping):
+    """A walk result's entries (*columns, element) -> mass in (sheet, key) order, read-only
+    over its int columns, int64 keys of the call's key space and masses. len and values()
+    read the masses; the first key access decodes every key once, into the dict that
+    serves every later key access."""
+
+    def __init__(self, space, columns: list, key: np.ndarray, mass: np.ndarray):
+        self._space, self._columns, self._key, self._mass = space, columns, key, mass
+        self._dict = None
+
+    def _decoded(self) -> dict:
+        if self._dict is None:
+            self._dict = dict(zip(zip(*[c.tolist() for c in self._columns],
+                                      self._space.decode(self._key)), self._mass.tolist()))
+        return self._dict
+
+    def __len__(self) -> int:
+        return len(self._mass)
+
+    def values(self) -> list:
+        return self._mass.tolist()
+
+    def __iter__(self):
+        return iter(self._decoded())
+
+    def __getitem__(self, k):
+        return self._decoded()[k]
+
+    def __contains__(self, k) -> bool:
+        return k in self._decoded()
+
+    def get(self, k, default=None):
+        return self._decoded().get(k, default)
+
+    def keys(self):
+        return self._decoded().keys()
+
+    def items(self):
+        return self._decoded().items()
+
+    def __eq__(self, other) -> bool:
+        return self._decoded() == other
+
+    def __repr__(self) -> str:
+        return repr(self._decoded())
+
+
 @dataclass(frozen=True)
 class LeveledMeasure:
     n: int
-    entries: dict  # (j, g) -> mass
+    entries: Mapping  # (j, g) -> mass
 
     @property
     def total(self) -> float:
@@ -468,6 +516,9 @@ class _Dense:
         return self.mass[i, at], self.reach[i, at]
 
 
+_EMPTY = _Sparse(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64), np.empty(0))
+
+
 def _step(space, level: _Sparse, cells: list, ell: int) -> _Sparse:
     """One exact step: level n-1 -> level n, with ell sheets, by sorting keys.
 
@@ -486,7 +537,7 @@ def _step(space, level: _Sparse, cells: list, ell: int) -> _Sparse:
         keys.append(space.right(key[lo:hi], xs).ravel())
         masses.append((ws * mass[lo:hi]).ravel())
     if not keys:
-        return _Sparse(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64), np.empty(0))
+        return _EMPTY
     return _Sparse(*_count_pairs(np.concatenate(sheets), np.concatenate(keys),
                                  np.concatenate(masses)))
 
@@ -574,8 +625,7 @@ def exact_distribution(s: StochasticSequence, n: int,
     for level in _walk(s, space, 0, 0, n, budget):
         pass
     out = level.triples()
-    return LeveledMeasure(n, dict(zip(zip(out.sheet.tolist(), space.decode(out.key)),
-                                      out.mass.tolist())))
+    return LeveledMeasure(n, _Entries(space, [out.sheet], out.key, out.mass))
 
 
 def _row_choices(row):
@@ -921,7 +971,7 @@ class AbelMeasure:
     a: float
     K: int
     N: int
-    entries: dict  # (n, j, g) -> mass
+    entries: Mapping  # (n, j, g) -> mass
     tail_mass: float
     group: GroupSpec
 
@@ -983,17 +1033,14 @@ def abel_measure(s: StochasticSequence, t: int, r: int, a: float, K: int,
     """
     space = _key_space(s.group)
     N, levels = _abel_levels(s, space, t, r, a, K, eps, N, budget)
-    entries: dict = {}
-    if levels:
-        levels = [level.triples() for level in levels]
-        sheet = np.concatenate([level.sheet for level in levels])
-        key = np.concatenate([level.key for level in levels])
-        mass = np.concatenate([level.mass for level in levels])
-        first = t + 1 + K
-        n = np.repeat(np.arange(first, first + len(levels)), [level.size for level in levels])
-        entries = dict(zip(zip(n.tolist(), sheet.tolist(), space.decode(key)), mass.tolist()))
+    levels = [level.triples() for level in levels] or [_EMPTY]
+    sheet = np.concatenate([level.sheet for level in levels])
+    key = np.concatenate([level.key for level in levels])
+    mass = np.concatenate([level.mass for level in levels])
+    first = t + 1 + K
+    n = np.repeat(np.arange(first, first + len(levels)), [level.size for level in levels])
     tail = a ** (N - t - K)
-    return AbelMeasure(t, r, a, K, N, entries, tail, s.group)
+    return AbelMeasure(t, r, a, K, N, _Entries(space, [n, sheet], key, mass), tail, s.group)
 
 
 def _dense_difference(lhs: list, rhs) -> np.ndarray | None:
@@ -1117,14 +1164,10 @@ def _geometric_tails(m: np.ndarray, lo: int, window_lo: int, window_hi: int,
     return c * (left + right - full)
 
 
-def folner_sequence_z(max_level: int):
-    """Interval-uniform convolution powers rho_n = u_1 * ... * u_n on Z.
-
-    u_n is uniform on [-2^n, 2^n]; rho_0 is the point mass at 0. Returns the
-    list of (array, lo) pairs where array[j] is the mass at lo+j.
-    """
-    rhos = [(np.array([1.0]), 0)]
-    arr, lo = rhos[0]
+def _folner_levels(max_level: int):
+    """rho_0..rho_max_level of folner_sequence_z, one at a time."""
+    arr, lo = np.array([1.0]), 0
+    yield arr, lo
     for n in range(1, max_level + 1):
         width = 2 ** n
         # convolution with a uniform kernel is a sliding-window mean, which a
@@ -1132,13 +1175,20 @@ def folner_sequence_z(max_level: int):
         win = 2 * width + 1
         padded = np.zeros(len(arr) + 2 * win)
         padded[win: win + len(arr)] = arr
-        csum = np.concatenate(([0.0], np.cumsum(padded)))
+        csum = np.cumsum(padded)
         out_len = len(arr) + win - 1
-        k = np.arange(out_len)
-        arr = (csum[k + win + 1] - csum[k + 1]) / win
+        arr = (csum[win:win + out_len] - csum[:out_len]) / win
         lo = lo - width
-        rhos.append((arr, lo))
-    return rhos
+        yield arr, lo
+
+
+def folner_sequence_z(max_level: int):
+    """Interval-uniform convolution powers rho_n = u_1 * ... * u_n on Z.
+
+    u_n is uniform on [-2^n, 2^n]; rho_0 is the point mass at 0. Returns the
+    list of (array, lo) pairs where array[j] is the mass at lo+j.
+    """
+    return list(_folner_levels(max_level))
 
 
 def folner_entropy_curve(lam: FiniteMeasure, f: ConvexGenerator, a_values,
@@ -1152,6 +1202,9 @@ def folner_entropy_curve(lam: FiniteMeasure, f: ConvexGenerator, a_values,
     the stored levels and reported. A truncation level past 21 raises
     BudgetExceeded before any array is built.
 
+    Every a and its truncation level N_a are checked first; then each rho_n is
+    built once and added, weighted, into the m_a of every a with n <= N_a.
+
     The far tails of lambda_a are prefix-sum noise: positions where either
     shifted mass is at or below ZERO_MASS are dropped before D_f is taken,
     since their masses are below the float resolution of lambda_a's total.
@@ -1161,7 +1214,7 @@ def folner_entropy_curve(lam: FiniteMeasure, f: ConvexGenerator, a_values,
     smax = max((abs(int(k)) for k in lam.atoms), default=0)
     if not lam.is_probability:
         raise ParseError("lambda on Z must be a probability measure")
-    results = []
+    plan = []  # (a, N_a) per a value
     hard_cap = (ELEMENT_BUDGET + 3).bit_length() - 3  # largest N with 2^(N+2) - 3 entries in rho_N
     for a in a_values:
         if not (0.0 < a < 1.0):
@@ -1171,15 +1224,20 @@ def folner_entropy_curve(lam: FiniteMeasure, f: ConvexGenerator, a_values,
             N = min(N, max_level)
         if N > hard_cap:
             raise BudgetExceeded(f"a={a} with eps={eps} needs truncation level {N}", level=N)
-        rhos = folner_sequence_z(N)
-        weights = np.array([(1.0 - a) * a**n for n in range(N + 1)])
+        plan.append((a, N))
+    weights = [np.array([(1.0 - a) * a**n for n in range(N + 1)]) for a, N in plan]
+    weights = [w / w.sum() for w in weights]
+    mixes = [np.zeros(2 ** (N + 2) - 3) for _, N in plan]
+    for n, (arr, lo) in enumerate(_folner_levels(max((N for _, N in plan), default=-1))):
+        for (_, N), w, m_a in zip(plan, weights, mixes):
+            if n <= N:
+                at = lo + 2 ** (N + 1) - 2  # rho_N starts at 2 - 2^(N+1)
+                m_a[at: at + len(arr)] += w[n] * arr
+    results = []
+    for (a, N), m_a in zip(plan, mixes):
         tail_mass = a ** (N + 1)
-        weights = weights / weights.sum()
-        lo_all = min(lo for _, lo in rhos)
-        hi_all = max(lo + len(arr) - 1 for arr, lo in rhos)
-        m_a = np.zeros(hi_all - lo_all + 1)
-        for wgt, (arr, lo) in zip(weights, rhos):
-            m_a[lo - lo_all: lo - lo_all + len(arr)] += wgt * arr
+        lo_all = 2 - 2 ** (N + 1)
+        hi_all = -lo_all
         window_lo = lo_all - WINDOW_MARGIN - smax
         window_hi = hi_all + WINDOW_MARGIN + smax
         lam_a = _geometric_tails(m_a, lo_all, window_lo, window_hi, GEOM_B)

@@ -868,6 +868,38 @@ def test_walk_sample_reports_match_recorded(tmp_path, monkeypatch, name, steps, 
     assert code == 0 and hashlib.sha256(payload.encode()).hexdigest() == digest
 
 
+
+FOLNER_LAMBDAS = {"pair": {"atoms": {"-1": 0.5, "1": 0.5}},
+                  "three": {"atoms": {"-2": 0.3, "1": 0.5, "3": 0.2}}}
+
+# (lambda, --f, --a-values, --eps, --max-level, sha256 of the folner report), as
+# printed when each a value built its own rho_0..rho_N; the a values below take
+# different truncation levels, and --max-level caps some of them below eps's
+FOLNER_REPORTS = [
+    ('pair', 'kl', '0.2,0.5,0.8', '1e-3', '12',
+     'e99a9783d80520b4ea95b759f70a155bc1852b495649945a1d15f95cdea5c917'),
+    ('three', 'chi2', '0.6,0.1,0.95', '1e-4', '10',
+     'c49f8f6d1868c21a6e87b5cb067dd717b37947e495532fce4b0128e830da1cc0'),
+    ('three', 'kl', '0.9,0.3', '1e-6', '5',
+     '33a9aef4c1eeedd12e1ae045540cd05995dff1a557757a32492c89799370d03d'),
+    ('pair', 'chi2', '0.5', '1e-2', '0',
+     '139c7cfd8bc3be7853ae8b5390815cb08d6d0f06f78c10f3154407b3e6518b76'),
+    ('pair', 'power:1.5', '0.05,0.7,0.7', '1e-8', '14',
+     '1a16e5afb963fff2faf046a39476a0a487f62579be7d5aaa766e137ed6a8e2fb'),
+]
+
+
+@pytest.mark.parametrize("lam, f, a_values, eps, max_level, digest", FOLNER_REPORTS,
+                         ids=[f"{r[0]}-{r[1]}-{r[4]}" for r in FOLNER_REPORTS])
+def test_folner_reports_match_recorded(tmp_path, monkeypatch, lam, f, a_values, eps, max_level,
+                                       digest):
+    # the report echoes the --lambda-z path, so the file is named relative to the cwd
+    (tmp_path / "lambda.json").write_text(json.dumps(FOLNER_LAMBDAS[lam]))
+    monkeypatch.chdir(tmp_path)
+    code, payload = cli.run(["folner", "--lambda-z", "lambda.json", "--f", f, "--a-values",
+                             a_values, "--eps", eps, "--max-level", max_level])
+    assert code == 0 and hashlib.sha256(payload.encode()).hexdigest() == digest
+
 # --- scan reports against recorded outputs ---------------------------------
 
 SCAN_LAMBDAS = {

@@ -623,6 +623,115 @@ class TestDenseLevels:
         assert raised_abel() == sparse_oracle(raised_abel)
 
 
+
+def eager_exact(s, n):
+    """exact_distribution's entries as one dict built from its last level's arrays."""
+    space = sigma_walk._key_space(s.group)
+    *_, level = sigma_walk._walk(s, space, 0, 0, n, ELEMENT_BUDGET)
+    out = level.triples()
+    return dict(zip(zip(out.sheet.tolist(), space.decode(out.key)), out.mass.tolist()))
+
+
+def eager_abel(s, t, r, a, K, eps, N=None):
+    """abel_measure's entries as one dict built level by level from its arrays."""
+    space = sigma_walk._key_space(s.group)
+    _, levels = sigma_walk._abel_levels(s, space, t, r, a, K, eps, N, ELEMENT_BUDGET)
+    out = {}
+    for n, level in enumerate(levels, t + 1 + K):
+        level = level.triples()
+        out.update(zip(zip([n] * level.size, level.sheet.tolist(), space.decode(level.key)),
+                       level.mass.tolist()))
+    return out
+
+
+ENTRY_CASES = {
+    "coin": (coin_sequence, 7),
+    "two-sheet": (lambda: two_sheet_sequence(3), 12),
+    "wide": (wide_sequence, 6),
+    "cancelling": (cancelling_sequence, 5),
+    "f2": (lambda: constant_sequence(MU2), 4),
+    "f3": (lambda: constant_sequence(MU3), 3),
+    "free-two-sheet": (free_two_sheet_sequence, 4),
+}
+
+
+def assert_same_entries(entries, eager):
+    """entries reads as the dict eager: items in the same order, ==, lookups."""
+    assert list(entries.items()) == list(eager.items())
+    assert list(entries) == list(entries.keys()) == list(eager)
+    assert list(entries.values()) == list(eager.values()) and len(entries) == len(eager)
+    assert entries == eager and eager == entries and not entries != eager
+    assert entries != {**eager, "missing": 0.0}
+    for k, m in eager.items():
+        assert k in entries and entries.get(k) == entries[k] == m
+    assert "missing" not in entries and entries.get("missing") is None
+    assert entries.get("missing", 0.5) == 0.5
+    with pytest.raises(KeyError):
+        entries["missing"]
+
+
+class TestEntries:
+    """exact_distribution and abel_measure keep their arrays: masses are read
+    from them, and words are decoded once, at the first key access."""
+
+    @pytest.mark.parametrize("case", list(ENTRY_CASES))
+    def test_exact_entries_match_the_eager_dict(self, case):
+        make, n = ENTRY_CASES[case]
+        s = make()
+        assert_same_entries(exact_distribution(s, n).entries, eager_exact(s, n))
+
+    @pytest.mark.parametrize("case", list(ENTRY_CASES))
+    @pytest.mark.parametrize("t,K,a,eps", [(-1, 0, 0.5, 0.1), (0, 1, 0.3, 1e-3)])
+    def test_abel_entries_match_the_eager_dict(self, case, t, K, a, eps):
+        s = ENTRY_CASES[case][0]()
+        assert_same_entries(abel_measure(s, t, 0, a, K, eps).entries,
+                            eager_abel(s, t, 0, a, K, eps))
+
+    @pytest.mark.parametrize("case", ["coin", "f2"])
+    def test_abel_without_stored_levels(self, case):
+        s = ENTRY_CASES[case][0]()
+        ab = abel_measure(s, 0, 0, 0.5, 3, 0.1, N=2)
+        assert_same_entries(ab.entries, {})
+        assert ab.entries == {} and ab.stored_total == 0.0
+
+    @pytest.mark.parametrize("case,n", [("f2", 6), ("f3", 4), ("dense-z", 25),
+                                        ("sparse-z", 8)])
+    def test_mass_only_reads_never_decode(self, monkeypatch, case, n):
+        s = {"f2": lambda: constant_sequence(MU2), "f3": lambda: constant_sequence(MU3),
+             "dense-z": coin_sequence, "sparse-z": wide_sequence}[case]()
+
+        def refuse(self, keys):
+            raise AssertionError("a mass-only read decoded the keys")
+
+        monkeypatch.setattr(sigma_walk._WordTable, "decode", refuse)
+        monkeypatch.setattr(sigma_walk._IntKeys, "decode", refuse)
+        dist = exact_distribution(s, n)
+        ab = abel_measure(s, -1, 0, 0.5, 0, 0.1)
+        for entries in (dist.entries, ab.entries):
+            assert len(entries) == len(entries.values()) > 0
+            assert min(entries.values()) >= 0.0
+        assert dist.total == pytest.approx(1.0, abs=1e-12)
+        assert ab.stored_total + ab.tail_mass == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("case", ["coin", "wide", "f2", "free-two-sheet"])
+    def test_keys_are_decoded_once(self, monkeypatch, case):
+        make, n = ENTRY_CASES[case]
+        s = make()
+        calls = []
+        for space in (sigma_walk._WordTable, sigma_walk._IntKeys):
+            monkeypatch.setattr(space, "decode", lambda self, keys, decode=space.decode: (
+                calls.append(len(keys)) or decode(self, keys)))
+        for entries in (exact_distribution(s, n).entries,
+                        abel_measure(s, -1, 0, 0.5, 0, 0.1).entries):
+            assert calls == []
+            key = next(iter(entries))
+            assert key in entries and entries.get(key) == entries[key]
+            assert entries == dict(entries.items()) and list(entries.keys())
+            repr(entries)
+            assert calls == [len(entries)]
+            calls.clear()
+
+
 class TestTailExponent:
     @settings(max_examples=300, deadline=None)
     @given(st.floats(1e-3, 0.999), st.integers(1, 5000), st.sampled_from([-1, 0, 1]))
@@ -1149,6 +1258,33 @@ class TestFolner:
             folner_entropy_curve(lam, KL, [0.99], 1e-6, max_level=23)
         assert (folner_entropy_curve(lam, KL, [0.3, 0.5], 1e-6, max_level=30)
                 == folner_entropy_curve(lam, KL, [0.3, 0.5], 1e-6))
+
+    def test_every_a_is_checked_before_a_level_is_built(self, monkeypatch):
+        lam = FiniteMeasure({-1: 0.5, 1: 0.5})
+        assert folner_entropy_curve(lam, KL, [], 1e-6) == {"curve": []}
+
+        def refuse(max_level):
+            raise AssertionError("a level was built")
+
+        monkeypatch.setattr(sigma_walk, "_folner_levels", refuse)
+        with pytest.raises(ParseError, match="a values"):
+            folner_entropy_curve(lam, KL, [0.5, 1.5], 1e-6, max_level=4)
+        with pytest.raises(BudgetExceeded, match="level 23$"):
+            folner_entropy_curve(lam, KL, [0.5, 0.99], 1e-6, max_level=23)
+
+    def test_each_level_is_built_once(self, monkeypatch):
+        lam = FiniteMeasure({-1: 0.5, 1: 0.5})
+        built, levels = [], sigma_walk._folner_levels
+
+        def counted(max_level):
+            for n, level in enumerate(levels(max_level)):
+                built.append(n)
+                yield level
+
+        monkeypatch.setattr(sigma_walk, "_folner_levels", counted)
+        curve = folner_entropy_curve(lam, KL, [0.3, 0.9, 0.5], 1e-4, max_level=9)["curve"]
+        assert built == list(range(10))
+        assert [row["truncation_level"] for row in curve] == [7, 9, 9]
 
 
 class TestGeometricTails:
