@@ -196,9 +196,10 @@ def divergence_arrays(p: np.ndarray, q: np.ndarray, f: ConvexGenerator):
 
     p of shape (rows, M), with q of shape (M,) or (rows, M), gives an array
     with one value per row, and p of shape (M,) gives the one row's value as a
-    float. Each row is one math.fsum, which rounds the exact sum once, so the
-    zero terms of atoms outside a row's branch cannot change it. Rows that are
-    infinite are never summed; the first row whose math.fsum raises raises.
+    float. Each row is one math.fsum over a memoryview of its terms, which
+    rounds the exact sum once, so the zero terms of atoms outside a row's
+    branch cannot change it; no list of the block's terms is built. Rows that
+    are infinite are never summed; the first row whose math.fsum raises raises.
     """
     import numpy as np
 
@@ -207,7 +208,8 @@ def divergence_arrays(p: np.ndarray, q: np.ndarray, f: ConvexGenerator):
     if q.ndim == 1:
         q = np.broadcast_to(q, p.shape)
     terms, infinite = _divergence_terms(p, q, f)
-    values = [INF if inf else math.fsum(row) for row, inf in zip(terms.tolist(), infinite.tolist())]
+    values = [INF if inf else math.fsum(memoryview(row))
+              for row, inf in zip(terms, infinite.tolist())]
     # the supporting line at 1 makes each term nonnegative in exact
     # arithmetic, so a tiny negative total is pure roundoff
     return np.array([0.0 if -PROB_TOL < v < 0.0 else v for v in values])

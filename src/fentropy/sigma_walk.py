@@ -309,9 +309,10 @@ class _IntKeys:
 class _WordTable:
     """Reduced words of F_d as ids of a trie grown on demand; id 0 is the identity.
 
-    Word k is the word parent[k] followed by the letter last[k], and
-    child[k, p] is the id of word k followed by the letter at position p of
-    letter_order(d), or -1 while that word has not been met.
+    Word k is the word parent[k] followed by the letter last[k]. The cell
+    k * 2d + p of word k and letter position p in letter_order(d) holds in
+    child[cell] the id of word k followed by that letter, or -1 while that
+    word has not been met.
     """
 
     identity = 0
@@ -322,39 +323,44 @@ class _WordTable:
         self.parent = np.array([-1])
         self.last = np.array([0])
         self.depth = np.array([0])
-        self.child = np.full((1, 2 * d), -1)
+        self.child = np.full(2 * d, -1)
         self.size = 1
 
-    def _add(self, par: np.ndarray, pos: np.ndarray) -> None:
-        """New ids for the distinct words par * order[pos]."""
-        ids = np.arange(self.size, self.size + len(par))
-        self.size += len(par)
+    def _add(self, cells: np.ndarray) -> None:
+        """New ids, in cell order, for the words of the distinct sorted cells."""
+        lo, self.size = self.size, self.size + len(cells)
         if self.size > len(self.parent):
             extra = max(self.size, 2 * len(self.parent)) - len(self.parent)
             self.parent = np.concatenate([self.parent, np.empty(extra, dtype=np.int64)])
             self.last = np.concatenate([self.last, np.empty(extra, dtype=np.int64)])
             self.depth = np.concatenate([self.depth, np.empty(extra, dtype=np.int64)])
-            self.child = np.concatenate([self.child, np.full((extra, 2 * self.d), -1)])
-        self.parent[ids] = par
-        self.last[ids] = self.order[pos]
-        self.depth[ids] = self.depth[par] + 1
-        self.child[par, pos] = ids
+            self.child = np.concatenate([self.child, np.full(extra * 2 * self.d, -1)])
+        par = cells // (2 * self.d)
+        self.parent[lo:self.size] = par
+        self.last[lo:self.size] = self.order[cells % (2 * self.d)]
+        self.depth[lo:self.size] = self.depth[par] + 1
+        self.child[cells] = np.arange(lo, self.size)
 
     def _push(self, keys: np.ndarray, letters: np.ndarray) -> np.ndarray:
-        """keys[k] * letters[k] for 1-D arrays; letter 0 leaves its key as it is."""
+        """keys[k] * letters[k] for 1-D arrays; letter 0 leaves its key as it is.
+
+        The cells (key * 2d + letter position) not met before get new ids in
+        sorted cell order. One sort and a compare of neighbours drop their
+        repeats: the sorted distinct cells of a unique() call, at a fraction
+        of its cost on int64 under numpy >= 2.3.
+        """
         out = keys.copy()
         live = letters != 0
         back = live & (self.last[keys] == -letters)
         out[back] = self.parent[keys[back]]
         fwd = np.flatnonzero(live & ~back)
-        par = keys[fwd]
-        pos = letter_positions(letters[fwd], self.d)
-        ids = self.child[par, pos]
+        cells = keys[fwd] * (2 * self.d) + letter_positions(letters[fwd], self.d)
+        ids = self.child[cells]
         new = ids < 0
         if new.any():
-            pairs = np.unique(par[new] * (2 * self.d) + pos[new])
-            self._add(pairs // (2 * self.d), pairs % (2 * self.d))
-            ids = self.child[par, pos]
+            fresh = np.sort(cells[new])
+            self._add(fresh[np.concatenate(([True], fresh[1:] != fresh[:-1]))])
+            ids = self.child[cells]
         out[fwd] = ids
         return out
 
@@ -1121,31 +1127,31 @@ def abel_identity_residual(s: StochasticSequence, t: int, a: float, K: int,
 
 # --- Folner experiment on Z ---------------------------------------------------
 
-GEOM_BLOCK = 256
 GEOM_B = 0.5  # ratio of the two-sided geometric sigma^(0) of the Folner experiment
 WINDOW_MARGIN = 64  # positions kept beyond the support of lambda_a's stored levels
 
 
-def _geometric_prefix(x: np.ndarray, b: float) -> np.ndarray:
-    """L[k] = b L[k-1] + x[k] with L[-1] = 0, for 0 < b < 1.
+def _geometric_prefix(x: np.ndarray, b: float) -> None:
+    """Overwrite each row of x with L[k] = b L[k-1] + x[k], L[-1] = 0, for 0 < b < 1.
 
-    Blocks of at most GEOM_BLOCK positions compute L = b^j cumsum(x b^-j) with
-    the carry from the block before folded into the first term, so that at
-    b = 1/2 every product is exact and the sums are the recurrence's own.
-    Blocks shrink for small b so that b^-j stays below 2^600.
+    Blocks of positions compute L = b^j cumsum(x b^-j) with the carry from
+    the block before folded into the first term, so that at b = 1/2 every
+    product is exact and the sums are the recurrence's own. A block is as
+    long as b^-j <= 2^600 allows: 601 positions at b = 1/2. Every block is
+    scaled, summed and scaled back in place, so no row-sized temporary is made.
     """
-    size = min(GEOM_BLOCK, 1 + int(600 * math.log(2.0) / -math.log(b)))
+    size = 1 + int(600 * math.log(2.0) / -math.log(b))
     j = np.arange(size, dtype=float)
     up, down = b ** -j, b ** j
-    out = np.empty_like(x)
-    carry = 0.0
-    for s in range(0, len(x), size):
-        seg = x[s:s + size].copy()
-        seg[0] += b * carry
-        n = len(seg)
-        out[s:s + n] = down[:n] * np.cumsum(seg * up[:n])
-        carry = out[s + n - 1]
-    return out
+    carry = np.zeros(x.shape[:-1])
+    for s in range(0, x.shape[-1], size):
+        seg = x[..., s:s + size]
+        n = seg.shape[-1]
+        seg[..., 0] += b * carry
+        seg *= up[:n]
+        np.cumsum(seg, axis=-1, out=seg)
+        seg *= down[:n]
+        carry = seg[..., -1]
 
 
 def _geometric_tails(m: np.ndarray, lo: int, window_lo: int, window_hi: int,
@@ -1153,19 +1159,28 @@ def _geometric_tails(m: np.ndarray, lo: int, window_lo: int, window_hi: int,
     """Convolve a finitely supported array with c*b^|k| exactly on a window.
 
     m[j] is the mass at integer lo+j. Uses the prefix recurrences
-    L[k] = b L[k-1] + m[k], R[k] = b R[k+1] + m[k].
+    L[k] = b L[k-1] + m[k], R[k] = b R[k+1] + m[k], run as one two-row batch:
+    the window and its reverse.
     """
     c = (1.0 - b) / (1.0 + b)
-    size = window_hi - window_lo + 1
-    full = np.zeros(size)
-    full[lo - window_lo: lo - window_lo + len(m)] = m
-    left = _geometric_prefix(full, b)
-    right = _geometric_prefix(full[::-1], b)[::-1]
-    return c * (left + right - full)
+    at = lo - window_lo
+    rows = np.zeros((2, window_hi - window_lo + 1))
+    rows[0, at: at + len(m)] = m
+    rows[1] = rows[0, ::-1]
+    _geometric_prefix(rows, b)
+    out = rows[0] + rows[1, ::-1]
+    out[at: at + len(m)] -= m
+    out *= c
+    return out
 
 
 def _folner_levels(max_level: int):
-    """rho_0..rho_max_level of folner_sequence_z, one at a time."""
+    """rho_0..rho_max_level on Z, one at a time, as (array, lo) pairs where
+    array[j] is the mass at lo+j.
+
+    rho_n = u_1 * ... * u_n with u_n uniform on [-2^n, 2^n]; rho_0 is the
+    point mass at 0.
+    """
     arr, lo = np.array([1.0]), 0
     yield arr, lo
     for n in range(1, max_level + 1):
@@ -1180,15 +1195,6 @@ def _folner_levels(max_level: int):
         arr = (csum[win:win + out_len] - csum[:out_len]) / win
         lo = lo - width
         yield arr, lo
-
-
-def folner_sequence_z(max_level: int):
-    """Interval-uniform convolution powers rho_n = u_1 * ... * u_n on Z.
-
-    u_n is uniform on [-2^n, 2^n]; rho_0 is the point mass at 0. Returns the
-    list of (array, lo) pairs where array[j] is the mass at lo+j.
-    """
-    return list(_folner_levels(max_level))
 
 
 def folner_entropy_curve(lam: FiniteMeasure, f: ConvexGenerator, a_values,

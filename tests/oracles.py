@@ -6,19 +6,21 @@ one-cylinder-at-a-time definitions the tests check those arrays against:
 each works on the dict masses of a CylinderMeasure and sums with math.fsum.
 exhaustive_scan is minimality_scan without its screen: every sample's
 entropy comes from EntropyEngine.entropy. gradient_of_masses is the central
-differences EntropyEngine.gradient is checked against.
+differences EntropyEngine.gradient is checked against. UniqueWordTable is
+the σ-walk word trie grown with np.unique, which _WordTable's ids are checked
+against.
 """
 
 import math
 
 import numpy as np
 
-from fentropy import free_boundary
+from fentropy import free_boundary, sigma_walk
 from fentropy.divergence import INF
 from fentropy.errors import DepthMismatch, ParseError, StepTooLarge
 from fentropy.free_boundary import (CylinderMeasure, EntropyEngine, TailRule, cylinder_entropy,
                                     harmonic_measure, pushforward, solve_q, t_inverse)
-from fentropy.words import ReducedWord, encode_word, letter_order
+from fentropy.words import ReducedWord, encode_word, letter_order, letter_positions
 
 
 def conditional(tail, last: int, nxt: int, d: int) -> float:
@@ -143,3 +145,47 @@ def gradient_of_masses(engine: EntropyEngine, x: np.ndarray, h_step: float) -> n
     minus[i, i + 1] += h_step
     h = engine.entropy(np.vstack([plus, minus]))
     return (h[:m - 1] - h[m - 1:]) / (2.0 * h_step)
+
+
+class UniqueWordTable(sigma_walk._WordTable):
+    """_WordTable with its first _push and _add: np.unique over the new
+    (parent, letter-position) pairs, a 2-D child[k, p] table and ids written
+    by index. repeats counts the pushes that met one new pair more than once.
+    """
+
+    def __init__(self, d: int):
+        super().__init__(d)
+        self.child = self.child.reshape(1, 2 * d)
+        self.repeats = 0
+
+    def _add(self, par: np.ndarray, pos: np.ndarray) -> None:
+        ids = np.arange(self.size, self.size + len(par))
+        self.size += len(par)
+        if self.size > len(self.parent):
+            extra = max(self.size, 2 * len(self.parent)) - len(self.parent)
+            self.parent = np.concatenate([self.parent, np.empty(extra, dtype=np.int64)])
+            self.last = np.concatenate([self.last, np.empty(extra, dtype=np.int64)])
+            self.depth = np.concatenate([self.depth, np.empty(extra, dtype=np.int64)])
+            self.child = np.concatenate([self.child, np.full((extra, 2 * self.d), -1)])
+        self.parent[ids] = par
+        self.last[ids] = self.order[pos]
+        self.depth[ids] = self.depth[par] + 1
+        self.child[par, pos] = ids
+
+    def _push(self, keys: np.ndarray, letters: np.ndarray) -> np.ndarray:
+        out = keys.copy()
+        live = letters != 0
+        back = live & (self.last[keys] == -letters)
+        out[back] = self.parent[keys[back]]
+        fwd = np.flatnonzero(live & ~back)
+        par = keys[fwd]
+        pos = letter_positions(letters[fwd], self.d)
+        ids = self.child[par, pos]
+        new = ids < 0
+        if new.any():
+            pairs = np.unique(par[new] * (2 * self.d) + pos[new])
+            self.repeats += len(pairs) < np.count_nonzero(new)
+            self._add(pairs // (2 * self.d), pairs % (2 * self.d))
+            ids = self.child[par, pos]
+        out[fwd] = ids
+        return out

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from fentropy.divergence import (
     ConvexGenerator,
     FiniteMeasure,
     MeasureFamily,
+    _divergence_terms,
     divergence_arrays,
     divergence_bounds,
     f_divergence,
@@ -277,6 +279,31 @@ class TestDivergenceArrays:
         p, q = pq
         assert divergence_arrays(p, q, f) >= 0.0
         assert divergence_arrays(p, p, f) == 0.0
+
+    @pytest.mark.parametrize("f", [KL, CHI2, ConvexGenerator("power", 0.5)],
+                             ids=["kl", "chi2", "power0.5"])
+    def test_long_row_is_summed_without_a_list_of_its_terms(self, f):
+        # one 2^20-atom row with exact zeros in p: the value is math.fsum of
+        # the row's terms, and the call holds less than 3 rows' bytes at once
+        # (a list of the row's floats alone takes 4)
+        rng = np.random.default_rng(26)
+        n = 2 ** 20
+        p, q = rng.random(n), rng.random(n)
+        p[rng.random(n) < 0.01] = 0.0
+        p /= p.sum()
+        q /= q.sum()
+        terms, infinite = _divergence_terms(p[None, :], q[None, :], f)
+        assert not infinite[0]
+        want = math.fsum(terms[0].tolist())
+        del terms
+        tracemalloc.start()
+        try:
+            got = divergence_arrays(p, q, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.hex() == want.hex()
+        assert peak < 3 * p.nbytes
 
 
 def bounds_block(rng, rows, n):

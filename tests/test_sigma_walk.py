@@ -46,6 +46,7 @@ from fentropy.sigma_walk import (
     validate_sigma,
 )
 from fentropy.words import encode_word, letter_order, reduce_letters
+from oracles import UniqueWordTable
 
 MU2 = uniform_generator_measure(2)
 MU3 = uniform_generator_measure(3)
@@ -732,6 +733,112 @@ class TestEntries:
             calls.clear()
 
 
+def seeded_free_sequence(seed, d, sheets=2, longest=3):
+    """A seeded sigma on F_d: a 1 x sheets first matrix, then a sheets x sheets
+    one held. Each cell holds three drawn words of 0 to longest letters (not
+    always reduced, and some sharing their first letters)."""
+    rng = np.random.default_rng(seed)
+    letters = [x for x in range(-d, d + 1) if x]
+
+    def matrix(rows):
+        out = []
+        for _ in range(rows):
+            weights = rng.dirichlet(np.ones(sheets))
+            row = []
+            for w in weights.tolist():
+                words = list(dict.fromkeys(
+                    tuple(rng.choice(letters, int(rng.integers(0, longest + 1))).tolist())
+                    for _ in range(3)))
+                row.append(dict(zip(words, (w * rng.dirichlet(np.ones(len(words)))).tolist())))
+            out.append(row)
+        return out
+
+    return StochasticSequence(GroupSpec("free", d), [sheets, sheets],
+                              [matrix(1), matrix(sheets)])
+
+
+TRIE_CASES = {
+    "free-two-sheet": (free_two_sheet_sequence, 5),
+    "f2-words": (lambda: seeded_free_sequence(5, 2), 4),
+    "f3-words": (lambda: seeded_free_sequence(11, 3), 3),
+}
+
+
+class TestWordTableIds:
+    """_WordTable's _push drops repeated new cells by a sort, and every word gets
+    the id that np.unique gave it (oracles.UniqueWordTable): the tries, the
+    levels and the entries with their order are the same."""
+
+    @staticmethod
+    def assert_same_trie(got, ref):
+        n = ref.size
+        assert got.size == n
+        for name in ("parent", "last", "depth"):
+            assert np.array_equal(getattr(got, name)[:n], getattr(ref, name)[:n])
+        assert np.array_equal(got.child[:n * 2 * got.d], ref.child[:n].ravel())
+
+    @staticmethod
+    def with_tables(monkeypatch, table, call):
+        """call() with every key space a fresh `table`; its result and the tables."""
+        made = []
+
+        def space(group):
+            made.append(table(group.d))
+            return made[-1]
+
+        monkeypatch.setattr(sigma_walk, "_key_space", space)
+        return call(), made
+
+    @pytest.mark.parametrize("case", list(TRIE_CASES))
+    def test_levels_and_entries_match_the_unique_trie(self, monkeypatch, case):
+        make, n = TRIE_CASES[case]
+        s = make()
+        ref, got = UniqueWordTable(s.group.d), sigma_walk._WordTable(s.group.d)
+        ref_levels = list(sigma_walk._walk(s, ref, 0, 0, n, ELEMENT_BUDGET))
+        got_levels = list(sigma_walk._walk(s, got, 0, 0, n, ELEMENT_BUDGET))
+        assert ref.repeats > 0  # some push met one new (parent, letter) twice
+        self.assert_same_trie(got, ref)
+        for a, b in zip(got_levels, ref_levels, strict=True):
+            assert np.array_equal(a.sheet, b.sheet) and np.array_equal(a.key, b.key)
+            assert a.mass.tobytes() == b.mass.tobytes()
+        want, _ = self.with_tables(monkeypatch, UniqueWordTable,
+                                   lambda: exact_distribution(s, n))
+        have, _ = self.with_tables(monkeypatch, sigma_walk._WordTable,
+                                   lambda: exact_distribution(s, n))
+        assert list(have.entries.items()) == list(want.entries.items())
+
+    def test_left_products_match_the_unique_trie(self):
+        # words of 1 to 3 letters times the keys of level 1 of the constant
+        # F_3 walk: most products are new words, some met twice in one push
+        s = constant_sequence(MU3)
+        rng = np.random.default_rng(3)
+        letters = [-3, -2, -1, 1, 2, 3]
+        xs = [tuple(rng.choice(letters, int(rng.integers(1, 4))).tolist()) for _ in range(12)]
+        ref, got = UniqueWordTable(3), sigma_walk._WordTable(3)
+        *_, ref_level = sigma_walk._walk(s, ref, 0, 0, 1, ELEMENT_BUDGET)
+        *_, got_level = sigma_walk._walk(s, got, 0, 0, 1, ELEMENT_BUDGET)
+        walked = ref.repeats
+        want, have = ref.left(ref_level.key, xs), got.left(got_level.key, xs)
+        assert ref.repeats > walked
+        assert np.array_equal(have, want)
+        self.assert_same_trie(got, ref)
+
+    @pytest.mark.parametrize("case", ["f3", "f3-words"])
+    def test_identity_residual_matches_the_unique_trie(self, monkeypatch, case):
+        # the residual's left() products are all words its walks reached, so
+        # the repeats its pushes meet come from the walks' right() products
+        s = {"f3": lambda: constant_sequence(MU3),
+             "f3-words": lambda: seeded_free_sequence(11, 3)}[case]()
+        args = (1, 0.3, 1, 0.1)
+        want, refs = self.with_tables(monkeypatch, UniqueWordTable,
+                                      lambda: abel_identity_residual(s, *args))
+        have, gots = self.with_tables(monkeypatch, sigma_walk._WordTable,
+                                      lambda: abel_identity_residual(s, *args))
+        assert len(gots) == len(refs) == 1
+        self.assert_same_trie(gots[0], refs[0])
+        assert have.hex() == want.hex()
+
+
 class TestTailExponent:
     @settings(max_examples=300, deadline=None)
     @given(st.floats(1e-3, 0.999), st.integers(1, 5000), st.sampled_from([-1, 0, 1]))
@@ -1313,6 +1420,27 @@ class TestGeometricTails:
         assert np.max(np.abs(got - ref) / ref) <= 1e-15
         if b == 0.5:
             assert np.array_equal(got, ref)
+
+
+class TestGeometricPrefix:
+    @pytest.mark.parametrize("n", [1, 600, 601, 602, 5000])
+    def test_two_row_batch_is_the_recurrence_at_one_half(self, n):
+        # blocks end after 601 positions at b = 1/2, so 600..602 sit on both
+        # sides of the first block edge
+        rng = np.random.default_rng(n)
+        x = rng.random((2, n)) * (rng.random((2, n)) < 0.7)
+        ref = np.empty_like(x)
+        for r in range(2):
+            acc = 0.0
+            for k in range(n):
+                acc = 0.5 * acc + x[r, k]
+                ref[r, k] = acc
+        rows = x.copy()
+        sigma_walk._geometric_prefix(rows, 0.5)
+        assert rows.tobytes() == ref.tobytes()
+        row = x[1].copy()
+        sigma_walk._geometric_prefix(row, 0.5)
+        assert row.tobytes() == ref[1].tobytes()
 
 
 class TestMonteCarloChiSquared:
