@@ -277,13 +277,6 @@ def rho_abs_continuity(m: FiniteMeasure, nu: FiniteMeasure, rho: Majorant) -> bo
     return bool(np.all(m_sums <= bound + 1e-12))
 
 
-# numpy's vector pow, exp and log can differ from the libm call a Python float
-# takes by an ulp or two (2 at most for t log1p t over 3e5 draws); values of G
-# this close to the bound are taken again one float at a time, so that every
-# comparison with the bound is the one a scalar loop makes
-_NEAR_BOUND = 2.0**-48
-
-
 def _call(G, x: float) -> float:
     try:
         return G(x)
@@ -291,87 +284,88 @@ def _call(G, x: float) -> float:
         return math.inf
 
 
-def _growth_evaluator(G, C: np.ndarray):
-    """G(1) against each bound in C, and the evaluator (s, c) -> G(s) for the
-    rest of the call; c is the bound of each point.
-
-    A G that maps a float array to a float array of its shape is called once
-    per array, with overflow read as +inf. Any other G is called on one Python
-    float at a time, with an OverflowError read as +inf.
-    """
-    def elementwise(s, c=None):
-        return np.array([_call(G, x) for x in s.tolist()], dtype=float)
-
-    def on_array(s, c, g=None):
-        if g is None:
-            with np.errstate(over="ignore"):
-                g = G(s)
-        near = np.flatnonzero((c * (1.0 - _NEAR_BOUND) <= g) & (g <= c * (1.0 + _NEAR_BOUND)))
-        if near.size:
-            g = g.copy()
-            g[near] = elementwise(s[near])
-        return g
-
-    ones = np.ones(len(C))
-    try:
-        with np.errstate(over="ignore"):
-            g = G(ones.copy())
-    except (TypeError, ValueError):
-        g = None
-    if isinstance(g, np.ndarray) and g.shape == ones.shape and g.dtype == np.float64:
-        return on_array(ones, C, g), on_array
-    return elementwise(ones), elementwise
-
-
 def _largest_feasible_grid(G, C: np.ndarray) -> np.ndarray:
-    """sup{s : G(s) <= C} for each bound in C; the feasible set of a convex G
-    is an interval.
+    """A feasible s <= sup{s : G(s) <= C} within 1e-13 max(1, s), for each
+    bound in C; the feasible set of a convex G is an interval.
 
-    Each point follows one rule: halve s from 1 until G(s) <= C (0 after 2000
-    halvings), double s_hi from max(2s, 2) while G(s_hi) <= C, then bisect at
-    most 200 times until hi - lo <= 1e-13 max(1, lo). A point stops under its
-    own test, and each round evaluates G once on the points still active.
+    G is called on Python floats only, and an OverflowError reads as +inf. A
+    value that is not <= C (NaN or +inf included) is infeasible. Two ladders
+    of rungs shared by every point call G once per rung: halve s from 1 until
+    G(s) <= C (0 after 2000 halvings), then double s from 2 while G(s) <= C
+    (NotSuperlinear past 1e15). Each point then holds its last feasible rung
+    lo and its first infeasible rung hi. A regula falsi step with the Illinois
+    modification proposes a point of [lo, hi], and the midpoint replaces it
+    where the interpolant is not finite or lies outside the bracket, and, in
+    every second round, where the last two rounds did not halve the bracket.
+    Each proposal stays at least tol/2 inside both ends, so the bracket closes
+    from both sides: G stays <= C at lo and not at hi, until
+    hi - lo <= tol = 1e-13 max(1, lo), or for at most 200 rounds.
     """
     n = len(C)
-    lo = np.ones(n)
-    g, evaluate = _growth_evaluator(G, C)
+    g = _call(G, 1.0)
+    lo, g_lo = np.ones(n), np.full(n, g)
+    hi, g_hi = np.full(n, 2.0), np.empty(n)
     # every point still halving holds the same s
-    idx = np.flatnonzero(g > C)
+    idx = np.flatnonzero(~(g <= C))
     s = 1.0
     for _ in range(2000):
         if not idx.size:
             break
+        hi[idx], g_hi[idx] = s, g
         s /= 2.0
-        lo[idx] = s
-        c = C[idx]
-        idx = idx[evaluate(lo[idx], c) > c]
+        g = _call(G, s)
+        lo[idx], g_lo[idx] = s, g
+        idx = idx[~(g <= C[idx])]
     # a point still above its bound after 2000 halvings gets 0 and stops
     lo[idx] = 0.0
     live = np.ones(n, dtype=bool)
     live[idx] = False
     live = np.flatnonzero(live)
 
-    hi = np.maximum(2.0 * lo, 2.0)
-    idx = live
+    idx, s = live, 2.0
     while idx.size:
-        c = C[idx]
-        idx = idx[evaluate(hi[idx], c) <= c]
-        hi[idx] *= 2.0
-        if np.any(hi[idx] > 1e15):
+        g = _call(G, s)
+        up = g <= C[idx]
+        # hi is the first infeasible rung above the last feasible one
+        stop = idx[~up & (lo[idx] == 0.5 * s)]
+        hi[stop], g_hi[stop] = s, g
+        idx = idx[up]
+        lo[idx], g_lo[idx] = s, g
+        s *= 2.0
+        if idx.size and s > 1e15:
             raise NotSuperlinear("G never exceeds the bound on the search range")
 
-    idx = live
-    for _ in range(200):
+    idx = live[hi[live] - lo[live] > 1e-13 * np.maximum(1.0, lo[live])]
+    a, b, c = lo[idx], hi[idx], C[idx]
+    fa, fb = g_lo[idx] - c, g_hi[idx] - c
+    kept = np.zeros(len(idx))  # +1 where the last round kept b, -1 where it kept a
+    width1 = width2 = np.full(len(idx), math.inf)  # b - a one and two rounds back
+    for r in range(200):
         if not idx.size:
             break
-        a, b, c = lo[idx], hi[idx], C[idx]
-        mid = 0.5 * (a + b)
-        ok = evaluate(mid, c) <= c
-        a = np.where(ok, mid, a)
-        b = np.where(ok, b, mid)
+        width = b - a
+        tol = 1e-13 * np.maximum(1.0, a)
+        with np.errstate(all="ignore"):
+            x = (a * fb - b * fa) / (fb - fa)
+        bisect = ~((a <= x) & (x <= b))
+        if r % 2 == 0:
+            bisect |= width > 0.5 * width2
+        x = np.where(bisect, 0.5 * (a + b), x)
+        x = np.minimum(np.maximum(x, a + 0.5 * tol), b - 0.5 * tol)
+        gx = np.array([_call(G, t) for t in x.tolist()], dtype=float)
+        ok = gx <= c
+        fx = gx - c
+        # Illinois: an end kept two rounds running enters at half its value
+        fb = np.where(ok & (kept > 0), 0.5 * fb, fb)
+        fa = np.where(~ok & (kept < 0), 0.5 * fa, fa)
+        a, fa = np.where(ok, x, a), np.where(ok, fx, fa)
+        b, fb = np.where(ok, b, x), np.where(ok, fb, fx)
+        kept = np.where(ok, 1.0, -1.0)
+        width1, width2 = width, width1
         lo[idx] = a
-        hi[idx] = b
-        idx = idx[b - a > 1e-13 * np.maximum(1.0, a)]
+        go = b - a > 1e-13 * np.maximum(1.0, a)
+        idx, a, b, c, fa, fb = idx[go], a[go], b[go], c[go], fa[go], fb[go]
+        kept, width1, width2 = kept[go], width1[go], width2[go]
     return lo
 
 

@@ -737,9 +737,16 @@ def sample_endpoints(s: StochasticSequence, steps: int, trajectories: int,
     per call). Each block's (sheet, key) pairs are counted apart; the blocks
     are merged, and the keys decoded, once at the end. The Counter is in
     (sheet, key) order.
+
+    With 0 trajectories nothing is drawn, and only levels
+    0..min(steps, 2 * horizon) are tabulated: they reach every stored matrix
+    the walk uses and the first level whose matrix misfits, so every row and
+    element check still runs, but partial sums past them are not range-checked.
     """
     if steps < 0 or trajectories < 0 or seed < 0:
         raise ParseError("steps, trajectories and seed must be >= 0")
+    if not trajectories:
+        steps = min(steps, 2 * s.horizon)
     tables = _sample_tables(s, steps, min(trajectories, SAMPLE_BLOCK))
     space = _key_space(s.group)
     blocks = []  # per block: (sheets, keys, counts) of its distinct endpoints

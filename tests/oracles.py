@@ -8,7 +8,9 @@ exhaustive_scan is minimality_scan without its screen: every sample's
 entropy comes from EntropyEngine.entropy. gradient_of_masses is the central
 differences EntropyEngine.gradient is checked against. UniqueWordTable is
 the σ-walk word trie grown with np.unique, which _WordTable's ids are checked
-against.
+against. bisection_largest_feasible is the scalar bisection that
+majorant._largest_feasible_grid replaced, and illinois_largest_feasible is
+one point of the grid's rule, which the grid must reproduce bit for bit.
 """
 
 import math
@@ -17,7 +19,7 @@ import numpy as np
 
 from fentropy import free_boundary, sigma_walk
 from fentropy.divergence import INF
-from fentropy.errors import DepthMismatch, ParseError, StepTooLarge
+from fentropy.errors import DepthMismatch, NotSuperlinear, ParseError, StepTooLarge
 from fentropy.free_boundary import (CylinderMeasure, EntropyEngine, TailRule, cylinder_entropy,
                                     harmonic_measure, pushforward, solve_q, t_inverse)
 from fentropy.words import ReducedWord, encode_word, letter_order, letter_positions
@@ -189,3 +191,80 @@ class UniqueWordTable(sigma_walk._WordTable):
             ids = self.child[par, pos]
         out[fwd] = ids
         return out
+
+
+def bisection_largest_feasible(G, C: float) -> float:
+    """The scalar bisection, one bound at a time: the reference that
+    majorant._largest_feasible_grid must agree with within 2e-13 max(1, s)."""
+    s_feas = 1.0
+    tries = 0
+    while G(s_feas) > C:
+        s_feas /= 2.0
+        tries += 1
+        if tries > 2000:
+            return 0.0
+    s_hi = max(2.0 * s_feas, 2.0)
+    while G(s_hi) <= C:
+        s_hi *= 2.0
+        if s_hi > 1e15:
+            raise NotSuperlinear("G never exceeds the bound on the search range")
+    lo, hi = s_feas, s_hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if G(mid) <= C:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-13 * max(1.0, lo):
+            break
+    return lo
+
+
+def illinois_largest_feasible(G, C: float) -> float:
+    """One point of majorant._largest_feasible_grid, in Python floats: the
+    halving and doubling ladders, then regula falsi with the Illinois
+    modification from the last feasible and the first infeasible rung. G must
+    read an overflow as +inf; a value that is not <= C is infeasible."""
+    lo, g_lo = 1.0, G(1.0)
+    halvings = 0
+    while not g_lo <= C:
+        if halvings == 2000:
+            return 0.0
+        hi, g_hi = lo, g_lo
+        lo /= 2.0
+        g_lo = G(lo)
+        halvings += 1
+    s = 2.0
+    while True:
+        g = G(s)
+        if not g <= C:
+            if lo == 0.5 * s:
+                hi, g_hi = s, g
+            break
+        lo, g_lo = s, g
+        s *= 2.0
+        if s > 1e15:
+            raise NotSuperlinear("G never exceeds the bound on the search range")
+    a, b, fa, fb = lo, hi, g_lo - C, g_hi - C
+    kept = 0  # +1 if the last round kept b, -1 if it kept a
+    width1 = width2 = math.inf  # b - a one and two rounds back
+    for r in range(200):
+        width = b - a
+        tol = 1e-13 * max(1.0, a)
+        if width <= tol:
+            break
+        x = (a * fb - b * fa) / (fb - fa) if fb != fa else math.nan
+        if not a <= x <= b or (r % 2 == 0 and width > 0.5 * width2):
+            x = 0.5 * (a + b)
+        x = min(max(x, a + 0.5 * tol), b - 0.5 * tol)
+        gx = G(x)
+        if gx <= C:
+            if kept > 0:
+                fb = 0.5 * fb
+            a, fa, kept = x, gx - C, 1
+        else:
+            if kept < 0:
+                fa = 0.5 * fa
+            b, fb, kept = x, gx - C, -1
+        width1, width2 = width, width1
+    return a

@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from oracles import bisection_largest_feasible, illinois_largest_feasible
 
 from fentropy.divergence import FiniteMeasure
 from fentropy.errors import (
@@ -296,33 +297,6 @@ class TestValleePoussin:
             assert rho_norm(f, rho, mode="exact") <= K * (1 + 1e-9)
 
 
-def _largest_feasible(G, C: float) -> float:
-    """The scalar bisection, one bound at a time: the reference that
-    majorant._largest_feasible_grid must reproduce bit for bit."""
-    s_feas = 1.0
-    tries = 0
-    while G(s_feas) > C:
-        s_feas /= 2.0
-        tries += 1
-        if tries > 2000:
-            return 0.0
-    s_hi = max(2.0 * s_feas, 2.0)
-    while G(s_hi) <= C:
-        s_hi *= 2.0
-        if s_hi > 1e15:
-            raise NotSuperlinear("G never exceeds the bound on the search range")
-    lo, hi = s_feas, s_hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if G(mid) <= C:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * max(1.0, lo):
-            break
-    return lo
-
-
 def _inf_on_overflow(G):
     def g(t):
         try:
@@ -333,11 +307,23 @@ def _inf_on_overflow(G):
 
 
 def oracle_vallee_poussin(G, M, monkeypatch):
-    """vallee_poussin with its grid bisection replaced by the scalar loop."""
+    """vallee_poussin with its grid search replaced by the scalar bisection."""
     with monkeypatch.context() as m:
         m.setattr(majorant, "_largest_feasible_grid", lambda g, C: np.array(
-            [_largest_feasible(_inf_on_overflow(g), c) for c in C]))
+            [bisection_largest_feasible(_inf_on_overflow(g), c) for c in C]))
         return vallee_poussin(G, M)
+
+
+def grid_of_vallee_poussin(G, M, monkeypatch):
+    """The bounds vallee_poussin(G, M) hands its grid search, and the grid's answer."""
+    calls = []
+    search = majorant._largest_feasible_grid
+    with monkeypatch.context() as m:
+        m.setattr(majorant, "_largest_feasible_grid",
+                  lambda g, C: calls.append((C, search(g, C))) or calls[-1][1])
+        vallee_poussin(G, M)
+    (call,) = calls
+    return call
 
 
 GROWTH = {
@@ -346,11 +332,11 @@ GROWTH = {
     "tlog1p": lambda t: t * math.log1p(t),
     "t1.5": lambda t: t**1.5,
     "t1e308": lambda t: t**1e308,
-    "max-sq": lambda t: max(t, 0.0)**2,  # raises on arrays: one float at a time
+    "max-sq": lambda t: max(t, 0.0)**2,  # raises on arrays, takes floats
 }
-# the last three bounds send t**3 (the first two) and t**1.5 through a
-# bisection step where numpy's vector pow and libm's pow round to opposite
-# sides of the bound, on a machine with AVX-512
+# the last three bounds take t**3 (the first two) and t**1.5 to a point where
+# numpy's vector pow and libm's pow round to opposite sides of the bound, on a
+# machine with AVX-512
 BOUNDS = [1e-9, 1.0, 4.0, 50.0, *np.exp(np.random.default_rng(1101).uniform(-6.0, 5.0, 4)),
           50.56102646277762, 4.204025283560229, 0.00043629255306156786]
 
@@ -358,11 +344,12 @@ BOUNDS = [1e-9, 1.0, 4.0, 50.0, *np.exp(np.random.default_rng(1101).uniform(-6.0
 class TestValleePoussinGrid:
     @pytest.mark.parametrize("name", GROWTH)
     def test_bit_identical_to_scalar_oracle(self, name, monkeypatch):
-        G = GROWTH[name]
+        G = _inf_on_overflow(GROWTH[name])
         for M in BOUNDS:
-            rho, K = vallee_poussin(G, float(M))
-            rho_o, K_o = oracle_vallee_poussin(G, float(M), monkeypatch)
-            assert json.dumps([K, rho.to_json()]) == json.dumps([K_o, rho_o.to_json()]), M
+            C, got = grid_of_vallee_poussin(GROWTH[name], float(M), monkeypatch)
+            assert got.tolist() == [illinois_largest_feasible(G, c) for c in C.tolist()], M
+            ref = np.array([bisection_largest_feasible(G, c) for c in C.tolist()])
+            assert np.all(np.abs(got - ref) <= 2e-13 * np.maximum(1.0, ref)), M
 
     @pytest.mark.parametrize("M", [1.0, 1e6])  # rho1 without decay; s_hi past 1e15
     def test_linear_growth_not_superlinear(self, M, monkeypatch):
@@ -376,8 +363,9 @@ class TestValleePoussinGrid:
     def test_zero_after_2000_halvings(self, G):
         C = np.array([0.5, 2.0, 1e-3, 5.0])
         got = majorant._largest_feasible_grid(G, C)
-        assert got.tolist() == [_largest_feasible(G, c) for c in C]
-        assert got[0] == got[2] == 0.0
+        ref = np.array([bisection_largest_feasible(G, c) for c in C])
+        assert got[0] == got[2] == ref[0] == ref[2] == 0.0
+        assert np.all(np.abs(got - ref) <= 2e-13 * np.maximum(1.0, ref))
 
     @pytest.mark.parametrize("G", [lambda t: t**1e308, lambda t: math.pow(t, 1e308)],
                              ids=["array", "elementwise"])
@@ -385,34 +373,49 @@ class TestValleePoussinGrid:
         rho, K = vallee_poussin(G, 10.0)
         assert rho == power_majorant(1.0) and K == 1.0
 
-    def test_array_growth_is_called_once_per_round(self, monkeypatch):
-        arrays, floats = [], []
+    def test_growth_is_called_on_floats_within_budget(self):
+        # t**1e308 jumps from 1 to +inf at 1, where only the midpoint can help
+        for name in ("t2", "t3", "tlog1p", "t1.5", "max-sq"):
+            for M in BOUNDS:
+                seen = []
+                vallee_poussin(lambda t: seen.append(t) or GROWTH[name](t), float(M))
+                assert all(type(t) is float for t in seen), (name, M)
+                assert len(seen) <= 10**4, (name, M)
 
-        def G(t):
-            (arrays if isinstance(t, np.ndarray) else floats).append(t)
-            return t * t
+    @pytest.mark.parametrize("name", ["t2", "tlog1p", "t1.5"])
+    def test_certificate_on_each_point(self, name):
+        # lo is feasible, and G exceeds the bound within the tolerance above it
+        G = GROWTH[name]
+        for M in BOUNDS:
+            C = float(M) / np.logspace(-10, 0, 97)
+            got = majorant._largest_feasible_grid(G, C)
+            for lo, c in zip(got.tolist(), C.tolist()):
+                assert G(lo) <= c and G(lo + 1e-13 * max(1.0, lo)) > c, (M, c)
 
-        vallee_poussin(G, 4.0)
-        oracle = []
-        oracle_vallee_poussin(lambda t: oracle.append(t) or t * t, 4.0, monkeypatch)
-        assert len(oracle) > 10**4
-        assert 10 < len(arrays) < 300
-        # floats only where G lands within 2^-48 of the bound
-        assert len(floats) < len(oracle) / 100
+    @pytest.mark.parametrize("M", [1.0, 10.0, 1e6])
+    def test_huge_power_closes_on_one(self, M):
+        rho, K = vallee_poussin(lambda t: t**1e308, M)
+        assert rho == power_majorant(1.0) and K == 1.0
 
-    def test_elementwise_growth_sees_the_oracle_inputs(self, monkeypatch):
-        seen, oracle = [], []
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("edge", [0.75, 3.0])  # in the halving, or the doubling, range
+    def test_nan_reads_as_infeasible(self, edge):
+        def grow(past):
+            return lambda t: t * t if t < edge else past
 
-        def G(t):
-            g = max(t, 0.0)**2
-            seen.append(t)
-            return g
+        C = np.array([1e-6, 0.25, 0.5625, 1.0, 4.0, 8.0, 9.0, 1e6])
+        nan = majorant._largest_feasible_grid(grow(math.nan), C)
+        assert nan.tolist() == majorant._largest_feasible_grid(grow(math.inf), C).tolist()
+        assert np.all(nan < edge) and np.all(nan * nan <= C)
+        assert vallee_poussin(grow(math.nan), 4.0) == vallee_poussin(grow(math.inf), 4.0)
 
-        rho, K = vallee_poussin(G, 4.0)
-        oracle_vallee_poussin(lambda t: oracle.append(t) or max(t, 0.0)**2, 4.0,
-                              monkeypatch)
-        assert all(type(t) is float for t in seen)
-        assert sorted(seen) == sorted(oracle)
+    def test_exact_root_closes_in_few_calls(self):
+        # G(2) = 4 is the bound: the interpolant lands on the feasible end, and
+        # the step tol/2 above it closes the bracket from the infeasible side
+        seen = []
+        got = majorant._largest_feasible_grid(lambda t: seen.append(t) or t * t,
+                                              np.array([4.0]))
+        assert got.tolist() == [2.0] and len(seen) <= 6
 
     def test_sorted_unique_matches_np_unique(self):
         grids = [np.concatenate([np.linspace(0.0, 1.0, 1025), np.logspace(-12, 0, 257)])]

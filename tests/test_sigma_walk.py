@@ -1,5 +1,6 @@
 import hashlib
 import math
+import time
 import tracemalloc
 from collections import Counter
 
@@ -1001,6 +1002,22 @@ class TestSampling:
         with pytest.raises(ParseError):
             boundary_empirical(MU2, 8, -5, 1, 1)
         assert sample_endpoints(coin_sequence(), 3, 0, 1) == Counter()
+
+    def test_no_trajectories_skip_the_levels_past_the_checks(self):
+        start = time.perf_counter()
+        assert sample_endpoints(coin_sequence(), 10**6, 0, 0) == Counter()
+        assert time.perf_counter() - start < 0.05
+        # a zero-mass row of the second matrix, and a cycle that misfits at level 3
+        zero_row = StochasticSequence(Z, [2, 2], [[[{1: 1.0}, {}]],
+                                                 [[{1: 1.0}, {}], [{}, {2: 0.0}]]])
+        m1 = [[{1: 0.5}, {-1: 0.5}]]
+        m2 = [[{0: 0.5}, {1: 0.25}, {2: 0.25}], [{0: 1.0}, {}, {}]]
+        misfit = StochasticSequence(Z, [1, 2, 3], [[[{0: 1.0}]], m1, m2], beyond="cycle")
+        for steps in (3, 10**6):
+            with pytest.raises(NotProbability):
+                sample_endpoints(zero_row, steps, 0, 0)
+            with pytest.raises(ValidationError, match="at level 3$"):
+                sample_endpoints(misfit, steps, 0, 0)
 
     def test_trajectory_reports_reduced_words(self):
         # (1, -1, 2) is not reduced: every level holds the word the exact walk holds
