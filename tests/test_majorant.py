@@ -326,6 +326,14 @@ def grid_of_vallee_poussin(G, M, monkeypatch):
     return call
 
 
+def _ladder_and_rounds(seen):
+    """G's inputs split into the leading powers of two (the ladders) and the
+    rest (the rounds): a round's input lies strictly between a rung and the
+    next one up, so it is never a power of two."""
+    rungs = list(itertools.takewhile(lambda t: math.frexp(t)[0] == 0.5, seen))
+    return rungs, seen[len(rungs):]
+
+
 GROWTH = {
     "t2": lambda t: t * t,
     "t3": lambda t: t**3,
@@ -372,6 +380,43 @@ class TestValleePoussinGrid:
     def test_overflow_reads_as_infinity(self, G):
         rho, K = vallee_poussin(G, 10.0)
         assert rho == power_majorant(1.0) and K == 1.0
+
+    def test_array_growth_is_called_once_per_round(self, monkeypatch):
+        # t * t takes arrays too, but sees floats: once per rung of the shared
+        # ladders, then once per open point in each round of the oracle
+        seen = []
+        C, _ = grid_of_vallee_poussin(lambda t: seen.append(t) or t * t, 4.0, monkeypatch)
+        assert all(type(t) is float for t in seen)
+        rungs, rounds = _ladder_and_rounds(seen)
+        assert len(rungs) == len(set(rungs)) < 100
+        oracle_rounds, bisection = 0, []
+        for c in C.tolist():
+            point = []
+            illinois_largest_feasible(lambda t: point.append(t) or t * t, c)
+            oracle_rounds += len(_ladder_and_rounds(point)[1])
+            bisection_largest_feasible(lambda t: bisection.append(t) or t * t, c)
+        assert len(rounds) == oracle_rounds
+        assert len(bisection) > 10**4 and len(seen) < len(bisection) / 3
+
+    def test_elementwise_growth_sees_the_oracle_inputs(self, monkeypatch):
+        # the rungs every point's oracle calls, once each, then every point's
+        # regula falsi inputs
+        def G(t):
+            return max(t, 0.0)**2
+
+        seen = []
+        C, _ = grid_of_vallee_poussin(lambda t: seen.append(t) or G(t), 4.0, monkeypatch)
+        assert all(type(t) is float for t in seen)
+        rungs, rounds = _ladder_and_rounds(seen)
+        oracle_rungs, oracle_rounds = set(), []
+        for c in C.tolist():
+            point = []
+            illinois_largest_feasible(lambda t: point.append(t) or G(t), c)
+            ladder, rest = _ladder_and_rounds(point)
+            oracle_rungs.update(ladder)
+            oracle_rounds += rest
+        assert sorted(rungs) == sorted(oracle_rungs)
+        assert sorted(rounds) == sorted(oracle_rounds)
 
     def test_growth_is_called_on_floats_within_budget(self):
         # t**1e308 jumps from 1 to +inf at 1, where only the midpoint can help
