@@ -312,6 +312,8 @@ def cmd_envelope(args):
     from .majorant import concave_envelope
 
     samples = _load_json(args.samples)
+    if not (isinstance(samples, list) and all(isinstance(p, list) for p in samples)):
+        raise ParseError(f"{args.samples}: samples must be a JSON list of [t, y] pairs")
     return concave_envelope(samples).to_json()
 
 

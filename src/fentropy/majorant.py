@@ -103,12 +103,15 @@ class Majorant:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Majorant":
-        kind = doc.get("kind")
-        if kind == "power":
-            return cls("power", q=float(doc["q"]))
-        if kind == "pwl":
-            pts = sorted((float(t), float(y)) for t, y in doc["points"])
-            return cls("pwl", ts=tuple(t for t, _ in pts), ys=tuple(y for _, y in pts))
+        kind = doc.get("kind") if isinstance(doc, dict) else None
+        try:
+            if kind == "power":
+                return cls("power", q=float(doc["q"]))
+            if kind == "pwl":
+                pts = sorted((float(t), float(y)) for t, y in doc["points"])
+                return cls("pwl", ts=tuple(t for t, _ in pts), ys=tuple(y for _, y in pts))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"bad majorant JSON: {exc}") from exc
         raise ParseError(f"bad majorant JSON {doc!r}")
 
 
@@ -122,35 +125,53 @@ def _pwl_from_samples(ts: np.ndarray, ys: np.ndarray) -> Majorant:
 
 
 def concave_envelope(samples) -> Majorant:
-    """Piecewise-linear upper concave hull through (1,1), dominating the samples."""
-    pts = sorted((float(t), float(y)) for t, y in samples)
-    ts = {t for t, _ in pts}
-    if 0.0 not in ts or 1.0 not in ts:
+    """Piecewise-linear upper concave hull through (1,1), dominating the samples.
+
+    samples is an (n, 2) float array or an iterable of (t, y) pairs. numpy
+    checks the samples (the abscissae include 0 and 1, every sample lies in
+    the unit square, y(0) = 0; a failure names the first bad sample in (t, y)
+    order), sorts them once and keeps the largest y of each t, then Andrew's
+    monotone chain builds the upper hull over Python floats.
+    """
+    try:
+        if isinstance(samples, np.ndarray) and samples.ndim == 2 and samples.shape[1] == 2:
+            pts = samples.astype(float, copy=False)
+        else:
+            pts = np.array([(float(t), float(y)) for t, y in samples]).reshape(-1, 2)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BadSample(f"samples must be (t, y) pairs of numbers: {exc}") from exc
+    t, y = pts[:, 0], pts[:, 1]
+    if not ((t == 0.0).any() and (t == 1.0).any()):
         raise BadSample("sample abscissae must include 0 and 1")
-    for t, y in pts:
-        if not (0.0 <= t <= 1.0) or not (0.0 <= y <= 1.0 + 1e-12):
-            raise BadSample(f"sample ({t},{y}) outside the unit square")
-        if t == 0.0 and y > 0.0:
-            raise BadSample("y(0) must be 0")
-    pts.append((1.0, 1.0))
-    best: dict = {}
-    for t, y in pts:
-        if t not in best or y > best[t]:
-            best[t] = y
-    pts = sorted(best.items())
+    outside = ~((0.0 <= t) & (t <= 1.0) & (0.0 <= y) & (y <= 1.0 + 1e-12))
+    bad = outside | ((t == 0.0) & (y > 0.0))
+    if bad.any():
+        order = np.lexsort((y, t))
+        i = order[np.argmax(bad[order])]
+        if outside[i]:
+            raise BadSample(f"sample ({float(t[i])},{float(y[i])}) outside the unit square")
+        raise BadSample("y(0) must be 0")
+    # t ascending, y descending; the sort is stable, so each t's first sample
+    # is its largest y, the earliest given of equal ones (this fixes the sign
+    # of a zero), and t = -0.0 and 0.0 keep the order they came in
+    order = np.lexsort((-y, t))
+    t, y = t[order], y[order]
+    first = np.ones(len(t), dtype=bool)
+    first[1:] = t[1:] != t[:-1]
+    t, y = t[first], y[first]
+    y[-1] = max(y[-1], 1.0)  # the hull passes through (1, 1); t[-1] is 1
     hull = []  # monotone chain, upper hull
-    for t, y in pts:
+    for p in zip(t.tolist(), y.tolist()):
+        tk, yk = p
         while len(hull) >= 2:
             (t1, y1), (t2, y2) = hull[-2], hull[-1]
-            # drop middle point if it lies on or below chord (t1,y1)-(t,y)
-            if (y2 - y1) * (t - t1) <= (y - y1) * (t2 - t1) + 1e-18:
+            # drop middle point if it lies on or below chord (t1,y1)-(tk,yk)
+            if (y2 - y1) * (tk - t1) <= (yk - y1) * (t2 - t1) + 1e-18:
                 hull.pop()
             else:
                 break
-        hull.append((t, y))
-    ts_h = np.array([t for t, _ in hull])
-    ys_h = np.array([y for _, y in hull])
-    return _pwl_from_samples(ts_h, ys_h)
+        hull.append(p)
+    return Majorant("pwl", ts=tuple(p[0] for p in hull), ys=tuple(p[1] for p in hull))
 
 
 def combine(op: str, inputs, K: float | None = None, weights=None) -> Majorant:
@@ -161,7 +182,7 @@ def combine(op: str, inputs, K: float | None = None, weights=None) -> Majorant:
             out = power_majorant(rho.q * eta.q)
         else:
             ys = rho.eval_array(eta.eval_array(_GRID))
-            out = concave_envelope(zip(_GRID, np.clip(ys, 0.0, 1.0)))
+            out = concave_envelope(np.column_stack([_GRID, np.clip(ys, 0.0, 1.0)]))
     elif op == "max":
         # the pointwise max of concave gauges need not be concave; the hull of
         # the max is the least majorant dominating both (the semilattice join).
@@ -171,7 +192,7 @@ def combine(op: str, inputs, K: float | None = None, weights=None) -> Majorant:
             if r.kind == "pwl":
                 grid = np.union1d(grid, np.asarray(r.ts))
         ys = np.max([r.eval_array(grid) for r in inputs], axis=0)
-        out = concave_envelope(zip(grid, np.clip(ys, 0.0, 1.0)))
+        out = concave_envelope(np.column_stack([grid, np.clip(ys, 0.0, 1.0)]))
     elif op == "cap":
         if K is None or K < 1.0:
             raise InvalidWeight("cap needs K >= 1")
@@ -407,9 +428,10 @@ def vallee_poussin(G, M: float):
             if abs(q - round(q)) < 1e-6:
                 q = float(round(q))
             return power_majorant(max(q, 1.0)), float(K)
-    rho = concave_envelope(
-        [(0.0, 0.0)] + list(zip(vs, np.clip(ys, 0.0, 1.0)))
-    )
+    rho = concave_envelope(np.column_stack([
+        np.concatenate([[0.0], vs]),
+        np.concatenate([[0.0], np.clip(ys, 0.0, 1.0)]),
+    ]))
     rho.validate()
     return rho, float(K)
 
@@ -463,6 +485,8 @@ def majorant_for_measure(m: FiniteMeasure, nu: FiniteMeasure) -> Majorant:
         raise TooManyAtoms(f"{len(labels)} atoms; cap is {EXACT_ATOM_CAP}")
     m_sums = _subset_sums(np.array([m.mass(k) for k in labels]))
     nu_sums = _subset_sums(np.array([nu.mass(k) for k in labels]))
-    samples = [(min(v, 1.0), min(y, 1.0)) for v, y in zip(nu_sums, m_sums)]
-    samples.append((1.0, 1.0))
-    return concave_envelope(samples)
+    # the full set's sums may round below 1, so (1, 1) is a sample of its own
+    return concave_envelope(np.column_stack([
+        np.append(np.minimum(nu_sums, 1.0), 1.0),
+        np.append(np.minimum(m_sums, 1.0), 1.0),
+    ]))

@@ -11,6 +11,8 @@ the σ-walk word trie grown with np.unique, which _WordTable's ids are checked
 against. bisection_largest_feasible is the scalar bisection that
 majorant._largest_feasible_grid replaced, and illinois_largest_feasible is
 one point of the grid's rule, which the grid must reproduce bit for bit.
+dict_concave_envelope is the tuple-sorting, dict-deduping envelope that
+majorant.concave_envelope must reproduce bit for bit.
 """
 
 import math
@@ -19,9 +21,10 @@ import numpy as np
 
 from fentropy import free_boundary, sigma_walk
 from fentropy.divergence import INF
-from fentropy.errors import DepthMismatch, NotSuperlinear, ParseError, StepTooLarge
+from fentropy.errors import BadSample, DepthMismatch, NotSuperlinear, ParseError, StepTooLarge
 from fentropy.free_boundary import (CylinderMeasure, EntropyEngine, TailRule, cylinder_entropy,
                                     harmonic_measure, pushforward, solve_q, t_inverse)
+from fentropy.majorant import Majorant, _pwl_from_samples
 from fentropy.words import ReducedWord, encode_word, letter_order, letter_positions
 
 
@@ -268,3 +271,35 @@ def illinois_largest_feasible(G, C: float) -> float:
             b, fb, kept = x, gx - C, -1
         width1, width2 = width, width1
     return a
+
+
+def dict_concave_envelope(samples) -> Majorant:
+    """Piecewise-linear upper concave hull through (1,1), dominating the samples."""
+    pts = sorted((float(t), float(y)) for t, y in samples)
+    ts = {t for t, _ in pts}
+    if 0.0 not in ts or 1.0 not in ts:
+        raise BadSample("sample abscissae must include 0 and 1")
+    for t, y in pts:
+        if not (0.0 <= t <= 1.0) or not (0.0 <= y <= 1.0 + 1e-12):
+            raise BadSample(f"sample ({t},{y}) outside the unit square")
+        if t == 0.0 and y > 0.0:
+            raise BadSample("y(0) must be 0")
+    pts.append((1.0, 1.0))
+    best: dict = {}
+    for t, y in pts:
+        if t not in best or y > best[t]:
+            best[t] = y
+    pts = sorted(best.items())
+    hull = []  # monotone chain, upper hull
+    for t, y in pts:
+        while len(hull) >= 2:
+            (t1, y1), (t2, y2) = hull[-2], hull[-1]
+            # drop middle point if it lies on or below chord (t1,y1)-(t,y)
+            if (y2 - y1) * (t - t1) <= (y - y1) * (t2 - t1) + 1e-18:
+                hull.pop()
+            else:
+                break
+        hull.append((t, y))
+    ts_h = np.array([t for t, _ in hull])
+    ys_h = np.array([y for _, y in hull])
+    return _pwl_from_samples(ts_h, ys_h)

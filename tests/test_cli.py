@@ -277,7 +277,9 @@ class TestEndToEnd:
                                       "entropy-power-24", "gradient-power-24",
                                       "scan-power-30", "tmap-power-1000",
                                       "tmap-power-minus-1000", "abel-a-nan", "abel-identity-a-nan",
-                                      "folner-a-values-nan", "vp-M-nan", "split-C-nan"])
+                                      "folner-a-values-nan", "vp-M-nan", "split-C-nan",
+                                      "envelope-text", "envelope-short-row", "envelope-object",
+                                      "rho-norm-short-point", "rho-ac-text-point"])
     def test_bad_parameter_exit_code(self, files, case):
         h = os.path.join(files["dir"], "nan_h.json")
         with open(h, "w") as fh:
@@ -292,6 +294,16 @@ class TestEndToEnd:
         zero_row = os.path.join(files["dir"], "zero_row.json")
         with open(zero_row, "w") as fh:
             json.dump(StochasticSequence(GroupSpec("int"), [1], [[[{1: 0.0}]]]).to_json(), fh)
+        bad = {}
+        for name, doc in [("text", [[0, 0], [0.5, "x"], [1, 1]]),
+                          ("short", [[0, 0], [0.5], [1, 1]]), ("object", {"00": 0, "11": 1})]:
+            bad[name] = os.path.join(files["dir"], f"samples_{name}.json")
+            with open(bad[name], "w") as fh:
+                json.dump(doc, fh)
+        for name, point in [("short", [0.5]), ("text", [0.5, "x"])]:
+            bad["rho-" + name] = os.path.join(files["dir"], f"rho_{name}.json")
+            with open(bad["rho-" + name], "w") as fh:
+                json.dump({"kind": "pwl", "points": [[0, 0], point, [1, 1]]}, fh)
         scan = ("scan", "--lambda", files["uniform2.json"], "--f", "kl", "--depth", "2",
                 "--samples", "10", "--seed", "1")
         args = {
@@ -371,6 +383,13 @@ class TestEndToEnd:
             "vp-M-nan": ("vp", "--g", "tlogt", "--M", "nan"),
             "split-C-nan": ("split", "--function", files["fn.json"], "--rho",
                             files["rho.json"], "--C", "nan"),
+            "envelope-text": ("envelope", "--samples", bad["text"]),
+            "envelope-short-row": ("envelope", "--samples", bad["short"]),
+            "envelope-object": ("envelope", "--samples", bad["object"]),
+            "rho-norm-short-point": ("rho-norm", "--function", files["fn.json"],
+                                     "--rho", bad["rho-short"]),
+            "rho-ac-text-point": ("rho-ac", "--m", files["lamz.json"], "--nu", files["lamz.json"],
+                                  "--rho", bad["rho-text"]),
         }[case]
         r = run_cli(*args)
         assert r.returncode == 2, (r.returncode, r.stdout)

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from oracles import bisection_largest_feasible, illinois_largest_feasible
+from oracles import bisection_largest_feasible, dict_concave_envelope, illinois_largest_feasible
 
 from fentropy.divergence import FiniteMeasure
 from fentropy.errors import (
@@ -20,6 +20,7 @@ from fentropy.errors import (
 from fentropy import majorant
 from fentropy.majorant import (
     _GRID,
+    VP_GRID_SIZE,
     Majorant,
     WeightedFunction,
     _positive_atoms,
@@ -253,6 +254,157 @@ class TestEnvelope:
     def test_rejects_positive_y_at_zero(self):
         with pytest.raises(BadSample):
             concave_envelope([(0, 0.5), (1, 1)])
+
+
+def assert_same_hull(got, want):
+    """Equal Majorants with equal JSON, down to the sign of every zero."""
+    assert got == want
+    assert got.to_json() == want.to_json()
+    assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+
+
+def _dyadic(rng, k, total):
+    """k positive multiples of 1/total that sum to 1: exact subset sums, so
+    ties and exactly collinear points."""
+    cuts = np.sort(rng.choice(np.arange(1, total), k - 1, replace=False))
+    return np.diff(np.concatenate([[0], cuts, [total]])) / total
+
+
+def _measure(w):
+    return FiniteMeasure({str(i): float(x) for i, x in enumerate(w)})
+
+
+def _subset_sum_cloud(m, nu):
+    """majorant_for_measure's samples, as it built them before they were arrays."""
+    labels = sorted(m.labels(), key=str)
+    m_sums = majorant._subset_sums(np.array([m.mass(k) for k in labels]))
+    nu_sums = majorant._subset_sums(np.array([nu.mass(k) for k in labels]))
+    return [(min(v, 1.0), min(y, 1.0)) for v, y in zip(nu_sums, m_sums)] + [(1.0, 1.0)]
+
+
+def _vp_samples(G, M):
+    """vallee_poussin's rho1 samples, (0, 0) first, normalised by rho1(1)."""
+    vs = _sorted_unique(np.concatenate([
+        np.linspace(0.0, 1.0, VP_GRID_SIZE + 1)[1:],
+        np.logspace(-10, 0, VP_GRID_SIZE // 2),
+    ]))
+    rho1 = vs * majorant._largest_feasible_grid(G, M / vs)
+    return [(0.0, 0.0)] + list(zip(vs, np.clip(rho1 / rho1[-1], 0.0, 1.0)))
+
+
+class TestEnvelopeOracle:
+    """concave_envelope and its callers build every hull bit for bit as the
+    tuple-sorting, dict-deduping envelope in oracles.py does."""
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_subset_sum_clouds(self, k):
+        rng = np.random.default_rng(2800 + k)
+        nu = rng.dirichlet(np.ones(k))
+        ratios = rng.choice([0.5, 1.0, 2.0], k)  # atoms of equal m/nu: collinear points
+        pairs = [
+            (rng.dirichlet(np.ones(k)), nu),
+            (ratios * nu / np.sum(ratios * nu), nu),
+            (nu, nu),
+            (_dyadic(rng, k, 64), _dyadic(rng, k, 64)),
+            (_dyadic(rng, k, 64) * 1.25, _dyadic(rng, k, 64) * 1.5),  # many t = 1
+            (rng.dirichlet(np.ones(k)), np.full(k, 1.0 / k)),  # repeated t, other y
+        ]
+        for m_w, nu_w in pairs:
+            m, nu_m = _measure(m_w), _measure(nu_w)
+            samples = _subset_sum_cloud(m, nu_m)
+            want = dict_concave_envelope(samples)
+            assert_same_hull(majorant_for_measure(m, nu_m), want)
+            assert_same_hull(concave_envelope(samples), want)
+            assert_same_hull(concave_envelope(np.array(samples)), want)
+
+    def test_combine_grids(self):
+        rng = np.random.default_rng(2801)
+        pwl = [majorant_for_measure(_measure(rng.dirichlet(np.ones(8))),
+                                    _measure(rng.dirichlet(np.ones(8)))) for _ in range(4)]
+        powers = [power_majorant(q) for q in (1.5, 2.5, 4.0)]
+        for a, b in [(pwl[0], powers[0]), (powers[1], pwl[1]), (pwl[2], pwl[3]),
+                     (pwl[1], powers[2])]:
+            ys = a.eval_array(b.eval_array(_GRID))
+            want = dict_concave_envelope(zip(_GRID, np.clip(ys, 0.0, 1.0)))
+            assert_same_hull(combine("compose", [a, b]), want)
+            grid = _GRID
+            for r in (a, b):
+                if r.kind == "pwl":
+                    grid = np.union1d(grid, np.asarray(r.ts))
+            ys = np.max([r.eval_array(grid) for r in (a, b)], axis=0)
+            want = dict_concave_envelope(zip(grid, np.clip(ys, 0.0, 1.0)))
+            assert_same_hull(combine("max", [a, b]), want)
+
+    @pytest.mark.parametrize("name", ["t2", "t3", "tlog1p"])
+    def test_vallee_poussin_samples(self, name):
+        G = GROWTH[name]
+        for M in (0.3, 2.0, 40.0):
+            samples = _vp_samples(G, M)
+            want = dict_concave_envelope(samples)
+            assert_same_hull(concave_envelope(np.array(samples)), want)
+            assert_same_hull(concave_envelope(samples), want)
+            if name == "tlog1p":  # t2 and t3 come back as powers before the envelope
+                assert_same_hull(vallee_poussin(G, M)[0], want)
+
+    @pytest.mark.parametrize("samples", [
+        [(0, 0), (0.5, 0.2), (0.5, 0.7), (0.5, 0.4), (0.25, 0.1), (0.25, 0.6), (1, 1)],
+        [(0, 0), (0.5, 0.5), (1, 1), (1, 1), (0.5, 0.5)],
+        [(0, 0), (1, 0.5), (0.4, 0.3)],
+        [(0, 0), (1, 1.0 + 5e-13), (0.5, 0.9), (1, 0.2)],
+        [(-0.0, 0.0), (0.0, -0.0), (1, 1)],
+        [(0.0, -0.0), (-0.0, 0.0), (1, 1)],
+        [(0.0, 0.0), (-0.0, -0.0), (0.3, 0.0), (0.3, -0.0), (1, 1)],
+        [(-0.0, -0.0), (0.3, -0.0), (0.3, 0.0), (0.6, 0.6), (1, 0.0)],
+        [(0, 0), (0.2, 0.4), (0.4, 0.8), (0.6, 0.9), (0.8, 0.95), (1, 1)],  # on chords
+    ])
+    def test_ties_and_signed_zeros(self, samples):
+        rng = np.random.default_rng(2802)
+        for perm in [samples] + [[samples[i] for i in rng.permutation(len(samples))]
+                                 for _ in range(40)]:
+            want = dict_concave_envelope(perm)
+            assert_same_hull(concave_envelope(perm), want)
+            assert_same_hull(concave_envelope(np.array(perm, dtype=float)), want)
+
+    @pytest.mark.parametrize("samples", [
+        [(0, 0), (0.5, 1.5), (1, 1)],
+        [(0, 0), (-0.1, 0.2), (1, 1)],
+        [(0, 0.5), (1, 1)],
+        [(0, 0), (0.5, -1e-300), (1, 1)],
+        [(0, 0), (0.5, 1.0 + 2e-12), (1, 1)],
+        [(0, 0), (math.inf, 1.0), (1, 1)],
+        [(0, 0), (0.5, math.nan), (1, 1)],
+        [(0, 0), (math.nan, 0.5), (1, 1)],
+        [(0.5, 0.5), (1, 1)],
+        [(0, 0), (0.5, 0.5)],
+        [],
+        [(0, 0), (0.5, 2.0), (0.2, -1.0), (0, 0.1), (1, 1)],
+        [(0, 0.2), (0, 0.1), (1, 3.0), (1, 1)],
+        [(0, 0), (0.5, math.nan), (math.nan, 0.1), (1, 1)],
+    ])
+    def test_errors_match_oracle(self, samples):
+        with pytest.raises(BadSample) as want:
+            dict_concave_envelope(samples)
+        # the first bad sample of a NaN-free input is the same in both sorts
+        one_bad = sum(not (0 <= t <= 1 and 0 <= y <= 1 + 1e-12) or (t == 0 and y > 0)
+                      for t, y in samples) <= 1
+        same_message = one_bad or not any(map(math.isnan, itertools.chain(*samples)))
+        for given in (samples, np.array(samples, dtype=float).reshape(-1, 2)):
+            with pytest.raises(BadSample) as got:
+                concave_envelope(given)
+            if same_message:
+                assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("samples", [
+        [(0, 0), (0.5, "x"), (1, 1)],
+        [(0, 0), (0.5,), (1, 1)],
+        [(0, 0), (0.5, 0.5, 0.5), (1, 1)],
+        [(0, 0), None, (1, 1)],
+        [(0, 0), (10**400, 1), (1, 1)],
+        5,
+    ])
+    def test_malformed_samples_raise_bad_sample(self, samples):
+        with pytest.raises(BadSample, match="pairs of numbers"):
+            concave_envelope(samples)
 
 
 class TestValleePoussin:
