@@ -146,7 +146,10 @@ def _brent(fn, lo: float, hi: float, f_lo: float, f_hi: float, xtol: float) -> f
             else:
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                den = dblk * dpre * (fblk - fpre)
+                # a zero denominator (equal values at two points) rejects the step,
+                # as brentq's infinite or NaN quotient does
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den != 0.0 else INF
             if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
                 spre, scur = scur, stry
             else:
@@ -448,14 +451,37 @@ def stationarity_residual(mu: GeneratorMeasure, nu: CylinderMeasure,
 
 # --- T map and its inverse ----------------------------------------------------
 
-def psi(f: ConvexGenerator, z: float) -> float:
-    """Psi_f(z) = f(z) - z f'(z) + f'(1/z)."""
-    return f.eval(z) - z * f.deriv(z) + f.deriv(1.0 / z)
+def _phi_kernel(f: ConvexGenerator):
+    """Phi(q) = Psi_f(q) - Psi_f(1/q) as one closure of q, for the generator kind of f.
 
+    Psi_f(z) = f(z) - z f'(z) + f'(1/z). Each closure does the float operations
+    of f.eval and f.deriv in their order, so it equals the method-by-method
+    evaluation bit for bit, OverflowError included; a value the methods
+    compute twice (log q, 1/q and its log or power, a(a - 1), a - 1) is
+    computed once. Phi is positive and decreasing on (0, 1) for the builtin f.
+    """
+    log = math.log
+    if f.kind == "kl":
+        def phi(q: float) -> float:
+            z = 1.0 / q
+            lq, lz = log(q), log(z)
+            return (q * lq - q * (lq + 1.0) + (lz + 1.0)
+                    - (z * lz - z * (lz + 1.0) + (log(1.0 / z) + 1.0)))
+    elif f.kind == "chi2":
+        def phi(q: float) -> float:
+            z = 1.0 / q
+            return ((q - 1.0) ** 2 - q * (2.0 * (q - 1.0)) + 2.0 * (z - 1.0)
+                    - ((z - 1.0) ** 2 - z * (2.0 * (z - 1.0)) + 2.0 * (1.0 / z - 1.0)))
+    else:
+        a = f.alpha
+        den, am1 = a * (a - 1.0), a - 1.0
 
-def _phi(f: ConvexGenerator, q: float) -> float:
-    """Psi_f(q) - Psi_f(1/q); positive and decreasing on (0,1) for the builtin f."""
-    return psi(f, q) - psi(f, 1.0 / q)
+        def phi(q: float) -> float:
+            z = 1.0 / q
+            dz = z**am1 / am1  # f'(1/q)
+            return ((q**a - 1.0) / den - q * (q**am1 / am1) + dz
+                    - ((z**a - 1.0) / den - z * dz + (1.0 / z) ** am1 / am1))
+    return phi
 
 
 @contextlib.contextmanager
@@ -476,10 +502,11 @@ def _psi_overflow(f: ConvexGenerator, where: str, caller: str):
 def t_map(mu: GeneratorMeasure, f: ConvexGenerator) -> GeneratorMeasure:
     """lambda_j = c / (Psi_f(q_j) - Psi_f(1/q_j)), normalized over the 2d generators."""
     qv = solve_q(mu)
+    phi = _phi_solver(f).phi
     inv = {}
     for j in range(1, mu.d + 1):
         with _psi_overflow(f, f"at q_{j} = {qv.q[j]!r}", "t_map"):
-            denom = _phi(f, qv.q[j])
+            denom = phi(qv.q[j])
         if denom <= 0:
             raise NonPositiveDenominator(
                 f"Psi_f(q_{j}) - Psi_f(1/q_{j}) = {denom!r} <= 0"
@@ -495,19 +522,71 @@ def t_map(mu: GeneratorMeasure, f: ConvexGenerator) -> GeneratorMeasure:
     return GeneratorMeasure(mu.d, lam)
 
 
-_PHI_BRACKET = (1e-14, 1.0 - 1e-14)  # the q range _phi_inverse searches
+_PHI_BRACKET = (1e-14, 1.0 - 1e-14)  # the q range _PhiSolver.inverse searches
+# the ends it moves to, in turn, where Phi_f overflows at an end of _PHI_BRACKET:
+# 1e-14 * 2^k up to 0.35, and 1 minus those
+_PHI_LO_ENDS = tuple(1e-14 * 2.0**k for k in range(46))
+_PHI_HI_ENDS = tuple(1.0 - e for e in _PHI_LO_ENDS)
 
 
-def _phi_inverse(f: ConvexGenerator, y: float) -> float:
-    """The q in _PHI_BRACKET with _phi(f, q) = y, clamped to the bracket."""
-    lo, hi = _PHI_BRACKET
-    f_hi = _phi(f, hi) - y
-    if f_hi >= 0.0:
-        return hi
-    f_lo = _phi(f, lo) - y
-    if f_lo <= 0.0:
-        return lo
-    return _brent(lambda q: _phi(f, q) - y, lo, hi, f_lo, f_hi, xtol=1e-16)
+def _finite_end(phi, ends: tuple) -> tuple:
+    """(q, phi(q), moved) at the first q of ends where phi does not overflow;
+    moved is whether q is past ends[0]. The last end's OverflowError propagates."""
+    for q in ends[:-1]:
+        with contextlib.suppress(OverflowError):
+            return q, phi(q), q != ends[0]
+    return ends[-1], phi(ends[-1]), True
+
+
+class _PhiSolver:
+    """Phi_f = Psi_f(q) - Psi_f(1/q) and its inverse on (0, 1) for one generator.
+
+    Phi_f at each end of the bracket is evaluated once, the upper end first
+    and the lower one only when a solve needs it. An end where Phi_f
+    overflows moves inward along _PHI_LO_ENDS or _PHI_HI_ENDS to the first q
+    where it is finite (power:alpha with alpha >~ 23 or <~ -22 moves the lower
+    end). A y past the value at a moved end has its root where Phi_f
+    overflows, so it raises OverflowError instead of clamping.
+    """
+
+    def __init__(self, f: ConvexGenerator):
+        self.phi = _phi_kernel(f)
+
+    @functools.cached_property
+    def hi_end(self) -> tuple:
+        return _finite_end(self.phi, _PHI_HI_ENDS)
+
+    @functools.cached_property
+    def lo_end(self) -> tuple:
+        return _finite_end(self.phi, _PHI_LO_ENDS)
+
+    def inverse(self, y: float) -> float:
+        """The q of the bracket with Phi_f(q) = y, clamped to an unmoved end.
+
+        A numpy float64 y becomes a Python float: the same arithmetic, but a
+        Brent step that overflows gives inf without a RuntimeWarning.
+        """
+        if isinstance(y, float):
+            y = float(y)
+        hi, phi_hi, moved = self.hi_end
+        f_hi = phi_hi - y
+        if f_hi >= 0.0:
+            if moved:
+                raise OverflowError(f"Phi_f overflows above q = {hi!r}")
+            return hi
+        lo, phi_lo, moved = self.lo_end
+        f_lo = phi_lo - y
+        if f_lo <= 0.0:
+            if moved:
+                raise OverflowError(f"Phi_f overflows below q = {lo!r}")
+            return lo
+        phi = self.phi
+        return _brent(lambda q: phi(q) - y, lo, hi, f_lo, f_hi, xtol=1e-16)
+
+
+@functools.lru_cache(maxsize=32)
+def _phi_solver(f: ConvexGenerator) -> _PhiSolver:
+    return _PhiSolver(f)
 
 
 def t_inverse(lam: GeneratorMeasure, f: ConvexGenerator,
@@ -516,7 +595,10 @@ def t_inverse(lam: GeneratorMeasure, f: ConvexGenerator,
 
     Given c, q_j = Phi^{-1}(c/lam_j) where Phi(q) = Psi_f(q)-Psi_f(1/q); the
     admissibility constraint sum_i v_i = 1 pins c by Brent's method, and p
-    is then recovered from the first-passage system in closed form.
+    is then recovered from the first-passage system in closed form. The
+    bracket on c widens until sum_i v_i changes sign, as far as the inner
+    solves stay finite; one whose root lies where Psi_f overflows raises
+    GeneratorOverflow.
 
     Each distinct (lam, f, tol) is solved once per process (a bounded memo
     that does not keep failures); every call returns a fresh GeneratorMeasure.
@@ -531,9 +613,11 @@ def t_inverse(lam: GeneratorMeasure, f: ConvexGenerator,
 def _t_inverse_memo(d: int, key: tuple, f: ConvexGenerator, tol: float) -> GeneratorMeasure:
     lam = GeneratorMeasure(d, {j: w for j, _, w in key})
 
+    phi_inverse = _phi_solver(f).inverse
+
     def vsum(c: float) -> float:
         return 2.0 * math.fsum(
-            (lambda q: q / (1.0 + q))(_phi_inverse(f, c / lam.p[j]))
+            (lambda q: q / (1.0 + q))(phi_inverse(c / lam.p[j]))
             for j in range(1, d + 1)
         )
 
@@ -541,7 +625,7 @@ def _t_inverse_memo(d: int, key: tuple, f: ConvexGenerator, tol: float) -> Gener
     with _psi_overflow(f, "on [{!r}, {!r}]".format(*_PHI_BRACKET), "t_inverse"):
         while (v_hi := vsum(hi)) > 1.0:
             hi *= 2.0
-            if hi > 1e12:
+            if hi == INF:
                 raise NoConvergence("could not bracket the normalization constant")
         while (v_lo := vsum(lo)) < 1.0:
             lo /= 2.0
@@ -550,7 +634,7 @@ def _t_inverse_memo(d: int, key: tuple, f: ConvexGenerator, tol: float) -> Gener
         c = _brent(lambda x: vsum(x) - 1.0, lo, hi, v_lo - 1.0, v_hi - 1.0, xtol=1e-300)
         q = {}
         for j in range(1, d + 1):
-            q[j] = q[-j] = _phi_inverse(f, c / lam.p[j])
+            q[j] = q[-j] = phi_inverse(c / lam.p[j])
     a = 2.0 * math.fsum(q[j] ** 2 / (1.0 - q[j] ** 2) for j in range(1, d + 1))
     s = a / (1.0 + a)
     p = {}
@@ -575,16 +659,22 @@ class _GatherMaps:
     """The index data of every EntropyEngine of one rank d and depth n.
 
     Cells are flat indices into the (2d, 2d) conditional table. refine_cells
-    picks c(w[-2] -> w[-1]) for each depth-(n+1) word w; push holds, per
-    letter j in letter_order, (src, other, first, second): the source
-    indices into x, the rows that do not start with j, and the cells of
-    their two coefficients c(u[-3] -> u[-2]) and c(u[-2] -> u[-1]).
+    picks c(w[-2] -> w[-1]) for each depth-(n+1) word w. The rows of the
+    translates come letter after letter in letter_order: push_src holds their
+    source indices into x (push_views[k] is letter k's slice of it),
+    push_other marks the rows that do not start with their letter, and
+    push_first and push_second hold the cells of those rows' two coefficients
+    c(u[-3] -> u[-2]) and c(u[-2] -> u[-1]).
     """
 
     words_n: np.ndarray
     refine_src: np.ndarray
     refine_cells: np.ndarray
-    push: tuple
+    push_src: np.ndarray
+    push_views: tuple
+    push_other: np.ndarray
+    push_first: np.ndarray
+    push_second: np.ndarray
 
 
 @functools.lru_cache(maxsize=8)
@@ -597,7 +687,7 @@ def _gather_maps(d: int, depth: int) -> _GatherMaps:
     m1 = len(words)
     pos = letter_positions(words, d)
     refine_cells = pos[:, -2] * k + pos[:, -1]
-    push = []
+    srcs, others, firsts, seconds = [], [], [], []
     for j in letter_order(d):
         own = words[:, 0] == j
         src = np.empty(m1, dtype=np.int64)
@@ -606,12 +696,73 @@ def _gather_maps(d: int, depth: int) -> _GatherMaps:
         u = np.hstack([np.full((int(other.sum()), 1), -j), words[other]])
         pu = letter_positions(u, d)
         src[other] = word_index(u[:, :depth], d)
-        push.append((src, other, pu[:, -3] * k + pu[:, -2], pu[:, -2] * k + pu[:, -1]))
-    words_n = word_array(d, depth)
-    refine_src = np.arange(m1) // (2 * d - 1)
-    for a in (words_n, refine_src, refine_cells, *(a for entry in push for a in entry)):
+        srcs.append(src)
+        others.append(other)
+        firsts.append(pu[:, -3] * k + pu[:, -2])
+        seconds.append(pu[:, -2] * k + pu[:, -1])
+    push_src = np.concatenate(srcs)
+    arrays = (word_array(d, depth), np.arange(m1) // (2 * d - 1), refine_cells, push_src,
+              np.concatenate(others), np.concatenate(firsts), np.concatenate(seconds))
+    for a in arrays:
         a.flags.writeable = False
-    return _GatherMaps(words_n, refine_src, refine_cells, tuple(push))
+    views = tuple(push_src[i * m1:(i + 1) * m1] for i in range(k))
+    return _GatherMaps(*arrays[:4], views, *arrays[4:])
+
+
+@dataclass(frozen=True)
+class _PairIndex:
+    """The distinct (source, refinement source) index pairs of the translated cells.
+
+    Cell c of the translates (in push_src order) holds P_c = alpha_c x[s] with
+    s = push_src[c], and its refinement cell Q_c = beta_c x[p] with
+    p = refine_src[c mod m1]. src[k] and ref[k] are the k-th distinct pair
+    (s, p) in increasing s*m + p, and pair_of[c] is the k of cell c.
+    """
+
+    src: np.ndarray
+    ref: np.ndarray
+    pair_of: np.ndarray
+
+
+@functools.lru_cache(maxsize=8)
+def _pair_index(d: int, depth: int) -> _PairIndex:
+    """Built once per (d, depth) per process, by one sort and a neighbour compare; read-only."""
+    import numpy as np
+
+    maps = _gather_maps(d, depth)
+    m = len(maps.words_n)
+    key = maps.push_src * m + np.tile(maps.refine_src, 2 * d)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    new = np.empty(len(key), dtype=bool)
+    new[0] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    pair_of = np.empty(len(key), dtype=np.int64)
+    pair_of[order] = np.cumsum(new) - 1
+    pairs = key[new]
+    index = _PairIndex(pairs // m, pairs % m, pair_of)
+    for a in (index.src, index.ref, index.pair_of):
+        a.flags.writeable = False
+    return index
+
+
+@dataclass(frozen=True)
+class _PairForm:
+    """One engine's pair-form weights and mass-class thresholds (EntropyEngine._pair_screen)."""
+
+    src: np.ndarray  # the pairs' source and refinement indices, from _pair_index
+    ref: np.ndarray
+    weights: np.ndarray  # W_k of pair k
+    own: np.ndarray | None  # A_i, the weight of x_i log x_i (KL only)
+    linear: np.ndarray  # B_i, the weight of x_i
+    bound: np.ndarray  # Bbar_i: the linear parts' magnitudes and the masses, per x_i
+    zero_top: float  # the zero class: x <= zero_top
+    pos_floor: float  # the positive class: pos_floor < x <= 1
+
+
+# the pair form's bound on E |log(P/Q)| and its radius factor (EntropyEngine._pair_screen)
+_PAIR_LOG_RANGE = 600.0
+_PAIR_RADIUS = 2.0**-26
 
 
 class EntropyEngine:
@@ -629,7 +780,8 @@ class EntropyEngine:
     refine_src and push_src[j] the source indices into x. The index data
     depends only on (d, n), so _gather_maps builds it once per process and
     engines of one shape share it read-only; an engine gathers only its
-    tail's coefficients.
+    tail's coefficients, for all letters at once (push_matrices[j] are views
+    of that one array).
     """
 
     def __init__(self, lam: GeneratorMeasure, f: ConvexGenerator, depth: int,
@@ -644,18 +796,19 @@ class EntropyEngine:
         self.tail = tail
         d = lam.d
         maps = _gather_maps(d, depth)
+        self._maps = maps
         self.words_n = maps.words_n
         self.refine_src = maps.refine_src
         c = tail.conditional_table(d)
         self.refine_matrix = c.take(maps.refine_cells)
 
-        self.push_src = {}
-        self.push_matrices = {}
-        for j, (src, other, first, second) in zip(letter_order(d), maps.push):
-            coef = np.ones(len(src))
-            coef[other] = c.take(first) * c.take(second)
-            self.push_src[j] = src
-            self.push_matrices[j] = coef
+        coef = np.ones(len(maps.push_src))
+        coef[maps.push_other] = c.take(maps.push_first) * c.take(maps.push_second)
+        self._push_coef = coef
+        m1 = len(maps.refine_src)
+        letters = letter_order(d)
+        self.push_src = dict(zip(letters, maps.push_views))
+        self.push_matrices = {j: coef[i * m1:(i + 1) * m1] for i, j in enumerate(letters)}
 
     def mass_vector(self, nu: CylinderMeasure) -> np.ndarray:
         import numpy as np
@@ -691,7 +844,7 @@ class EntropyEngine:
         """
         if x.ndim == 1:
             return float(self._entropy_rows(x[None, :])[0])
-        return self._in_blocks(self._entropy_rows, x, ())
+        return self._in_blocks(self._entropy_rows, x, (), len(self.refine_src))
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         """The gradient dh/dx of entropy() at one mass vector x.
@@ -726,15 +879,205 @@ class EntropyEngine:
             refine_weight += w * (self.f.eval_array(t) - t * df)
         return grad + np.bincount(self.refine_src, self.refine_matrix * refine_weight, minlength=m)
 
-    def _in_blocks(self, rows_fn, x: np.ndarray, shape: tuple) -> np.ndarray:
-        """rows_fn of each ENTROPY_CELLS-cell slice of the block x, as one (*shape, rows) array."""
+    def _in_blocks(self, rows_fn, x: np.ndarray, shape: tuple, cells: int) -> np.ndarray:
+        """rows_fn of each slice of the block x, as one (*shape, rows) array; a slice has
+        ENTROPY_CELLS // cells rows, for a rows_fn that gathers `cells` cells per row."""
         import numpy as np
 
-        step = max(1, ENTROPY_CELLS // len(self.refine_src))
+        step = max(1, ENTROPY_CELLS // cells)
         out = np.empty(shape + (len(x),))
         for s in range(0, len(x), step):
             out[..., s:s + step] = rows_fn(x[s:s + step])
         return out
+
+    def _bounds(self, x: np.ndarray) -> np.ndarray:
+        """minimality_scan's screen: (low, high) on the entropy of each row of the block x,
+        from _pair_screen, and from _screen on the rows the pair form does not bound."""
+        import numpy as np
+
+        out = self._pair_screen(x)
+        left = np.flatnonzero(np.isnan(out[0]))
+        if len(left):
+            out[:, left] = self._screen(x[left])
+        return out
+
+    @functools.cached_property
+    def _pair_form(self) -> _PairForm | None:
+        """The pair-form weights, built on the first _pair_screen call (see its docstring).
+
+        None, so that every row goes to _screen, where the docstring's
+        assumptions fail: a coefficient that is not positive, E > 2^10, more
+        than 2^24 translated cells, or a weight that is not finite.
+        """
+        import numpy as np
+
+        f = self.f
+        letters = letter_order(self.lam.d)
+        alpha, beta = self._push_coef, self.refine_matrix
+        c_min = min(float(alpha.min()), float(beta.min()))
+        c_max = max(float(alpha.max()), float(beta.max()))
+        e_max = {"kl": 1.0, "chi2": 2.0}.get(f.kind) or max(abs(f.alpha), abs(1.0 - f.alpha))
+        if not (c_min > 0.0 and e_max <= 2.0**10 and len(alpha) <= 2**24):
+            return None
+        index = _pair_index(self.lam.d, self.depth)
+        m, m1 = len(self.words_n), len(beta)
+        weight = [float(self.lam.p[j]) for j in letters]
+        lam = np.repeat(weight, m1)  # lambda_j of each translated cell
+        lam_beta = math.fsum(weight) * beta  # sum_j lambda_j beta_c, per refinement cell
+        beta = np.tile(beta, len(letters))
+        src, ref = self._maps.push_src, self.refine_src
+
+        def at_src(w):
+            return np.bincount(src, w, minlength=m)
+
+        def at_ref(w):
+            return np.bincount(ref, w, minlength=m)
+
+        own = None
+        with np.errstate(over="ignore", invalid="ignore"):
+            if f.kind == "kl":
+                log_a, log_b = np.log(alpha), np.log(beta)
+                w = -lam * alpha
+                own = at_src(lam * alpha)
+                linear = at_src(lam * alpha * (log_a - log_b))
+                bound = at_src(lam * alpha * (np.abs(log_a) + np.abs(log_b) + 1.0))
+            elif f.kind == "chi2":
+                w = lam * alpha * alpha / beta
+                linear = at_src(-2.0 * lam * alpha) + at_ref(lam_beta)
+                bound = at_src(2.0 * lam * alpha) + at_ref(lam_beta)
+            else:
+                a = f.alpha
+                den = a * (a - 1.0)
+                w = lam * alpha**a * beta ** (1.0 - a) / den
+                linear = at_ref(lam_beta / -den)
+                bound = at_ref(lam_beta / abs(den))
+        zero_top = ZERO_MASS if c_max <= 1.0 else ZERO_MASS / c_max * (1.0 - 2.0**-50)
+        pos_floor = max(ZERO_MASS / c_min * (1.0 + 2.0**-50),
+                        c_max / c_min * math.exp(-_PAIR_LOG_RANGE / e_max))
+        weights = np.bincount(index.pair_of, w, minlength=len(index.src))
+        if not all(np.isfinite(a).all() for a in (weights, linear, bound)):
+            return None  # a power of a coefficient past the float range: no row would be finite
+        return _PairForm(index.src, index.ref, weights, own, linear, bound, zero_top, pos_floor)
+
+    def _pair_screen(self, x: np.ndarray) -> np.ndarray:
+        """Bounds (low, high) on entropy() of each row of the block x from the pair form,
+        and NaN on the rows it does not bound.
+
+        The form. Translated cell c of letter j holds P_c = alpha_c x_s and its
+        refinement cell Q_c = beta_c x_p (s, p from _pair_index; alpha_c,
+        beta_c the engine's float coefficients). Where both are positive,
+        lambda_j f(P_c/Q_c) Q_c is lambda_j times
+        - KL: alpha_c x_s log x_s - alpha_c x_s log x_p + alpha_c log(alpha_c/beta_c) x_s;
+        - chi2: (alpha_c^2/beta_c) x_s^2 / x_p - 2 alpha_c x_s + beta_c x_p;
+        - power:a: (alpha_c^a beta_c^(1-a) x_s^a x_p^(1-a) - beta_c x_p) / (a(a-1)).
+        Summed over the cells, h = sum_k W_k u(x_s_k) v(x_p_k) + sum_i A_i x_i log x_i
+        + sum_i B_i x_i over the K distinct pairs (s_k, p_k), with (u, v) =
+        (x, log x), (x^2, 1/x) and (x^a, x^(1-a)); W, A and B are bincounts of
+        the per-cell weights. The cost is one gather of K pairs per row instead
+        of 2d letters of (2d-1) m cells and their logs or powers.
+
+        Mass classes. A mass x_i is zero-class if every cell it feeds rounds
+        to at most ZERO_MASS (x_i <= ZERO_MASS when no coefficient exceeds
+        1, with a relative margin 2^-50 otherwise), and positive-class if every
+        cell it feeds rounds above it (x_i > ZERO_MASS / c_min with a margin
+        2^-50) and (c_max/c_min) e^(-600/E) <= x_i <= 1, with c_min, c_max the
+        least and largest coefficient and E = 1, 2, max(|a|, |1 - a|) for KL,
+        chi2, power:a. Only rows whose masses all lie in these classes are
+        bounded. On them u and v vanish at zero-class masses, which gives
+        Csiszar's conventions as divergence_arrays applies them: a cell with
+        P = 0 < Q adds f(0+) Q (the B term in x_p, or 0 for KL), escaped mass
+        adds 0 where f'(inf) = 0, and the row is infinite exactly when a pair
+        has a zero-class source and a positive refinement mass while
+        f(0+) = inf, or the reverse while f'(inf) = inf; that boolean pair
+        test marks it (low = high = inf). The last class condition gives
+        |log(P/Q)| <= rho = log(c_max/c_min) - log x_min with E rho <= 600, so
+        no term of entropy(), no u or v and no sum of at most 2^24 terms
+        overflows, and u, v and t^a stay normal floats.
+
+        The radius. Let M = |sum_k W_k u v| + |sum_i A_i x_i log x_i| +
+        sum_i Bbar_i x_i. The terms of each of the first two sums share one
+        sign (W has the sign of -1, +1, 1/(a(a-1)); log x <= 0), so M is the
+        sum of the absolute parts of all cells: Bbar_i sums the magnitudes of
+        the linear parts fed by x_i (|log alpha| + |log beta| in place of
+        |log(alpha/beta)| for KL) and, for KL, the masses P it feeds.
+        Assume numpy's log and ** accurate to a
+        relative 2^-40; let u = 2^-53, with at most 2^24 cells and E <= 2^10.
+        - entropy() rounds P, Q, P/Q, f and the product: each term is off by
+          at most (3.1 E u + 2^-40 + 10 u) times its cell's parts, together
+          less than 2^-39 M;
+        - its two math.fsum and the products lambda_j D_j cost at most 3u M;
+          the clamp of a letter's value from (-PROB_TOL, 0) to 0 moves h by
+          at most lambda_j PROB_TOL, PROB_TOL (1 + 1e-12) in all;
+        - W, A and B come from float cell weights (logs and powers at 2^-40,
+          a few roundings, sums of one sign or bounded by Bbar): 2^-39 M;
+        - u and v cost 2^-40 M; the pair sum in any summation order (a tree
+          of K - 1 additions, numpy's matrix-vector product included) costs
+          gamma_K M <= 2^-28.9 M, the sums over m masses less, and an
+          underflowed product at most 2^-1075 |W_k|.
+        These total less than 2^-28 (1 + M) + PROB_TOL, and the radius
+        r = 2^-26 (1 + M) + PROB_TOL is four times that, which also covers the
+        roundings of M, r and h -+ r. A row with a mass in neither class, or
+        whose bounds are not finite, gets NaN: _screen bounds it.
+        """
+        import numpy as np
+
+        if self._pair_form is None:
+            return np.full((2, len(x)), np.nan)
+        return self._in_blocks(self._pair_rows, x, (2,), len(self.words_n))
+
+    def _pair_rows(self, x: np.ndarray) -> np.ndarray:
+        import numpy as np
+
+        form, f = self._pair_form, self.f
+        out = np.full((2, len(x)), np.nan)
+        pos = (x > form.pos_floor) & (x <= 1.0)
+        rows = np.flatnonzero((pos | (x <= form.zero_top)).all(axis=1))
+        # mass-major copies, so that each pair gathers a run of rows
+        x, pos = np.ascontiguousarray(x[rows].T), np.ascontiguousarray(pos[rows].T)
+        u, v, xh = self._pair_uv(x, pos)
+        with np.errstate(over="ignore", invalid="ignore"):
+            h_pair = self._pair_sums(u, v, lambda a, b: form.weights @ np.multiply(a, b, out=a),
+                                     np.empty(len(rows)))
+            h_own = form.own @ (u * v) if form.own is not None else 0.0
+            h = h_pair + h_own + form.linear @ xh
+            r = _PAIR_RADIUS * (1.0 + np.abs(h_pair) + np.abs(h_own) + form.bound @ xh) + PROB_TOL
+            bounds = np.array([h - r, h + r])
+        finite = np.isfinite(bounds).all(axis=0)
+        out[:, rows[finite]] = bounds[:, finite]
+        mixed = np.flatnonzero(~pos.all(axis=0))  # the rows with a zero-class mass
+        if len(mixed) and INF in (f.at_infinity_slope, f.at_zero):
+            # an infinite cell: a positive source over a zero-class refinement mass where
+            # f'(inf) = inf (KL, chi2, power:a > 1), the reverse where f(0+) = inf (a < 0)
+            pm = pos[:, mixed]
+            cmp = np.greater if f.at_infinity_slope == INF else np.less
+            infinite = self._pair_sums(pm, pm, lambda a, b: cmp(a, b).any(axis=0),
+                                       np.empty(len(mixed), dtype=bool))
+            out[:, rows[mixed[infinite]]] = INF
+        return out
+
+    def _pair_sums(self, u: np.ndarray, v: np.ndarray, fn, out: np.ndarray) -> np.ndarray:
+        """out[i] = fn(u[src], v[ref])[i] for mass-major u and v (a column per row), with
+        the K pairs of ENTROPY_CELLS // K rows gathered at a time."""
+        form = self._pair_form
+        step = max(1, ENTROPY_CELLS // len(form.src))
+        for s in range(0, len(out), step):
+            out[s:s + step] = fn(u[:, s:s + step].take(form.src, axis=0),
+                                 v[:, s:s + step].take(form.ref, axis=0))
+        return out
+
+    def _pair_uv(self, x: np.ndarray, pos: np.ndarray) -> tuple:
+        """u, v and x at the positive-class masses of x, and 0 at the others."""
+        import numpy as np
+
+        f = self.f
+        xh = np.where(pos, x, 0.0)
+        if f.kind == "kl":
+            return xh, np.log(x, out=np.zeros_like(x), where=pos), xh
+        if f.kind == "chi2":
+            return xh * xh, np.divide(1.0, x, out=np.zeros_like(x), where=pos), xh
+        a = f.alpha
+        return (np.power(x, a, out=np.zeros_like(x), where=pos),
+                np.power(x, 1.0 - a, out=np.zeros_like(x), where=pos), xh)
 
     def _screen(self, x: np.ndarray) -> np.ndarray:
         """Bounds (low, high) on the entropy of each row of the block x.
@@ -753,37 +1096,36 @@ class EntropyEngine:
         (low = high = inf), as entropy() stops at that letter too; a row
         with r_j = inf first (a NaN or an overflowed term) is left to
         entropy() (low = -inf, high = inf), which keeps its value, NaN or
-        exception.
+        exception. All 2d translates of a slice of ENTROPY_CELLS // ((2d-1) m)
+        rows are gathered with one take.
         """
-        return self._in_blocks(self._screen_rows, x, (2,))
+        return self._in_blocks(self._screen_rows, x, (2,), len(self._push_coef))
 
     def _screen_rows(self, x: np.ndarray) -> np.ndarray:
         import numpy as np
 
-        q1 = self.refined(x)
         letters = letter_order(self.lam.d)
-        c = (len(letters) + 4) * 2.0**-53
-        h, rad = np.zeros((2, len(x)))
-        inf_rows, open_rows = [], []  # rows decided infinite, rows left to entropy()
-        live = slice(None)  # the rows still in x; an index array once one has left
-        for j in letters:
-            s, r = divergence_bounds(self.translated(x, j), q1, self.f)
-            w = self.lam.p[j]
-            h[live] += w * s
-            rad[live] += w * ((1.0 + c) * r + c * np.abs(s))
-            bounded = r < INF
-            done = ~bounded | (s == INF)
-            if done.any():
-                rows = np.arange(len(h))[live]
-                inf_rows.append(rows[bounded & done])
-                open_rows.append(rows[~bounded])
-                keep = ~done
-                live, x, q1 = rows[keep], x[keep], q1[keep]
-        with np.errstate(invalid="ignore"):  # inf - inf on the rows overwritten below
+        k, rows = len(letters), len(x)
+        q1 = self.refined(x)
+        p = self._push_coef * x.take(self._maps.push_src, axis=-1)
+        s, r = divergence_bounds(p.reshape(rows * k, -1), np.repeat(q1, k, axis=0), self.f)
+        s, r = s.reshape(rows, k), r.reshape(rows, k)
+        c = (k + 4) * 2.0**-53
+        lam = np.array([float(self.lam.p[j]) for j in letters])
+        with np.errstate(over="ignore", invalid="ignore"):  # on the rows overwritten below
+            ws, wr = s * lam, lam * ((1.0 + c) * r + c * np.abs(s))
+            h, rad = np.zeros((2, rows))
+            for i in range(k):  # letter by letter, as entropy() sums
+                h += ws[:, i]
+                rad += wr[:, i]
             out = np.array([h - 2.0 * rad, h + 2.0 * rad])
-        for rows, value in ((inf_rows, (INF, INF)), (open_rows, (-INF, INF))):
-            if rows:
-                out[:, np.concatenate(rows)] = np.array(value)[:, None]
+        decided = (r == INF) | (s == INF)
+        hit = decided.any(axis=1)
+        if hit.any():
+            # the first letter that decides a row: infinite if its radius is finite, else open
+            open_rows = hit & (r[np.arange(rows), decided.argmax(axis=1)] == INF)
+            out[:, hit & ~open_rows] = INF
+            out[:, open_rows] = np.array([[-INF], [INF]])
         return out
 
     def _entropy_rows(self, x: np.ndarray) -> np.ndarray:
@@ -855,16 +1197,22 @@ def minimality_scan(lam: GeneratorMeasure, f: ConvexGenerator, depth: int,
     minimal entropy.
 
     Only the samples that can hold a block's minimum are summed exactly. The
-    engines' screen bounds every sample's entropy by [h - r, h + r], with h
-    the plain-sum entropy sum_j lambda_j s_j (s_j from divergence_bounds) and
-    r a radius covering the summation and rounding errors of both h and the
-    exact value, the clamp near 0, and a factor 2 for its own roundings
-    (derived in EntropyEngine._screen). The candidates are the samples with
-    h - r <= min(h + r) over the block, together with the samples the screen
-    cannot bound (a NaN or an overflowed term), which keep their exact
-    value, NaN or exception. Only they go through EntropyEngine.entropy, so
-    the minimum and the first sample attaining it are those of the exact
-    values of all samples; a sample the screen finds infinite is infinite.
+    engines' screen (EntropyEngine._bounds) bounds every sample's entropy by
+    [h - r, h + r] in two stages. The pair form (EntropyEngine._pair_screen)
+    writes the entropy as a sum over the distinct pairs of depth-n masses
+    that the depth-(n+1) cells of a translate and of the refinement are
+    gathered from; it bounds every sample whose masses are each clearly zero
+    or clearly positive, with r = 2^-26 (1 + M) + PROB_TOL. The samples left
+    go to the letter-wise screen (EntropyEngine._screen), with h the
+    plain-sum entropy sum_j lambda_j s_j (s_j from divergence_bounds) and r
+    covering the summation and rounding errors of both h and the exact
+    value, the clamp near 0, and a factor 2 for its own roundings. The
+    candidates are the samples with h - r <= min(h + r) over the block,
+    together with the samples neither stage can bound (a NaN or an
+    overflowed term), which keep their exact value, NaN or exception. Only
+    they go through EntropyEngine.entropy, so the minimum and the first
+    sample attaining it are those of the exact values of all samples; a
+    sample a screen finds infinite is infinite.
     """
     import numpy as np
 
@@ -891,8 +1239,8 @@ def minimality_scan(lam: GeneratorMeasure, f: ConvexGenerator, depth: int,
         rng = np.random.default_rng([seed, start // SAMPLE_BLOCK])
         x, uniform_tail = _scan_block(rng, rows, m, zero_fraction, uniform_tail_fraction)
         bounds = np.empty((2, rows))
-        bounds[:, uniform_tail] = uniform._screen(x[uniform_tail])
-        bounds[:, ~uniform_tail] = harmonic._screen(x[~uniform_tail])
+        bounds[:, uniform_tail] = uniform._bounds(x[uniform_tail])
+        bounds[:, ~uniform_tail] = harmonic._bounds(x[~uniform_tail])
         low, high = bounds
         n_infinite += int(np.count_nonzero(low == INF))
         # the rows that can hold the block's minimum, and those left undecided

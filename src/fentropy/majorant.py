@@ -252,11 +252,18 @@ def _positive_atoms(f: WeightedFunction):
 
 
 def _subset_sums(values: np.ndarray):
-    """All 2^n subset sums, index k selects atoms in k's binary support."""
-    n = len(values)
-    sums = np.zeros(1)
+    """All 2^n subset sums, index k selects atoms in k's binary support.
+
+    Filled in place: after atom i, the first 2^(i+1) entries hold the sums
+    over the first i + 1 atoms, the upper half being the lower half plus
+    values[i].
+    """
+    sums = np.empty(2 ** len(values))
+    sums[0] = 0.0
+    h = 1
     for v in values:
-        sums = np.concatenate([sums, sums + v])
+        np.add(sums[:h], v, out=sums[h:2 * h])
+        h *= 2
     return sums
 
 

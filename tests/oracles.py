@@ -12,7 +12,12 @@ against. bisection_largest_feasible is the scalar bisection that
 majorant._largest_feasible_grid replaced, and illinois_largest_feasible is
 one point of the grid's rule, which the grid must reproduce bit for bit.
 dict_concave_envelope is the tuple-sorting, dict-deduping envelope that
-majorant.concave_envelope must reproduce bit for bit.
+majorant.concave_envelope must reproduce bit for bit. psi and phi are the
+method-by-method Psi_f and Phi_f that free_boundary's Phi kernels must
+equal bit for bit, concatenated_subset_sums is the doubling-by-concatenation
+majorant._subset_sums must equal, and letterwise_screen is
+EntropyEngine._screen one letter's gather at a time, whose bounds the
+one-take screen must reproduce bit for bit.
 """
 
 import math
@@ -20,7 +25,7 @@ import math
 import numpy as np
 
 from fentropy import free_boundary, sigma_walk
-from fentropy.divergence import INF
+from fentropy.divergence import INF, divergence_bounds
 from fentropy.errors import BadSample, DepthMismatch, NotSuperlinear, ParseError, StepTooLarge
 from fentropy.free_boundary import (CylinderMeasure, EntropyEngine, TailRule, cylinder_entropy,
                                     harmonic_measure, pushforward, solve_q, t_inverse)
@@ -303,3 +308,47 @@ def dict_concave_envelope(samples) -> Majorant:
     ts_h = np.array([t for t, _ in hull])
     ys_h = np.array([y for _, y in hull])
     return _pwl_from_samples(ts_h, ys_h)
+
+
+def psi(f, z: float) -> float:
+    """Psi_f(z) = f(z) - z f'(z) + f'(1/z), through the generator's methods."""
+    return f.eval(z) - z * f.deriv(z) + f.deriv(1.0 / z)
+
+
+def phi(f, q: float) -> float:
+    """Psi_f(q) - Psi_f(1/q)."""
+    return psi(f, q) - psi(f, 1.0 / q)
+
+
+def concatenated_subset_sums(values: np.ndarray) -> np.ndarray:
+    """All 2^n subset sums, doubling the array by concatenation once per atom."""
+    sums = np.zeros(1)
+    for v in values:
+        sums = np.concatenate([sums, sums + v])
+    return sums
+
+
+def letterwise_screen(engine: EntropyEngine, x: np.ndarray) -> np.ndarray:
+    """Bounds (low, high) of EntropyEngine._screen, with divergence_bounds called on one
+    letter's translate at a time and the rows a letter decides dropped from the later ones."""
+    q1 = engine.refined(x)
+    letters = letter_order(engine.lam.d)
+    c = (len(letters) + 4) * 2.0**-53
+    h, rad = np.zeros((2, len(x)))
+    inf_rows, open_rows = [], []
+    live = np.arange(len(x))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for j in letters:
+            s, r = divergence_bounds(engine.translated(x, j), q1, engine.f)
+            w = engine.lam.p[j]
+            h[live] += w * s
+            rad[live] += w * ((1.0 + c) * r + c * np.abs(s))
+            bounded = r < INF
+            done = ~bounded | (s == INF)
+            inf_rows.append(live[bounded & done])
+            open_rows.append(live[~bounded])
+            live, x, q1 = live[~done], x[~done], q1[~done]
+        out = np.array([h - 2.0 * rad, h + 2.0 * rad])
+    out[:, np.concatenate(inf_rows)] = INF
+    out[:, np.concatenate(open_rows)] = np.array([[-INF], [INF]])
+    return out

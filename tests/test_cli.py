@@ -273,9 +273,9 @@ class TestEndToEnd:
                                       "vp-pow-text", "vp-pow-nan",
                                       "vp-pow-inf", "scan-zero-fraction-nan",
                                       "scan-zero-fraction-2",
-                                      "scan-uniform-tail-fraction-nan", "tinv-power-24",
-                                      "entropy-power-24", "gradient-power-24",
-                                      "scan-power-30", "tmap-power-1000",
+                                      "scan-uniform-tail-fraction-nan", "tinv-power-1000",
+                                      "entropy-power-1000", "gradient-power-1000",
+                                      "scan-power-1000", "tmap-power-1000",
                                       "tmap-power-minus-1000", "abel-a-nan", "abel-identity-a-nan",
                                       "folner-a-values-nan", "vp-M-nan", "split-C-nan",
                                       "envelope-text", "envelope-short-row", "envelope-object",
@@ -364,13 +364,14 @@ class TestEndToEnd:
             "scan-zero-fraction-nan": scan + ("--zero-fraction", "nan"),
             "scan-zero-fraction-2": scan + ("--zero-fraction", "2"),
             "scan-uniform-tail-fraction-nan": scan + ("--uniform-tail-fraction", "nan"),
-            "tinv-power-24": ("tinv", "--lambda", files["uniform2.json"], "--f", "power:24"),
-            "entropy-power-24": ("entropy", "--lambda", files["uniform2.json"],
-                                 "--f", "power:24"),
-            "gradient-power-24": ("gradient", "--lambda", files["uniform2.json"],
-                                  "--f", "power:24", "--depth", "2"),
-            "scan-power-30": ("scan", "--lambda", files["uniform2.json"], "--f", "power:30",
-                              "--depth", "2", "--samples", "10", "--seed", "1"),
+            # Psi_f overflows at the root q = 1/3 of uniform F_2 itself
+            "tinv-power-1000": ("tinv", "--lambda", files["uniform2.json"], "--f", "power:1000"),
+            "entropy-power-1000": ("entropy", "--lambda", files["uniform2.json"],
+                                   "--f", "power:1000"),
+            "gradient-power-1000": ("gradient", "--lambda", files["uniform2.json"],
+                                    "--f", "power:1000", "--depth", "2"),
+            "scan-power-1000": ("scan", "--lambda", files["uniform2.json"], "--f", "power:1000",
+                                "--depth", "2", "--samples", "10", "--seed", "1"),
             "tmap-power-1000": ("tmap", "--mu", files["uniform2.json"], "--f", "power:1000"),
             "tmap-power-minus-1000": ("tmap", "--mu", files["uniform2.json"],
                                       "--f", "power:-1000"),
@@ -394,6 +395,17 @@ class TestEndToEnd:
         r = run_cli(*args)
         assert r.returncode == 2, (r.returncode, r.stdout)
         assert "error" in json.loads(r.stderr)
+
+    @pytest.mark.parametrize("alpha", ["24", "30", "-23"])
+    def test_tinv_solves_where_the_fixed_bracket_overflowed(self, files, alpha):
+        # Psi_f overflows at q = 1e-14 for these alpha but not at the root q = 1/3
+        r = run_cli("tinv", "--lambda", files["uniform2.json"], "--f", f"power:{alpha}")
+        assert r.returncode == 0, r.stderr
+        mu = json.loads(r.stdout)["results"]
+        assert mu["p"] == {"-2": 0.25, "-1": 0.25, "1": 0.25, "2": 0.25}
+        r = run_cli("tmap", "--mu", files["uniform2.json"], "--f", f"power:{alpha}")
+        back = json.loads(r.stdout)["results"]["p"]
+        assert max(abs(v - 0.25) for v in back.values()) < 1e-10
 
     def test_scalar_subcommands_load_no_numpy(self, files):
         script = ("import json, sys\n"

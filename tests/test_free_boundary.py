@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from fentropy import free_boundary
-from fentropy.divergence import CHI2, INF, KL, ConvexGenerator, generator_from_string
+from fentropy.divergence import (CHI2, INF, KL, ZERO_MASS, ConvexGenerator,
+                                 generator_from_string)
 from fentropy.errors import (
     DepthMismatch,
     FentropyError,
@@ -52,7 +53,8 @@ from fentropy.free_boundary import (
 )
 from fentropy.words import (ReducedWord, encode_word, enumerate_words, letter_order,
                             letter_positions, word_array, word_index)
-from oracles import (convolve, exhaustive_scan, gradient_of_masses, marginal, refine, refine_to,
+from oracles import (convolve, exhaustive_scan, gradient_of_masses, letterwise_screen, marginal,
+                     refine, refine_to, phi as oracle_phi,
                      stationarity_residual as oracle_stationarity_residual)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -540,13 +542,54 @@ class TestTMap:
                                        for j in letter_order(2)))
             assert worst < 1e-8
 
-    @pytest.mark.parametrize("alpha", [24.0, 30.0, -30.0])
+    @pytest.mark.parametrize("alpha", [640.0, 1000.0, -1000.0])
     def test_t_inverse_overflow_is_typed(self, alpha):
-        # Psi_f(1e-14) needs (1e14)^(alpha - 1) or 1e-14^alpha, past the float range
+        # Psi_f at the root q = 1/3 needs 3^(alpha - 1) or 3^-alpha, past the float range
         f = ConvexGenerator("power", alpha)
         with pytest.raises(GeneratorOverflow, match=f"alpha = {alpha!r}"):
             t_inverse(uniform_generator_measure(2), f)
-        # the T map itself stays finite at this q
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("alpha", [23.0, 24.0, 30.0, 400.0, -22.0, -23.0, -30.0, -400.0])
+    def test_t_inverse_where_a_fixed_bracket_end_overflows(self, d, alpha):
+        # Psi_f overflows at q = 1e-14 but not at the root q = 1/(2d - 1): the
+        # lower end moves inward and uniform lambda gives uniform mu
+        f = ConvexGenerator("power", alpha)
+        lam = uniform_generator_measure(d)
+        with pytest.raises(OverflowError):
+            oracle_phi(f, 1e-14)
+        mu = t_inverse(lam, f)
+        assert all(w == pytest.approx(1.0 / (2 * d), rel=1e-12) for w in mu.p.values())
+        assert max(abs(t_map(mu, f).p[j] - lam.p[j]) for j in letter_order(d)) < 1e-10
+
+    def test_t_inverse_keeps_the_bracket_where_it_is_finite(self):
+        # the bracket ends move only for generators that overflow there
+        for spec in ["kl", "chi2", "power:0.5", "power:2", "power:-1", "power:22", "power:-21"]:
+            solver = free_boundary._phi_solver(generator_from_string(spec))
+            assert solver.hi_end[0] == free_boundary._PHI_BRACKET[1]
+            assert solver.lo_end[0] == free_boundary._PHI_BRACKET[0]
+            assert solver.hi_end[2] is solver.lo_end[2] is False
+        solver = free_boundary._phi_solver(ConvexGenerator("power", 24.0))
+        assert solver.lo_end[2] and solver.lo_end[0] > 1e-14
+
+    @pytest.mark.parametrize("spec", ["kl", "chi2", "power:0.5", "power:2", "power:-1",
+                                      "power:3", "power:24", "power:-23", "power:1.5"])
+    def test_phi_kernel_is_bit_identical_to_psi(self, spec):
+        f = generator_from_string(spec)
+        phi = free_boundary._phi_kernel(f)
+        qs = np.random.default_rng(len(spec)).random(500).tolist() + [1e-14, 1.0 - 1e-14, 1 / 3]
+        for q in qs:
+            try:
+                expected = oracle_phi(f, q).hex()
+            except OverflowError:
+                expected = "OverflowError"
+            try:
+                got = phi(q).hex()
+            except OverflowError:
+                got = "OverflowError"
+            assert got == expected, q
+
+    def test_t_map_stays_finite_past_the_old_bracket(self):
         assert t_map(uniform_generator_measure(2), ConvexGenerator("power", 400.0)).p[1] == 0.25
 
     def test_t_inverse_uniform(self):
@@ -687,12 +730,14 @@ class TestMinimalityScan:
         assert r1 == r2
 
     # (d, depth) x zero_fraction x uniform_tail_fraction x samples, cycled per f
-    SHAPES = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (3, 4)]
+    SHAPES = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (3, 4),
+              (4, 1), (4, 2), (4, 3)]
     FRACTIONS = [(0.05, 0.1), (0.5, 0.0), (1.0, 1.0), (0.05, 1.0), (0.5, 0.1), (1.0, 0.0),
                  (0.05, 0.0), (1.0, 0.1), (0.5, 1.0)]
     SAMPLES = [1, 2000, 7, 300, 50]
 
-    @pytest.mark.parametrize("spec", ["kl", "chi2", "power:0.5", "power:2", "power:-1"])
+    @pytest.mark.parametrize("spec", ["kl", "chi2", "power:0.5", "power:2", "power:-1",
+                                      "power:22", "power:-21"])
     def test_scan_matches_exhaustive_scan(self, spec):
         # the screen must leave every report as the exact entropy of every
         # sample gives it: the minimum, the first sample attaining it, its
@@ -901,6 +946,127 @@ class TestGradient:
                     continue
                 got = gradient_of_masses(engine, x, h_step)
                 assert [v.hex() for v in got.tolist()] == [v.hex() for v in expected.tolist()]
+
+
+def check_pair_bounds(engine, x):
+    """The pair form's bounds hold entropy() on every row they bound, within 1e-6 (1 + h),
+    and mark a row infinite exactly where entropy() is; returns the bounded rows."""
+    low, high = engine._pair_screen(x)
+    h = engine.entropy(x)
+    bounded = ~np.isnan(low)
+    assert not np.isnan(high[bounded]).any()
+    assert ((low[bounded] <= h[bounded]) & (h[bounded] <= high[bounded])).all()
+    infinite = h == INF
+    assert ((low == INF) == (bounded & infinite)).all()
+    finite = bounded & ~infinite
+    assert (high[finite] - low[finite] <= 1e-6 * (1.0 + h[finite])).all()
+    return bounded
+
+
+class TestPairForm:
+    SPECS = ["kl", "chi2", "power:0.5", "power:2", "power:-1"]
+    # F_2 and F_3 at depths 1-4, F_4 at depths 1-3
+    SHAPES = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (3, 4),
+              (4, 1), (4, 2), (4, 3)]
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_bounds_hold_the_entropy(self, spec):
+        f = generator_from_string(spec)
+        rng = np.random.default_rng(sum(map(ord, spec)) + 7)
+        counts = np.zeros(3, dtype=int)  # rows, bounded rows, bounded infinite rows
+        for d, depth in self.SHAPES:
+            lam, mu = random_measure(rng, d), random_measure(rng, d)
+            for tail in (TailRule("harmonic", solve_q(mu)), TailRule("uniform")):
+                engine = EntropyEngine(lam, f, depth, tail)
+                m = len(engine.words_n)
+                for zero_fraction in (0.0, 0.3, 1.0):
+                    x = _scan_block(rng, 40 if m < 100 else 12, m, zero_fraction, 0.0)[0]
+                    bounded = check_pair_bounds(engine, x)
+                    counts += (len(x), bounded.sum(),
+                               (bounded & (engine._pair_screen(x)[0] == INF)).sum())
+        # most rows are bounded, and infinite ones among them where f has infinite cells
+        assert counts[1] > 0.7 * counts[0]
+        assert (counts[2] > 0) == (spec != "power:0.5")
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_masses_at_the_class_thresholds(self, spec):
+        # entries at ZERO_MASS and at the positive-class floor, and one ulp either
+        # side: masses in the band between the classes leave their row to _screen
+        f = generator_from_string(spec)
+        rng = np.random.default_rng(3)
+        for d, depth in ((2, 2), (3, 2)):
+            lam, mu = random_measure(rng, d), random_measure(rng, d)
+            for tail in (TailRule("harmonic", solve_q(mu)), TailRule("uniform")):
+                engine = EntropyEngine(lam, f, depth, tail)
+                form = engine._pair_form
+                m = len(engine.words_n)
+                planted = [0.0, ZERO_MASS, form.pos_floor]
+                planted = sorted(np.nextafter(v, t) for v in planted for t in (-INF, INF)) + planted
+                x = rng.dirichlet(np.full(m, 5.0), size=2 * len(planted))
+                for i, v in enumerate(planted):
+                    x[2 * i, i % m] = v
+                    x[2 * i + 1, [i % m, (i + 1) % m]] = v
+                bounded = check_pair_bounds(engine, x)
+                value = np.repeat(planted, 2)
+                band = (value > form.zero_top) & (value <= form.pos_floor)
+                assert (bounded == ~band).all()
+                assert band.any() and form.zero_top == ZERO_MASS
+
+    def test_few_rows_reach_the_letterwise_screen(self, monkeypatch):
+        # the pair form bounds nearly every row of a scan; _screen sees the rest
+        rows = []
+        screen = EntropyEngine._screen
+
+        def counted(engine, x):
+            rows.append(len(x))
+            return screen(engine, x)
+
+        monkeypatch.setattr(EntropyEngine, "_screen", counted)
+        rng = np.random.default_rng(19)
+        for spec in ["kl", "chi2", "power:0.5"]:
+            w = rng.uniform(0.1, 0.9)  # each generator pair weighs at least 0.1
+            lam = GeneratorMeasure(2, {1: w / 2, -1: w / 2, 2: (1 - w) / 2, -2: (1 - w) / 2})
+            rows.clear()
+            minimality_scan(lam, generator_from_string(spec), 3, 2000, 23)
+            assert sum(rows) <= 200, spec
+
+    @pytest.mark.parametrize("spec", SPECS + ["power:22"])
+    def test_screen_matches_the_letterwise_oracle(self, spec):
+        # one take of all 2d translates gives the bounds of one letter at a time
+        f = generator_from_string(spec)
+        rng = np.random.default_rng(29)
+        for d, depth in ((2, 2), (2, 3), (3, 2)):
+            lam, mu = random_measure(rng, d), random_measure(rng, d)
+            for tail in (TailRule("harmonic", solve_q(mu)), TailRule("uniform")):
+                engine = EntropyEngine(lam, f, depth, tail)
+                m = len(engine.words_n)
+                x = _scan_block(rng, ENTROPY_CELLS // len(engine.refine_src) + 9, m, 0.3, 0.0)[0]
+                x[0, 0] = np.nan
+                assert engine._screen(x).tobytes() == letterwise_screen(engine, x).tobytes()
+
+    def test_no_pair_form_past_its_assumptions(self):
+        # E = max(|a|, |1 - a|) above 2^10, or a coefficient whose power leaves the
+        # float range (a stiff harmonic tail at power:-100): every row goes to _screen
+        stiff = TailRule("harmonic", solve_q(GeneratorMeasure(
+            2, {1: 0.4995, -1: 0.4995, 2: 0.0005, -2: 0.0005})))
+        for alpha, tail in ((2000.0, TailRule("uniform")), (-100.0, stiff)):
+            engine = EntropyEngine(uniform_generator_measure(2), ConvexGenerator("power", alpha),
+                                   2, tail)
+            x = _scan_block(np.random.default_rng(1), 20, len(engine.words_n), 0.3, 0.0)[0]
+            assert engine._pair_form is None and np.isnan(engine._pair_screen(x)).all()
+            assert engine._bounds(x).tobytes() == engine._screen(x).tobytes()
+
+    def test_pair_index_covers_every_translated_cell(self):
+        for d, depth in ((2, 3), (3, 3)):
+            maps, index = _gather_maps(d, depth), free_boundary._pair_index(d, depth)
+            m = len(maps.words_n)
+            ref = np.tile(maps.refine_src, 2 * d)
+            assert (index.src[index.pair_of] == maps.push_src).all()
+            assert (index.ref[index.pair_of] == ref).all()
+            keys = index.src * m + index.ref
+            assert (np.diff(keys) > 0).all()
+        assert len(free_boundary._pair_index(2, 3).src) == 204
+        assert len(free_boundary._pair_index(3, 3).src) == 1470
 
 
 class TestEntropyBlocks:

@@ -6,7 +6,8 @@ import sys
 
 import numpy as np
 import pytest
-from oracles import bisection_largest_feasible, dict_concave_envelope, illinois_largest_feasible
+from oracles import (bisection_largest_feasible, concatenated_subset_sums, dict_concave_envelope,
+                     illinois_largest_feasible)
 
 from fentropy.divergence import FiniteMeasure
 from fentropy.errors import (
@@ -200,6 +201,15 @@ class TestRhoNorm:
             lhs = sum(f.values[k] * phi[k] * nu.mass(k) for k in nu.labels())
             int_phi = sum(phi[k] * nu.mass(k) for k in nu.labels())
             assert lhs <= rho_norm(f, rho) * rho.eval(int_phi) + 1e-10
+
+    def test_subset_sums_match_the_concatenating_oracle(self):
+        # filled in place, the sums take the same additions in the same order
+        rng = np.random.default_rng(33)
+        for n in range(13):
+            for values in (rng.random(n), rng.dirichlet(np.ones(n)) if n else np.zeros(0),
+                           np.array([1e-300, 1.0, -0.0, 1e300, 3.0][:n])):
+                got = majorant._subset_sums(values)
+                assert got.tobytes() == concatenated_subset_sums(values).tobytes()
 
 
 class TestAbsoluteContinuity:
